@@ -4,6 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "common/check.h"
+
 namespace sinan {
 
 namespace {
@@ -13,6 +15,9 @@ constexpr double kEpsWork = 1e-12;
 
 /** Upper bound on sharing rounds per tier per tick (safety net). */
 constexpr int kMaxRounds = 64;
+
+/** Slack of the per-tier-tick CPU conservation check (core-seconds). */
+constexpr double kEpsCpu = 1e-9;
 
 } // namespace
 
@@ -53,29 +58,32 @@ Cluster::FlattenTree(const CallNode& node, std::vector<FlatNode>& out)
     if (node.tier < 0 || node.tier >= static_cast<int>(tiers_.size()))
         throw std::invalid_argument("Cluster: call node has bad tier index");
     const int32_t idx = static_cast<int32_t>(out.size());
-    out.push_back(FlatNode{node.tier, node.demand_s, node.demand_cv,
-                           node.hit_prob, node.async, 0, 0});
+    out.push_back(FlatNode{
+        node.tier, LogNormalParams::FromMeanCv(node.demand_s, node.demand_cv),
+        node.hit_prob, node.async, 0, 0, -1});
     // Depth-first layout: a node's first child is at idx+1 and sibling
-    // k+1 starts right after sibling k's whole subtree, so FinishLocalWork
-    // can enumerate children by skipping subtrees. We only store the first
-    // child index and the child count.
-    std::vector<int32_t> child_idx;
-    child_idx.reserve(node.children.size());
-    for (const CallNode& c : node.children)
-        child_idx.push_back(FlattenTree(c, out));
-    FlatNode& fn = out[idx];
-    fn.child_begin = child_idx.empty() ? 0 : child_idx.front();
-    fn.child_count = static_cast<int32_t>(child_idx.size());
+    // k+1 starts right after sibling k's whole subtree; each child links
+    // to the next, so FinishLocalWork walks siblings without subtrees.
+    int32_t prev = -1;
+    for (const CallNode& c : node.children) {
+        const int32_t child = FlattenTree(c, out);
+        if (prev < 0)
+            out[idx].child_begin = child;
+        else
+            out[prev].next_sibling = child;
+        prev = child;
+    }
+    out[idx].child_count = static_cast<int32_t>(node.children.size());
     return idx;
 }
 
 int32_t
 Cluster::AllocStage()
 {
-    if (free_head_ >= 0) {
-        const int32_t h = free_head_;
-        free_head_ = stages_[h].next_free;
-        stages_[h] = Stage{};
+    // No reset: SpawnStage writes every field of the recycled slot.
+    if (!free_stages_.empty()) {
+        const int32_t h = free_stages_.back();
+        free_stages_.pop_back();
         return h;
     }
     stages_.emplace_back();
@@ -86,8 +94,7 @@ void
 Cluster::FreeStage(int32_t handle)
 {
     stages_[handle].state = 0;
-    stages_[handle].next_free = free_head_;
-    free_head_ = handle;
+    free_stages_.push_back(handle);
 }
 
 int32_t
@@ -103,9 +110,12 @@ Cluster::SpawnStage(int16_t type, int32_t node, int32_t parent,
     s.record_latency = record_latency;
     s.parent = parent;
     s.pending_children = 0;
-    s.remaining_s = rng_.LogNormal(fn.demand_s, fn.demand_cv);
+    s.remaining_s = rng_.LogNormal(fn.demand);
+    s.consumed_tick_s = 0.0;
     s.enqueue_time = now;
     s.birth_time = birth;
+    s.trace_idx = -1;
+    s.span_idx = -1;
     s.ready_tick = in_tick_ ? tick_id_ + 1 : tick_id_;
 
     TierState& tier = tiers_[fn.tier];
@@ -195,9 +205,8 @@ Cluster::TakeTraces()
 void
 Cluster::AdmitFromQueue(TierState& tier, double now)
 {
-    while (tier.active < tier.slots && !tier.queue.empty()) {
-        const int32_t h = tier.queue.front();
-        tier.queue.pop_front();
+    while (tier.active < tier.slots && tier.queue_head < tier.queue.size()) {
+        const int32_t h = tier.queue[tier.queue_head++];
         Stage& s = stages_[h];
         s.state = 2; // running
         // Children spawned mid-tick carry the tick-end timestamp while
@@ -211,6 +220,19 @@ Cluster::AdmitFromQueue(TierState& tier, double now)
                 active_traces_[s.trace_idx].spans[s.span_idx];
             span.start_s = std::max(now, span.enqueue_s);
         }
+    }
+    // Drop the consumed prefix when nothing is left behind it, or when a
+    // standing backlog makes it the larger half (amortized O(1) per
+    // admission).
+    if (tier.queue_head == tier.queue.size()) {
+        tier.queue.clear();
+        tier.queue_head = 0;
+    } else if (tier.queue_head >= TierState::kQueueCompactAt &&
+               2 * tier.queue_head >= tier.queue.size()) {
+        tier.queue.erase(tier.queue.begin(),
+                         tier.queue.begin() +
+                             static_cast<std::ptrdiff_t>(tier.queue_head));
+        tier.queue_head = 0;
     }
 }
 
@@ -232,9 +254,7 @@ Cluster::FinishLocalWork(int32_t handle, double end_time)
         return;
     }
 
-    // Spawn all children in parallel. Depth-first flattening means the
-    // k-th child's root index is the previous child's root plus the size
-    // of that child's subtree; the subtree is skipped by a preorder walk.
+    // Spawn all children in parallel.
     const int32_t parent_trace = stages_[handle].trace_idx;
     const int32_t parent_span = stages_[handle].span_idx;
     int32_t child = fn.child_begin;
@@ -248,13 +268,7 @@ Cluster::FinishLocalWork(int32_t handle, double end_time)
             AttachSpan(ch, parent_trace, parent_span, async, end_time);
         if (!async)
             ++sync_children;
-        int32_t cursor = child;
-        int32_t remaining = 1;
-        while (remaining > 0) {
-            remaining += trees_[type][cursor].child_count - 1;
-            ++cursor;
-        }
-        child = cursor;
+        child = trees_[type][child].next_sibling;
     }
 
     if (sync_children == 0) {
@@ -269,7 +283,9 @@ Cluster::FinishLocalWork(int32_t handle, double end_time)
 void
 Cluster::CompleteStage(int32_t handle, double end_time)
 {
-    Stage s = stages_[handle]; // copy: FreeStage invalidates the slot
+    // Nothing below allocates a stage, so the reference stays valid;
+    // fields are read before FreeStage recycles the slot.
+    const Stage& s = stages_[handle];
     const FlatNode& fn = trees_[s.type][s.node];
     TierState& tier = tiers_[fn.tier];
 
@@ -303,6 +319,26 @@ Cluster::CompleteStage(int32_t handle, double end_time)
 }
 
 void
+Cluster::RemoveFinished(std::vector<int32_t>& running) const
+{
+    // finished_ is a subsequence of running (same order, handles unique
+    // in running), so one stable pass drops exactly those positions. A
+    // finished handle may already be recycled by a spawn of this round,
+    // which is why this matches positions and never reads stage state.
+    size_t next = 0;
+    size_t out = 0;
+    for (const int32_t h : running) {
+        if (next < finished_.size() && h == finished_[next]) {
+            ++next;
+            continue;
+        }
+        running[out++] = h;
+    }
+    SINAN_DCHECK(next == finished_.size());
+    running.resize(out);
+}
+
+void
 Cluster::Tick(double now, double dt)
 {
     in_tick_ = true;
@@ -328,38 +364,53 @@ Cluster::Tick(double now, double dt)
 
         AdmitFromQueue(tier, now);
 
-        double cap_s = tier.cpu_limit * cfg_.speed_factor *
-                       tier.capacity_factor * dt * avail;
+        const double cap0_s = tier.cpu_limit * cfg_.speed_factor *
+                              tier.capacity_factor * dt * avail;
         const double per_stage_cap = dt * avail; // one core per stage
+        const double used_before = tier.cpu_used_acc;
+        double cap_s = cap0_s;
+
+        // Water-filling: each round splits the remaining capacity evenly
+        // over the runnable stages, in running order. A stage leaves the
+        // runnable set when it finishes or hits the per-stage cap, and
+        // neither can be undone within the tick, so the set is built once
+        // and then only filtered in place and extended by the stages each
+        // round's admission appends to running — the same set, in the same
+        // order, that a re-scan of running would produce.
+        // Entering the set starts the stage's CPU count for this tick.
+        runnable_.clear();
+        const auto consider = [&](int32_t h) {
+            Stage& s = stages_[h];
+            if (s.ready_tick <= tick_id_ && s.remaining_s > kEpsWork) {
+                s.consumed_tick_s = 0.0;
+                runnable_.push_back(h);
+            }
+        };
+        if (cap_s > kEpsWork && per_stage_cap > kEpsWork) {
+            for (const int32_t h : tier.running)
+                consider(h);
+        }
 
         for (int round = 0; round < kMaxRounds && cap_s > kEpsWork;
              ++round) {
-            runnable_.clear();
-            for (const int32_t h : tier.running) {
-                Stage& s = stages_[h];
-                if (s.last_tick != tick_id_) {
-                    s.last_tick = tick_id_;
-                    s.consumed_tick_s = 0.0;
-                }
-                if (s.ready_tick <= tick_id_ &&
-                    s.remaining_s > kEpsWork &&
-                    s.consumed_tick_s < per_stage_cap - kEpsWork) {
-                    runnable_.push_back(h);
-                }
-            }
             if (runnable_.empty())
                 break;
 
             const double share =
                 cap_s / static_cast<double>(runnable_.size());
             bool progressed = false;
-            for (const int32_t h : runnable_) {
+            finished_.clear();
+            size_t kept = 0;
+            for (size_t k = 0; k < runnable_.size(); ++k) {
+                const int32_t h = runnable_[k];
                 Stage& s = stages_[h];
                 const double give =
                     std::min({share, s.remaining_s,
                               per_stage_cap - s.consumed_tick_s});
-                if (give <= kEpsWork)
+                if (give <= kEpsWork) {
+                    runnable_[kept++] = h; // unchanged, still runnable
                     continue;
+                }
                 s.remaining_s -= give;
                 s.consumed_tick_s += give;
                 cap_s -= give;
@@ -367,18 +418,33 @@ Cluster::Tick(double now, double dt)
                 progressed = true;
                 if (s.remaining_s <= kEpsWork) {
                     s.remaining_s = 0.0;
-                    // Remove from running before fan-out.
-                    auto& run = tier.running;
-                    run.erase(std::find(run.begin(), run.end(), h));
+                    finished_.push_back(h);
+                    // May spawn into the arena (invalidating s) and free h
+                    // for reuse; neither touches this tier's running list.
                     FinishLocalWork(h, end_time);
+                } else if (s.consumed_tick_s < per_stage_cap - kEpsWork) {
+                    runnable_[kept++] = h;
                 }
             }
+            runnable_.resize(kept);
+            if (!finished_.empty())
+                RemoveFinished(tier.running);
             if (!progressed)
                 break;
+            const size_t admitted_from = tier.running.size();
             AdmitFromQueue(tier, now);
+            for (size_t i = admitted_from; i < tier.running.size(); ++i)
+                consider(tier.running[i]);
         }
 
-        tier.queue_len_acc += static_cast<double>(tier.queue.size());
+        // O(1) conservation checks (DCHECKs stay on in Release builds).
+        SINAN_DCHECK(tier.cpu_used_acc - used_before <= cap0_s + kEpsCpu);
+        SINAN_DCHECK_BOUNDS(tier.active, 0, tier.slots);
+        SINAN_DCHECK(tier.running.size() <=
+                     static_cast<size_t>(tier.active));
+        SINAN_DCHECK(tier.queue_head <= tier.queue.size());
+
+        tier.queue_len_acc += static_cast<double>(tier.QueueLen());
         tier.active_acc += static_cast<double>(tier.active);
         ++tier.tick_samples;
     }
@@ -437,6 +503,9 @@ Cluster::Harvest(double now, double interval_s)
     latency_.Seal(); // sort once in place; Quantiles then copies nothing
     obs.latency_ms = latency_.Quantiles(LatencyQuantiles());
     latency_.Reset();
+    injected_total_ += injected_;
+    completed_total_ += completed_;
+    SINAN_DCHECK_EQ(injected_total_, completed_total_ + in_flight_);
     injected_ = 0;
     completed_ = 0;
     return obs;

@@ -18,8 +18,8 @@
 #ifndef SINAN_CLUSTER_CLUSTER_H
 #define SINAN_CLUSTER_CLUSTER_H
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "common/telemetry.h"
@@ -53,10 +53,19 @@ struct TierState {
     int slots = 0;
     /** Occupied slots (running + blocked on children). */
     int active = 0;
-    /** Admission queue of stage handles. */
-    std::deque<int32_t> queue;
-    /** Stages admitted and still owing local CPU work. */
+    /** Admission queue of stage handles: FIFO from queue_head on. The
+     *  consumed prefix is dropped when the queue drains, or once it is
+     *  at least kQueueCompactAt long and half the vector. */
+    std::vector<int32_t> queue;
+    size_t queue_head = 0;
+    /** Stages admitted and still owing local CPU work, in admission
+     *  order (the order CPU is handed out in). */
     std::vector<int32_t> running;
+
+    static constexpr size_t kQueueCompactAt = 1024;
+
+    /** Stages waiting for a slot. */
+    size_t QueueLen() const { return queue.size() - queue_head; }
 
     /** Externally imposed capacity multiplier in [0, 1] (fault
      *  injection: capacity loss / noisy neighbor). Invisible to the
@@ -155,18 +164,21 @@ class Cluster {
     /** One node of a flattened call tree. */
     struct FlatNode {
         int tier;
-        double demand_s;
-        double demand_cv;
+        /** Local CPU demand distribution, precomputed from the node's
+         *  demand_s and demand_cv. */
+        LogNormalParams demand;
         double hit_prob;
         bool async;
         /** Index of the first child (the node right after this one). */
         int32_t child_begin;
         /** Number of direct children. */
         int32_t child_count;
+        /** Index of the parent's next child (-1 for the last). */
+        int32_t next_sibling;
     };
 
-    /** In-flight execution of one call-tree node. */
-    struct Stage {
+    /** In-flight execution of one call-tree node; one cache line. */
+    struct alignas(64) Stage {
         int32_t node = -1;
         int16_t type = -1;
         int8_t state = 0; // 0 free, 1 queued, 2 running, 3 blocked
@@ -174,8 +186,9 @@ class Cluster {
         int32_t parent = -1;
         int32_t pending_children = 0;
         double remaining_s = 0.0;
+        /** CPU received in the current tick; reset when the stage
+         *  enters the tick's runnable set. */
         double consumed_tick_s = 0.0;
-        int64_t last_tick = -1;
         double enqueue_time = 0.0;
         double birth_time = 0.0; // root: request injection time
         /** Tracing handles (-1: untraced). */
@@ -185,8 +198,8 @@ class Cluster {
          *  spawned mid-tick wait one tick, so a serial RPC chain cannot
          *  compress multiple hops of work into a single tick. */
         int64_t ready_tick = 0;
-        int32_t next_free = -1;
     };
+    static_assert(sizeof(Stage) == 64, "Stage must fill one cache line");
 
     int32_t AllocStage();
     void FreeStage(int32_t handle);
@@ -212,6 +225,9 @@ class Cluster {
     /** Stage (and its sync subtree) fully done; notify parent. */
     void CompleteStage(int32_t handle, double end_time);
 
+    /** Drops the stages in finished_ from @p running, keeping order. */
+    void RemoveFinished(std::vector<int32_t>& running) const;
+
     Application app_;
     ClusterConfig cfg_;
     Rng rng_;
@@ -221,7 +237,8 @@ class Cluster {
     std::vector<std::vector<FlatNode>> trees_;
 
     std::vector<Stage> stages_;
-    int32_t free_head_ = -1;
+    /** Recycled stage handles, most recently freed last. */
+    std::vector<int32_t> free_stages_;
 
     // Tracing state: active traces (arena + free list), open-span
     // counts, and the completed traces awaiting TakeTraces().
@@ -237,10 +254,16 @@ class Cluster {
     int64_t injected_ = 0;  // this interval
     int64_t completed_ = 0; // this interval
     int64_t in_flight_ = 0;
+    // Cumulative over all harvested intervals (conservation check).
+    int64_t injected_total_ = 0;
+    int64_t completed_total_ = 0;
     PercentileDigest latency_;
 
-    // Scratch buffer reused across ticks to avoid reallocations.
+    // Scratch buffers reused across ticks to avoid reallocations: the
+    // current round's runnable stages of one tier, and the stages that
+    // finished their local work in it.
     std::vector<int32_t> runnable_;
+    std::vector<int32_t> finished_;
 };
 
 } // namespace sinan

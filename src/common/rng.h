@@ -17,6 +17,33 @@
 
 namespace sinan {
 
+/**
+ * Log-normal parameters derived once from the variate's own mean and
+ * coefficient of variation, so a hot caller (the cluster's per-stage
+ * demand draw) skips the two logs and the sqrt per draw.
+ */
+struct LogNormalParams {
+    /** Mean and stddev of the underlying normal. */
+    double mu = 0.0;
+    double sigma = 0.0;
+    /** False when the mean is <= 0: the variate is 0 and no draw is
+     *  consumed. */
+    bool positive = false;
+
+    static LogNormalParams
+    FromMeanCv(double mean, double cv)
+    {
+        LogNormalParams p;
+        if (mean <= 0.0)
+            return p;
+        const double sigma2 = std::log(1.0 + cv * cv);
+        p.mu = std::log(mean) - 0.5 * sigma2;
+        p.sigma = std::sqrt(sigma2);
+        p.positive = true;
+        return p;
+    }
+};
+
 /** Deterministic xoshiro256++ generator with distribution helpers. */
 class Rng {
   public:
@@ -131,11 +158,16 @@ class Rng {
     double
     LogNormal(double mean, double cv)
     {
-        if (mean <= 0.0)
+        return LogNormal(LogNormalParams::FromMeanCv(mean, cv));
+    }
+
+    /** Log-normal variate from precomputed parameters. */
+    double
+    LogNormal(const LogNormalParams& p)
+    {
+        if (!p.positive)
             return 0.0;
-        const double sigma2 = std::log(1.0 + cv * cv);
-        const double mu = std::log(mean) - 0.5 * sigma2;
-        return std::exp(Normal(mu, std::sqrt(sigma2)));
+        return std::exp(Normal(p.mu, p.sigma));
     }
 
     /** Poisson count with mean @p lambda (inversion for small, PTRS-ish loop). */

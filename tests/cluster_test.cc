@@ -2,13 +2,23 @@
  * @file
  * Tests for the cluster queueing substrate: processor sharing, call-tree
  * execution, concurrency-slot back-pressure, cache short-circuits, async
- * fan-out, metric accounting, and the log-sync stall model.
+ * fan-out, metric accounting, the log-sync stall model, and the tick's
+ * bookkeeping: admission-queue compaction, stage-handle recycling, the
+ * precomputed demand draw, and conservation under every chaos scenario.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <string>
+#include <vector>
 
+#include "app/apps.h"
+#include "baselines/autoscale.h"
 #include "cluster/cluster.h"
+#include "harness/harness.h"
+#include "sim/fault_injector.h"
 
 namespace sinan {
 namespace {
@@ -164,7 +174,7 @@ TEST(Cluster, BackpressurePropagatesUpstream)
         cluster.Inject(0, 0.0);
     Drain(cluster, 0.3);
     const TierState& t0 = cluster.TierAt(0);
-    EXPECT_GT(t0.queue.size(), 0u)
+    EXPECT_GT(t0.QueueLen(), 0u)
         << "upstream should be blocked by slot exhaustion";
     // All four upstream slots are held by stages waiting on downstream.
     EXPECT_EQ(t0.active, 4);
@@ -523,6 +533,166 @@ TEST_P(SaturationTest, BacklogIffOverloaded)
 
 INSTANTIATE_TEST_SUITE_P(LoadFactors, SaturationTest,
                          ::testing::Values(0.3, 0.5, 0.7, 1.5, 2.0, 3.0));
+
+TEST(Cluster, FifoAdmissionSurvivesQueueCompaction)
+{
+    // One slot and every request traced: completion order is admission
+    // order, and trace ids are injection order. A stall piles up a
+    // backlog three times the compaction threshold, which then drains
+    // through mid-backlog compactions and the final empty-queue reset.
+    Application app = ChainApp({0.1});
+    app.tiers[0].concurrency_per_replica = 1;
+    app.tiers[0].replicas = 1;
+    ClusterConfig cfg;
+    cfg.trace_sample = 1.0;
+    Cluster cluster(app, cfg, 1);
+    const int n = 3 * static_cast<int>(TierState::kQueueCompactAt);
+    cluster.InjectStall(0, 0.3);
+    for (int i = 0; i < n; ++i)
+        cluster.Inject(0, 0.0);
+
+    std::vector<int64_t> order;
+    bool compacted_mid_backlog = false;
+    double now = 0.0;
+    for (int tick = 0; tick < 200 && cluster.InFlight() > 0; ++tick) {
+        cluster.Tick(now, 0.01);
+        now += 0.01;
+        const TierState& t = cluster.TierAt(0);
+        if (t.QueueLen() > 0 && t.queue.size() < static_cast<size_t>(n) - 1)
+            compacted_mid_backlog = true;
+        for (const Trace& tr : cluster.TakeTraces())
+            order.push_back(tr.trace_id);
+    }
+    EXPECT_TRUE(compacted_mid_backlog);
+    EXPECT_EQ(cluster.InFlight(), 0);
+    EXPECT_EQ(cluster.TierAt(0).QueueLen(), 0u);
+    EXPECT_TRUE(cluster.TierAt(0).queue.empty());
+    ASSERT_EQ(order.size(), static_cast<size_t>(n));
+    for (int i = 0; i < n; ++i)
+        ASSERT_EQ(order[i], i + 1) << "completion " << i;
+}
+
+TEST(Cluster, RecycledHandleNeverRunsTwice)
+{
+    // Root and child share tier 0, and half the roots hit the cache. A
+    // cache hit frees its handle mid-round; a later fan-out in the same
+    // round recycles it for a child that is admitted to the same tier
+    // after the round. The finished entry must be gone from running by
+    // then, so no handle ever appears twice.
+    Application app = ChainApp({1.0}, 0.3);
+    app.tiers[0].concurrency_per_replica = 16;
+    app.tiers[0].replicas = 1;
+    app.request_types[0].root.hit_prob = 0.5;
+    CallNode child;
+    child.tier = 0;
+    child.demand_s = 0.001;
+    child.demand_cv = 0.3;
+    app.request_types[0].root.children.push_back(child);
+    Cluster cluster(app, ClusterConfig{}, 3);
+    Rng rng(5);
+    int64_t injected = 0;
+    double now = 0.0;
+    for (int tick = 0; tick < 400; ++tick) {
+        if (tick < 300) {
+            const int k = rng.Poisson(8.0);
+            for (int j = 0; j < k; ++j, ++injected)
+                cluster.Inject(0, now);
+        }
+        cluster.Tick(now, 0.01);
+        now += 0.01;
+        std::vector<int32_t> running = cluster.TierAt(0).running;
+        std::sort(running.begin(), running.end());
+        ASSERT_EQ(std::adjacent_find(running.begin(), running.end()),
+                  running.end())
+            << "duplicate handle in running after tick " << tick;
+    }
+    EXPECT_EQ(cluster.InFlight(), 0);
+    const IntervalObservation obs = cluster.Harvest(now, now);
+    EXPECT_EQ(std::llround(obs.completed_rps * now), injected);
+}
+
+TEST(Cluster, PrecomputedLogNormalMatchesReferenceBitForBit)
+{
+    // The cluster draws stage demands from LogNormalParams built once per
+    // call-tree node. Each draw must equal, bit for bit, the direct
+    // mean/cv formula, and consume exactly the same RNG state: one
+    // normal for a positive mean (even at cv = 0), none for mean <= 0.
+    const double means[] = {-1.0, 0.0, 1e-9, 0.0004, 0.002, 0.5, 3.0};
+    const double cvs[] = {0.0, 0.05, 0.15, 0.5, 1.0, 2.5};
+    Rng reference(99);
+    Rng wrapped(99);
+    Rng precomputed(99);
+    for (int rep = 0; rep < 3; ++rep) {
+        for (const double mean : means) {
+            for (const double cv : cvs) {
+                double want = 0.0;
+                if (mean > 0.0) {
+                    const double sigma2 = std::log(1.0 + cv * cv);
+                    const double mu = std::log(mean) - 0.5 * sigma2;
+                    want = std::exp(reference.Normal(mu, std::sqrt(sigma2)));
+                }
+                const LogNormalParams p =
+                    LogNormalParams::FromMeanCv(mean, cv);
+                EXPECT_EQ(p.positive, mean > 0.0);
+                const double a = wrapped.LogNormal(mean, cv);
+                const double b = precomputed.LogNormal(p);
+                EXPECT_EQ(std::bit_cast<uint64_t>(a),
+                          std::bit_cast<uint64_t>(want))
+                    << "mean " << mean << " cv " << cv;
+                EXPECT_EQ(std::bit_cast<uint64_t>(b),
+                          std::bit_cast<uint64_t>(want))
+                    << "mean " << mean << " cv " << cv;
+            }
+        }
+        // Same stream position afterwards, including the cached normal.
+        const double n_ref = reference.Normal();
+        EXPECT_EQ(std::bit_cast<uint64_t>(wrapped.Normal()),
+                  std::bit_cast<uint64_t>(n_ref));
+        EXPECT_EQ(std::bit_cast<uint64_t>(precomputed.Normal()),
+                  std::bit_cast<uint64_t>(n_ref));
+    }
+    // mean <= 0 consumes nothing at all.
+    Rng untouched(7);
+    Rng drawn(7);
+    EXPECT_EQ(drawn.LogNormal(LogNormalParams::FromMeanCv(0.0, 0.3)), 0.0);
+    EXPECT_EQ(drawn.LogNormal(-2.0, 0.0), 0.0);
+    EXPECT_EQ(drawn.NextU64(), untouched.NextU64());
+}
+
+/** Every chaos scenario through a solo AutoScaleCons run, so the
+ *  simulator's conservation DCHECKs run under stalls, capacity loss,
+ *  flash crowds and telemetry faults (and under the sanitizer legs). */
+class ChaosSoloTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(ChaosSoloTest, ConservationHoldsUnderScenario)
+{
+    const ChaosScenario& sc = ChaosScenarios()[GetParam()];
+    const Application app = GetParam() % 2 == 0 ? BuildSocialNetwork()
+                                                : BuildHotelReservation();
+    AutoScaler cons = MakeAutoScaleCons();
+    const ConstantLoad load(GetParam() % 2 == 0 ? 200.0 : 1800.0);
+    RunConfig cfg;
+    cfg.faults = ParseFaultSpec(sc.spec);
+    cfg.duration_s = static_cast<double>(cfg.faults.EndInterval() + 4);
+    cfg.warmup_s = 2.0;
+    cfg.cluster.trace_sample = 0.01;
+    cfg.seed = 31 + GetParam();
+    RunResult r;
+    ASSERT_NO_THROW(r = RunManaged(app, cons, load, cfg)) << sc.name;
+    ASSERT_EQ(r.timeline.size(),
+              static_cast<size_t>(cfg.faults.EndInterval() + 4));
+    for (const IntervalRecord& rec : r.timeline)
+        EXPECT_GE(rec.p99_ms, 0.0) << sc.name;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Scenarios, ChaosSoloTest,
+    ::testing::Range<size_t>(0, ChaosScenarios().size()),
+    [](const ::testing::TestParamInfo<size_t>& p) {
+        std::string name = ChaosScenarios()[p.param].name;
+        std::replace(name.begin(), name.end(), '-', '_');
+        return name;
+    });
 
 } // namespace
 } // namespace sinan
