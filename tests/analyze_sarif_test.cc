@@ -15,33 +15,14 @@
  */
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include "analyze.h"
+#include "golden_util.h"
 
 namespace sinan {
 namespace analyze {
 namespace {
-
-std::string
-GoldenPath(const char* name)
-{
-    return std::string(SINAN_REPO_ROOT) + "/tests/golden/" + name;
-}
-
-std::string
-ReadFileOrEmpty(const std::string& path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return "";
-    std::ostringstream out;
-    out << in.rdbuf();
-    return out.str();
-}
 
 Report
 FixtureReport()
@@ -52,21 +33,7 @@ FixtureReport()
 
 TEST(AnalyzeSarifTest, SarifBytesAreStable)
 {
-    const std::string rendered = ToSarif(FixtureReport());
-    const std::string path = GoldenPath("analyze.sarif");
-    if (std::getenv("SINAN_REGEN_GOLDEN") != nullptr) {
-        std::ofstream out(path, std::ios::binary);
-        ASSERT_TRUE(out) << "cannot write " << path;
-        out << rendered;
-        GTEST_SKIP() << "regenerated " << path;
-    }
-    const std::string golden = ReadFileOrEmpty(path);
-    ASSERT_FALSE(golden.empty())
-        << path << " missing; regenerate with SINAN_REGEN_GOLDEN=1";
-    EXPECT_EQ(rendered, golden)
-        << "analyze.sarif drifted from the committed golden file. If "
-           "the change is intentional, rerun with SINAN_REGEN_GOLDEN=1 "
-           "and commit the diff.";
+    testutil::CheckGolden("analyze.sarif", ToSarif(FixtureReport()));
 }
 
 TEST(AnalyzeSarifTest, MiniTreeReportShapeIsStable)

@@ -9,15 +9,13 @@
  */
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <fstream>
 #include <initializer_list>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "app/apps.h"
 #include "cli/sim_cli.h"
+#include "golden_util.h"
 
 namespace sinan {
 namespace {
@@ -259,24 +257,8 @@ TEST(CliTest, ChaosCatalogMatchesGoldenListing)
     // `--faults list` prints exactly this string; golden-pinning it
     // means a scenario rename, reorder, or spec change shows up as a
     // reviewed diff. Regenerate with SINAN_REGEN_GOLDEN=1.
-    const std::string path =
-        std::string(SINAN_REPO_ROOT) + "/tests/golden/chaos_catalog.txt";
     const std::string rendered = FormatChaosCatalog();
-    if (std::getenv("SINAN_REGEN_GOLDEN") != nullptr) {
-        std::ofstream out(path, std::ios::binary);
-        ASSERT_TRUE(out) << "cannot write " << path;
-        out << rendered;
-        GTEST_SKIP() << "regenerated " << path;
-    }
-    std::ifstream in(path, std::ios::binary);
-    ASSERT_TRUE(in) << path
-                    << " missing; regenerate with SINAN_REGEN_GOLDEN=1";
-    std::ostringstream golden;
-    golden << in.rdbuf();
-    EXPECT_EQ(rendered, golden.str())
-        << "chaos catalog drifted from the committed golden listing. "
-           "If intentional, rerun with SINAN_REGEN_GOLDEN=1 and commit "
-           "the diff.";
+    testutil::CheckGolden("chaos_catalog.txt", rendered);
 
     // The two PR-9 scenarios must be part of the catalog.
     EXPECT_NE(rendered.find("correlated-outage"), std::string::npos);

@@ -16,32 +16,15 @@
  */
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <string>
 
+#include "golden_util.h"
 #include "harness/telemetry_log.h"
 
 namespace sinan {
 namespace {
 
-std::string
-GoldenPath(const char* name)
-{
-    return std::string(SINAN_REPO_ROOT) + "/tests/golden/" + name;
-}
-
-std::string
-ReadFileOrEmpty(const std::string& path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return "";
-    std::ostringstream out;
-    out << in.rdbuf();
-    return out.str();
-}
+using testutil::CheckGolden;
 
 /** A fixed trace exercising every row shape the serializers emit. */
 DecisionTrace
@@ -150,26 +133,6 @@ FixtureTrace()
     trace.intervals.push_back(uncertain);
 
     return trace;
-}
-
-void
-CheckGolden(const char* name, const std::string& rendered)
-{
-    const std::string path = GoldenPath(name);
-    if (std::getenv("SINAN_REGEN_GOLDEN") != nullptr) {
-        std::ofstream out(path, std::ios::binary);
-        ASSERT_TRUE(out) << "cannot write " << path;
-        out << rendered;
-        GTEST_SKIP() << "regenerated " << path;
-    }
-    const std::string golden = ReadFileOrEmpty(path);
-    ASSERT_FALSE(golden.empty())
-        << path << " missing; regenerate with SINAN_REGEN_GOLDEN=1";
-    EXPECT_EQ(rendered, golden)
-        << name
-        << " drifted from the committed golden file. If the change is "
-           "intentional, rerun with SINAN_REGEN_GOLDEN=1 and commit "
-           "the diff.";
 }
 
 TEST(GoldenTraceTest, DecisionTraceCsvBytesAreStable)

@@ -1,0 +1,49 @@
+/**
+ * @file
+ * Golden-file comparison shared by the tests that pin serialized bytes
+ * against tests/golden/. With SINAN_REGEN_GOLDEN set, the file is
+ * rewritten from the rendering and the test is skipped, so an
+ * intentional format or model change shows up as a reviewed diff of the
+ * committed file. Tests including this define SINAN_REPO_ROOT.
+ */
+#ifndef SINAN_TESTS_GOLDEN_UTIL_H
+#define SINAN_TESTS_GOLDEN_UTIL_H
+
+#include <gtest/gtest.h>
+
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
+#include <string>
+
+namespace sinan {
+namespace testutil {
+
+/** Expects @p rendered to equal tests/golden/@p name byte for byte. */
+inline void
+CheckGolden(const std::string& name, const std::string& rendered)
+{
+    const std::string path =
+        std::string(SINAN_REPO_ROOT) + "/tests/golden/" + name;
+    if (std::getenv("SINAN_REGEN_GOLDEN") != nullptr) {
+        std::ofstream out(path, std::ios::binary);
+        ASSERT_TRUE(out) << "cannot write " << path;
+        out << rendered;
+        GTEST_SKIP() << "regenerated " << path;
+    }
+    std::ifstream in(path, std::ios::binary);
+    ASSERT_TRUE(in) << path
+                    << " missing; regenerate with SINAN_REGEN_GOLDEN=1";
+    std::ostringstream golden;
+    golden << in.rdbuf();
+    EXPECT_EQ(rendered, golden.str())
+        << name
+        << " drifted from the committed golden file. If the change is "
+           "intentional, rerun with SINAN_REGEN_GOLDEN=1 and commit the "
+           "diff.";
+}
+
+} // namespace testutil
+} // namespace sinan
+
+#endif // SINAN_TESTS_GOLDEN_UTIL_H
