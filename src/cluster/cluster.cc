@@ -500,7 +500,8 @@ Cluster::Harvest(double now, double interval_s)
         tier.completions = 0;
     }
 
-    latency_.Seal(); // sort once in place; Quantiles then copies nothing
+    // Only the ascending p95..p99 tail is read, so order just that part.
+    latency_.SealFrom(LatencyQuantiles().front());
     obs.latency_ms = latency_.Quantiles(LatencyQuantiles());
     latency_.Reset();
     injected_total_ += injected_;

@@ -18,11 +18,13 @@ namespace sinan {
  * by Reset() so the digest can be reused interval after interval without
  * reallocation.
  *
- * Contract: Seal() must be called after the interval's writes and
- * before any Quantile()/Quantiles()/Max() query on a non-empty digest —
- * querying an unsealed digest raises a ContractViolation (see
- * common/check.h). Sealing sorts the buffer in place exactly once, so
- * queries are pure reads.
+ * Contract: Seal() or SealFrom() must be called after the interval's
+ * writes and before any Quantile()/Quantiles()/Max() query on a
+ * non-empty digest — querying an unsealed digest raises a
+ * ContractViolation (see common/check.h). Sealing orders the buffer in
+ * place once, so queries are pure reads. SealFrom(p_min) orders only
+ * the part at or above the p_min quantile; a Quantile(p) below that
+ * floor is a ContractViolation too.
  *
  * Thread safety: because queries never touch an unsealed buffer, any
  * number of threads may query one sealed digest concurrently (e.g.
@@ -40,14 +42,24 @@ class PercentileDigest {
 
     /**
      * Sorts the buffer in place so subsequent queries need no copy.
-     * Idempotent; typically called once at interval roll-up.
+     * Idempotent; same as SealFrom(0.0).
      */
-    void Seal();
+    void Seal() { SealFrom(0.0); }
+
+    /**
+     * Seals for queries at p >= @p p_min (in [0,1]) only: partitions the
+     * buffer at the p_min quantile's lower index and sorts just the part
+     * above it, so a tail-only roll-up (p95..p99) skips most of the
+     * sort. Those quantiles equal the fully sorted ones bit for bit.
+     * Idempotent for any p_min at or above the current floor.
+     */
+    void SealFrom(double p_min);
 
     /**
      * Returns the p-quantile (p in [0,1]) via linear interpolation.
      * Returns 0 for an empty digest (an idle interval has no latency).
-     * The digest must be sealed (contract violation otherwise).
+     * The digest must be sealed from at most @p p (contract violation
+     * otherwise).
      */
     double Quantile(double p) const;
 
@@ -64,12 +76,11 @@ class PercentileDigest {
     void Reset();
 
   private:
-    /** Quantile over an already-sorted buffer. */
-    static double SortedQuantile(const std::vector<double>& sorted,
-                                 double p);
+    /** Lowest sealed quantile; above 1 while unsealed. */
+    static constexpr double kUnsealed = 2.0;
 
     std::vector<double> samples_;
-    bool sorted_ = true;
+    double sealed_from_ = 0.0;
 };
 
 /** Running mean / min / max / count over a stream of values. */
