@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -18,6 +19,19 @@
 
 namespace sinan {
 namespace testutil {
+
+/** FNV-1a 64-bit hash of @p bytes: a compact stand-in for renderings
+ *  too large to commit as golden files. */
+inline uint64_t
+Fnv1a64(const std::string& bytes)
+{
+    uint64_t h = 0xcbf29ce484222325ULL;
+    for (unsigned char c : bytes) {
+        h ^= c;
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
 
 /** Expects @p rendered to equal tests/golden/@p name byte for byte. */
 inline void
