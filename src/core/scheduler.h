@@ -12,6 +12,14 @@
  * and applies the acceptable action using the least total CPU. A safety
  * mechanism upscales every tier after an observed (mispredicted) QoS
  * violation and tracks the model's trust.
+ *
+ * Decide() runs that loop as one pipeline for every interval, whatever
+ * the telemetry looks like: it grades the observation into a mode
+ * (fresh, graded or blind), derives the interval's reference
+ * observation and evaluation window, takes the safety exits (watchdog,
+ * warm-up / heuristic / hold, observed-violation upscale), and
+ * otherwise filters the candidates with the mode's margins and
+ * down-action rule, then commits once.
  */
 #ifndef SINAN_CORE_SCHEDULER_H
 #define SINAN_CORE_SCHEDULER_H
@@ -39,8 +47,13 @@ namespace sinan {
  *  - caps the per-interval CPU reclaim at confidence times the largest
  *    step-down on offer (aggressiveness proportional to confidence),
  *  - repairs zero-confidence tiers from the last-known-good picture.
- * Below the floor the existing degradation ladder takes over — the
- * ladder is the limit case of zero confidence, not a separate mode.
+ * Below the floor (or without a full window or a last-known-good
+ * picture) the interval is decided blind, by the degradation ladder.
+ * The ladder is a mode of its own, not the zero-confidence limit of
+ * the formulas above: it adds no uncertainty margin and no p_V
+ * widening, and rejects every scale-down outright. With the policy
+ * off every non-fresh interval is blind, so the switch changes
+ * decisions (a stale frame at confidence 0.6 is graded only when on).
  */
 struct UncertaintyConfig {
     bool enabled = false;
@@ -195,37 +208,6 @@ class SinanScheduler : public ResourceManager {
     BuildCandidates(const IntervalObservation& obs,
                     const std::vector<double>& alloc,
                     const Application& app) const;
-
-    /** Normal path: fresh telemetry (warm-up / fallback / model). */
-    std::vector<double> DecideFresh(const IntervalObservation& obs,
-                                    const std::vector<double>& alloc,
-                                    const Application& app);
-
-    /**
-     * Graceful degradation on stale/non-finite/absent telemetry:
-     * model on the last-known-good window with reclaim disabled, then
-     * utilization stepping on the last good observation, then hold —
-     * and the blanket-upscale watchdog once the silence persists.
-     */
-    std::vector<double> DecideDegraded(TelemetryHealth health,
-                                       const std::vector<double>& alloc,
-                                       const Application& app,
-                                       const TelemetryAssessment* assess);
-
-    /**
-     * Uncertainty-aware path for partially-trusted telemetry
-     * (confidence in [floor, 1)): the observation is repaired from the
-     * last-known-good picture, the model is consulted with the filter
-     * margins widened by the uncertainty margin, and the step-down
-     * budget shrinks proportionally to confidence. Trust scoring stays
-     * frozen (predictions made on repaired data are never graded), and
-     * the guard's silent counter advances so persistent staleness
-     * decays into the binary ladder.
-     */
-    std::vector<double> DecideUncertain(const TelemetryAssessment& assess,
-                                        const IntervalObservation& obs,
-                                        const std::vector<double>& alloc,
-                                        const Application& app);
 
     /** AutoScaleCons-style utilization stepping (warm-up and the
      *  degraded heuristic); @p aggressive grows every tier. */
