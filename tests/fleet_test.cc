@@ -18,13 +18,12 @@
  */
 #include <gtest/gtest.h>
 
-#include <filesystem>
-#include <fstream>
 #include <memory>
 #include <stdexcept>
 #include <string>
 
 #include "app/apps.h"
+#include "bundled_model.h"
 #include "common/thread_pool.h"
 #include "fleet/fleet.h"
 #include "fleet/fleet_log.h"
@@ -34,27 +33,7 @@
 namespace sinan {
 namespace {
 
-/** Loads a bundled bench_cache model exactly like the bench cache-hit
- *  path (same FeatureConfig recipe and hybrid hyper-parameters). */
-std::unique_ptr<HybridModel>
-LoadBundledModel(const Application& app, const std::string& name)
-{
-    const std::string path =
-        std::string(SINAN_REPO_ROOT) + "/bench_cache/" + name + ".model";
-    if (!std::filesystem::exists(path))
-        return nullptr;
-    const PipelineConfig pcfg; // history / lookahead defaults
-    FeatureConfig f;
-    f.n_tiers = static_cast<int>(app.tiers.size());
-    f.history = pcfg.history;
-    f.violation_lookahead = pcfg.violation_lookahead;
-    f.qos_ms = app.qos_ms;
-    auto model =
-        std::make_unique<HybridModel>(f, DefaultHybridConfig(), 1);
-    std::ifstream in(path, std::ios::binary);
-    model->Load(in);
-    return model;
-}
+using testutil::LoadBundledModel;
 
 class FleetFixture : public ::testing::Test {
   protected:

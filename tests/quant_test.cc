@@ -27,8 +27,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <limits>
 #include <memory>
 #include <sstream>
@@ -36,6 +34,7 @@
 #include <vector>
 
 #include "app/apps.h"
+#include "bundled_model.h"
 #include "common/cpu_features.h"
 #include "common/thread_pool.h"
 #include "core/scheduler.h"
@@ -130,25 +129,7 @@ ExpectPredictionsBitIdentical(const std::vector<Prediction>& a,
     }
 }
 
-std::unique_ptr<HybridModel>
-LoadBundledModel(const Application& app, const std::string& name)
-{
-    const std::string path =
-        std::string(SINAN_REPO_ROOT) + "/bench_cache/" + name + ".model";
-    if (!std::filesystem::exists(path))
-        return nullptr;
-    const PipelineConfig pcfg; // history / lookahead defaults
-    FeatureConfig f;
-    f.n_tiers = static_cast<int>(app.tiers.size());
-    f.history = pcfg.history;
-    f.violation_lookahead = pcfg.violation_lookahead;
-    f.qos_ms = app.qos_ms;
-    auto model =
-        std::make_unique<HybridModel>(f, DefaultHybridConfig(), 1);
-    std::ifstream in(path, std::ios::binary);
-    model->Load(in);
-    return model;
-}
+using testutil::LoadBundledModel;
 
 // ---------------------------------------------------------------------
 // Kernel-level byte parity (scalar vs dispatched). On hosts without
