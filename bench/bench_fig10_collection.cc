@@ -65,11 +65,7 @@ main()
 
     const Application app = BuildSocialNetwork();
     const PipelineConfig pcfg = bench::SocialPipeline();
-    FeatureConfig f;
-    f.n_tiers = static_cast<int>(app.tiers.size());
-    f.history = pcfg.history;
-    f.violation_lookahead = pcfg.violation_lookahead;
-    f.qos_ms = app.qos_ms;
+    const FeatureConfig f = AppFeatures(app, pcfg);
 
     CollectionConfig col;
     col.duration_s = pcfg.collect_s;

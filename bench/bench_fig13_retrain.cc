@@ -64,11 +64,7 @@ main()
     std::printf("base model val RMSE: %.1f ms\n",
                 base.model->ValRmseMs());
 
-    FeatureConfig f;
-    f.n_tiers = static_cast<int>(base_app.tiers.size());
-    f.history = pcfg.history;
-    f.violation_lookahead = pcfg.violation_lookahead;
-    f.qos_ms = base_app.qos_ms;
+    const FeatureConfig f = AppFeatures(base_app, pcfg);
 
     ClusterConfig gce;
     gce.speed_factor = 0.85;

@@ -28,11 +28,7 @@ RunApp(const Application& app, const PipelineConfig& pcfg)
     std::printf("\n--- %s (QoS %.0f ms) ---\n", app.name.c_str(),
                 app.qos_ms);
 
-    FeatureConfig f;
-    f.n_tiers = static_cast<int>(app.tiers.size());
-    f.history = pcfg.history;
-    f.violation_lookahead = pcfg.violation_lookahead;
-    f.qos_ms = app.qos_ms;
+    const FeatureConfig f = AppFeatures(app, pcfg);
 
     CollectionConfig col;
     col.duration_s = pcfg.collect_s;

@@ -40,10 +40,7 @@ TrainVariant(bool log_sync, const PipelineConfig& pcfg)
     const Application app = BuildSocialNetwork(opts);
 
     Trained out;
-    out.features.n_tiers = static_cast<int>(app.tiers.size());
-    out.features.history = pcfg.history;
-    out.features.violation_lookahead = pcfg.violation_lookahead;
-    out.features.qos_ms = app.qos_ms;
+    out.features = AppFeatures(app, pcfg);
 
     CollectionConfig col;
     col.duration_s = pcfg.collect_s;

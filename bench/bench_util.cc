@@ -112,10 +112,7 @@ GetTrainedSinan(const Application& app, const PipelineConfig& cfg,
     if (!cache_key.empty() && std::filesystem::exists(path)) {
         // Re-collect the dataset (fast) and load the trained weights.
         TrainedSinan out;
-        out.features.n_tiers = static_cast<int>(app.tiers.size());
-        out.features.history = cfg.history;
-        out.features.violation_lookahead = cfg.violation_lookahead;
-        out.features.qos_ms = app.qos_ms;
+        out.features = AppFeatures(app, cfg);
         out.model = std::make_unique<HybridModel>(out.features,
                                                   cfg.hybrid,
                                                   cfg.seed ^ 0xcafe);
@@ -126,9 +123,9 @@ GetTrainedSinan(const Application& app, const PipelineConfig& cfg,
                 std::printf("[cache] loaded %s\n", path.c_str());
                 return out;
             }
-            // Pre-quantization legacy file: retrain so the cache picks
-            // up activation scales (the int8 benches and parity tests
-            // need a calibrated model).
+            // A container saved before calibration (no quant section):
+            // retrain so the cache picks up activation scales (the int8
+            // benches and parity tests need a calibrated model).
             std::printf("[cache] %s lacks quant calibration; retraining\n",
                         path.c_str());
         } catch (const std::exception&) {

@@ -415,15 +415,26 @@ BoostedTrees::Load(std::istream& in)
     for (Tree& t : trees_) {
         int32_t nn = 0;
         in.read(reinterpret_cast<char*>(&nn), sizeof(nn));
-        if (!in || nn < 0)
+        if (!in || nn <= 0)
             throw std::runtime_error("BoostedTrees::Load: corrupt tree");
         t.nodes.resize(nn);
         in.read(reinterpret_cast<char*>(t.nodes.data()),
                 static_cast<std::streamsize>(nn * sizeof(Node)));
+        if (!in)
+            throw std::runtime_error("BoostedTrees::Load: truncated");
+        // Training appends children after their parent, so every edge
+        // points forward: TreePredict then stays in bounds and ends.
+        for (int32_t i = 0; i < nn; ++i) {
+            const Node& node = t.nodes[static_cast<size_t>(i)];
+            if (node.feature < 0)
+                continue;
+            if (node.feature >= nf || node.left <= i || node.left >= nn ||
+                node.right <= i || node.right >= nn)
+                throw std::runtime_error(
+                    "BoostedTrees::Load: corrupt tree");
+        }
     }
     feature_gain_.assign(n_features_, 0.0);
-    if (!in)
-        throw std::runtime_error("BoostedTrees::Load: truncated");
 }
 
 } // namespace sinan

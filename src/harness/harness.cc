@@ -241,14 +241,22 @@ DefaultHybridConfig()
     return cfg;
 }
 
+FeatureConfig
+AppFeatures(const Application& app, const PipelineConfig& cfg)
+{
+    FeatureConfig f;
+    f.n_tiers = static_cast<int>(app.tiers.size());
+    f.history = cfg.history;
+    f.violation_lookahead = cfg.violation_lookahead;
+    f.qos_ms = app.qos_ms;
+    return f;
+}
+
 TrainedSinan
 TrainSinanForApp(const Application& app, const PipelineConfig& cfg)
 {
     TrainedSinan out;
-    out.features.n_tiers = static_cast<int>(app.tiers.size());
-    out.features.history = cfg.history;
-    out.features.violation_lookahead = cfg.violation_lookahead;
-    out.features.qos_ms = app.qos_ms;
+    out.features = AppFeatures(app, cfg);
 
     CollectionConfig col;
     col.duration_s = cfg.collect_s;

@@ -224,6 +224,11 @@ struct PipelineConfig {
     uint64_t seed = 42;
 };
 
+/** The model's feature layout for @p app under @p cfg: one tier per
+ *  service, the pipeline's history and violation lookahead, and the
+ *  app's QoS target. */
+FeatureConfig AppFeatures(const Application& app, const PipelineConfig& cfg);
+
 /**
  * Collects a dataset with the bandit explorer and trains the hybrid
  * model — the offline phase preceding every deployment experiment.

@@ -352,24 +352,18 @@ HybridModel::SetQuantMode(QuantMode mode)
 }
 
 void
-HybridModel::SaveLegacy(std::ostream& out) const
-{
-    cnn_.Save(out);
-    bt_.Save(out);
-    out.write(reinterpret_cast<const char*>(&val_rmse_ms_),
-              sizeof(val_rmse_ms_));
-    out.write(reinterpret_cast<const char*>(&val_rmse_subqos_ms_),
-              sizeof(val_rmse_subqos_ms_));
-}
-
-void
 HybridModel::Save(std::ostream& out) const
 {
     out.write(reinterpret_cast<const char*>(&kModelMagic),
               sizeof(kModelMagic));
     out.write(reinterpret_cast<const char*>(&kModelVersion),
               sizeof(kModelVersion));
-    SaveLegacy(out);
+    cnn_.Save(out);
+    bt_.Save(out);
+    out.write(reinterpret_cast<const char*>(&val_rmse_ms_),
+              sizeof(val_rmse_ms_));
+    out.write(reinterpret_cast<const char*>(&val_rmse_subqos_ms_),
+              sizeof(val_rmse_subqos_ms_));
     const int32_t has_quant = cnn_.Int8Ready() ? 1 : 0;
     out.write(reinterpret_cast<const char*>(&has_quant),
               sizeof(has_quant));
@@ -381,32 +375,16 @@ HybridModel::Save(std::ostream& out) const
 }
 
 void
-HybridModel::LoadLegacyPayload(std::istream& in)
-{
-    cnn_.Load(in);
-    bt_.Load(in);
-    in.read(reinterpret_cast<char*>(&val_rmse_ms_), sizeof(val_rmse_ms_));
-    in.read(reinterpret_cast<char*>(&val_rmse_subqos_ms_),
-            sizeof(val_rmse_subqos_ms_));
-    if (!in)
-        throw std::runtime_error("HybridModel::Load: truncated stream");
-}
-
-void
 HybridModel::Load(std::istream& in)
 {
-    // Sniff the first word: versioned containers start with the magic,
-    // legacy streams with a small tensor rank. Rewind for the latter.
-    const std::istream::pos_type start = in.tellg();
-    int32_t first = 0;
-    in.read(reinterpret_cast<char*>(&first), sizeof(first));
+    int32_t magic = 0;
+    in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
     if (!in)
         throw std::runtime_error("HybridModel::Load: truncated stream");
-    if (first != kModelMagic) {
-        in.seekg(start);
-        LoadLegacyPayload(in);
-        return;
-    }
+    if (magic != kModelMagic)
+        throw std::runtime_error(
+            "HybridModel::Load: not a SINN model container (no magic "
+            "header; pre-container files are not supported)");
     int32_t version = 0;
     in.read(reinterpret_cast<char*>(&version), sizeof(version));
     if (!in)
@@ -415,9 +393,14 @@ HybridModel::Load(std::istream& in)
         throw std::runtime_error(
             "HybridModel::Load: unsupported model format version " +
             std::to_string(version) + " (this build reads version " +
-            std::to_string(kModelVersion) +
-            " and legacy pre-container files)");
-    LoadLegacyPayload(in);
+            std::to_string(kModelVersion) + ")");
+    cnn_.Load(in);
+    bt_.Load(in);
+    in.read(reinterpret_cast<char*>(&val_rmse_ms_), sizeof(val_rmse_ms_));
+    in.read(reinterpret_cast<char*>(&val_rmse_subqos_ms_),
+            sizeof(val_rmse_subqos_ms_));
+    if (!in)
+        throw std::runtime_error("HybridModel::Load: truncated stream");
     int32_t has_quant = 0;
     in.read(reinterpret_cast<char*>(&has_quant), sizeof(has_quant));
     if (!in)

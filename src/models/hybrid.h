@@ -62,12 +62,11 @@ struct EvalStageTimes {
 };
 
 /**
- * Versioned model-container header. Legacy files (any stream whose
- * first int32 is a plausible tensor rank, i.e. written before the
- * container existed) remain loadable: Load sniffs the first word and
- * rewinds. The magic is deliberately > 8 so an old reader handed a new
- * file fails its Tensor rank check with a clear "corrupt header" error
- * instead of misparsing the payload.
+ * Versioned model-container header: the only model format. Load
+ * rejects any stream that does not start with the magic, so a
+ * pre-container file fails loudly. The magic is deliberately > 8 so an
+ * old reader handed a new file fails its Tensor rank check with a
+ * clear "corrupt header" error instead of misparsing the payload.
  */
 constexpr int32_t kModelMagic = 0x4e4e4953;   // "SINN" little-endian
 constexpr int32_t kModelVersion = 2;          // v2: + quant section
@@ -161,19 +160,16 @@ class HybridModel {
     bool Int8Calibrated() const { return cnn_.Int8Ready(); }
 
     /**
-     * Serializes the versioned container: magic, version, the legacy
-     * payload (CNN weights, BT trees, RMSE floats), then the quant
-     * section (flag + activation scales when calibrated).
+     * Serializes the versioned container: magic, version, CNN
+     * weights, BT trees, the two RMSE doubles, then the quant section
+     * (flag + activation scales when calibrated).
      */
     void Save(std::ostream& out) const;
 
-    /** Writes the pre-container legacy layout (format round-trip
-     *  tests; old readers parse this directly). */
-    void SaveLegacy(std::ostream& out) const;
-
-    /** Loads either a versioned container or a legacy stream
-     *  (auto-detected). Rejects unknown future versions with a clear
-     *  error. */
+    /** Loads a versioned container. Rejects a stream without the
+     *  magic, an unknown version, a truncated stream, and weights
+     *  whose shapes differ from this model's config, each with a
+     *  std::runtime_error. */
     void Load(std::istream& in);
 
     /**
@@ -213,10 +209,6 @@ class HybridModel {
     /** Fits the BT on the CNN's latents; fills the BT report fields. */
     void TrainBt(const Dataset& train, const Dataset& valid,
                  HybridReport& report);
-
-    /** Reads the legacy payload (shared by the legacy and versioned
-     *  Load paths). */
-    void LoadLegacyPayload(std::istream& in);
 
     FeatureConfig fcfg_;
     HybridConfig cfg_;

@@ -25,6 +25,21 @@ constexpr int64_t kConvBatchGrain = 4;
  *  row across two 4-row register panels. */
 constexpr int64_t kConvOcBlock = 8;
 
+/** Loads one tensor into @p p, rejecting a shape other than the one
+ *  the layer was constructed with (a model file for another config). */
+void
+LoadParam(std::istream& in, Param& p, const char* layer)
+{
+    Tensor t = Tensor::Load(in);
+    if (t.Shape() != p.value.Shape())
+        throw std::runtime_error(
+            std::string(layer) + "::Load: loaded shape " +
+            check_detail::FormatShape(t.Shape()) +
+            " does not match the layer's " +
+            check_detail::FormatShape(p.value.Shape()));
+    p = Param(std::move(t));
+}
+
 } // namespace
 
 Dense::Dense(int in_features, int out_features, Rng& rng)
@@ -97,8 +112,8 @@ Dense::Save(std::ostream& out) const
 void
 Dense::Load(std::istream& in)
 {
-    w_ = Param(Tensor::Load(in));
-    b_ = Param(Tensor::Load(in));
+    LoadParam(in, w_, "Dense");
+    LoadParam(in, b_, "Dense");
 }
 
 void
@@ -330,9 +345,8 @@ Conv2D::Save(std::ostream& out) const
 void
 Conv2D::Load(std::istream& in)
 {
-    w_ = Param(Tensor::Load(in));
-    b_ = Param(Tensor::Load(in));
-    kernel_ = w_.value.Dim(2);
+    LoadParam(in, w_, "Conv2D");
+    LoadParam(in, b_, "Conv2D");
 }
 
 Tensor

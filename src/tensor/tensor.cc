@@ -214,6 +214,8 @@ Tensor::Load(std::istream& in)
     for (int i = 0; i < rank; ++i) {
         int32_t v = 0;
         in.read(reinterpret_cast<char*>(&v), sizeof(v));
+        if (v < 0)
+            throw std::runtime_error("Tensor::Load: corrupt header");
         shape[i] = v;
     }
     Tensor t(shape);

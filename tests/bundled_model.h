@@ -28,14 +28,8 @@ LoadBundledModel(const Application& app, const std::string& name)
         std::string(SINAN_REPO_ROOT) + "/bench_cache/" + name + ".model";
     if (!std::filesystem::exists(path))
         return nullptr;
-    const PipelineConfig pcfg; // history / lookahead defaults
-    FeatureConfig f;
-    f.n_tiers = static_cast<int>(app.tiers.size());
-    f.history = pcfg.history;
-    f.violation_lookahead = pcfg.violation_lookahead;
-    f.qos_ms = app.qos_ms;
-    auto model =
-        std::make_unique<HybridModel>(f, DefaultHybridConfig(), 1);
+    auto model = std::make_unique<HybridModel>(
+        AppFeatures(app, PipelineConfig{}), DefaultHybridConfig(), 1);
     std::ifstream in(path, std::ios::binary);
     model->Load(in);
     return model;

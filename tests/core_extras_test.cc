@@ -1,18 +1,13 @@
 /**
  * @file
- * Tests for the retraining monitor and the static memory provisioner.
+ * Tests for the retraining monitor.
  */
 #include <gtest/gtest.h>
 
-#include "core/memory_provisioner.h"
 #include "core/retrain_monitor.h"
-#include "test_util.h"
 
 namespace sinan {
 namespace {
-
-using testutil::MakeObs;
-using testutil::SmallFeatures;
 
 TEST(RetrainMonitor, RejectsBadConfig)
 {
@@ -95,66 +90,6 @@ TEST(RetrainMonitor, OnRetrainedResetsWindow)
     EXPECT_GT(mon.RollingRmseMs(), 100.0);
     mon.OnRetrained(15.0);
     EXPECT_DOUBLE_EQ(mon.RollingRmseMs(), 0.0);
-}
-
-TEST(MemoryProvisioner, RejectsBadConfig)
-{
-    EXPECT_THROW(MemoryProvisioner(0), std::invalid_argument);
-    MemoryProvisionerConfig bad;
-    bad.headroom = 0.5;
-    EXPECT_THROW(MemoryProvisioner(2, bad), std::invalid_argument);
-}
-
-TEST(MemoryProvisioner, TracksPeakAcrossObservations)
-{
-    const FeatureConfig f = SmallFeatures(3, 3);
-    MemoryProvisioner prov(3);
-    IntervalObservation low = MakeObs(f, 0, 100, 2.0, 0.4, 100);
-    IntervalObservation high = MakeObs(f, 1, 300, 2.0, 0.9, 200);
-    high.tiers[1].rss_mb = 400.0;
-    high.tiers[1].cache_mb = 100.0;
-    prov.Observe(low);
-    prov.Observe(high);
-    prov.Observe(low);
-    const auto res = prov.Reservations();
-    ASSERT_EQ(res.size(), 3u);
-    EXPECT_NEAR(res[1].peak_mb, 500.0, 1e-9);
-    // headroom 1.2 -> 600, rounded up to 64 MB granularity -> 640.
-    EXPECT_NEAR(res[1].reserved_mb, 640.0, 1e-9);
-    EXPECT_EQ(prov.Observations(), 3);
-}
-
-TEST(MemoryProvisioner, ReservationCoversEveryObservation)
-{
-    const FeatureConfig f = SmallFeatures(4, 3);
-    MemoryProvisioner prov(4);
-    Rng rng(5);
-    std::vector<IntervalObservation> seen;
-    for (int i = 0; i < 50; ++i) {
-        IntervalObservation obs =
-            MakeObs(f, i, rng.Uniform(50, 400), 2.0,
-                    rng.Uniform(0.2, 1.0), 100, &rng);
-        for (TierMetrics& m : obs.tiers)
-            m.rss_mb = rng.Uniform(50, 500);
-        prov.Observe(obs);
-        seen.push_back(obs);
-    }
-    const auto res = prov.Reservations();
-    for (const IntervalObservation& obs : seen) {
-        for (size_t t = 0; t < obs.tiers.size(); ++t) {
-            EXPECT_GE(res[t].reserved_mb,
-                      obs.tiers[t].rss_mb + obs.tiers[t].cache_mb);
-        }
-    }
-    EXPECT_GT(prov.TotalReservedMb(), 0.0);
-}
-
-TEST(MemoryProvisioner, MismatchedTierCountThrows)
-{
-    const FeatureConfig f = SmallFeatures(3, 3);
-    MemoryProvisioner prov(4);
-    EXPECT_THROW(prov.Observe(MakeObs(f, 0, 100, 2.0, 0.5, 100)),
-                 std::invalid_argument);
 }
 
 } // namespace

@@ -7,7 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
@@ -185,6 +188,86 @@ TEST(BoostedTrees, LoadRejectsGarbage)
     std::stringstream ss("not a model");
     BoostedTrees model;
     EXPECT_THROW(model.Load(ss), std::runtime_error);
+}
+
+/** One serialized tree node, laid out as BoostedTrees::Save writes it. */
+struct RawNode {
+    int32_t feature;
+    float threshold;
+    int32_t left;
+    int32_t right;
+    float value;
+};
+
+/** A one-tree, two-feature logistic model holding @p nodes. */
+std::string
+OneTreeModel(const std::vector<RawNode>& nodes)
+{
+    std::ostringstream out;
+    const int32_t obj = 0, nf = 2, nt = 1;
+    const double base = 0.0;
+    const int32_t nn = static_cast<int32_t>(nodes.size());
+    out.write(reinterpret_cast<const char*>(&obj), sizeof(obj));
+    out.write(reinterpret_cast<const char*>(&nf), sizeof(nf));
+    out.write(reinterpret_cast<const char*>(&base), sizeof(base));
+    out.write(reinterpret_cast<const char*>(&nt), sizeof(nt));
+    out.write(reinterpret_cast<const char*>(&nn), sizeof(nn));
+    for (const RawNode& n : nodes)
+        out.write(reinterpret_cast<const char*>(&n), sizeof(n));
+    return out.str();
+}
+
+void
+ExpectCorruptTree(const std::string& bytes)
+{
+    std::istringstream in(bytes);
+    BoostedTrees model;
+    try {
+        model.Load(in);
+        FAIL() << "corrupt tree was accepted";
+    } catch (const std::runtime_error& e) {
+        EXPECT_STREQ(e.what(), "BoostedTrees::Load: corrupt tree");
+    }
+}
+
+TEST(BoostedTrees, LoadAcceptsWellFormedCraftedTree)
+{
+    // The control for the corrupt cases below: a stump on feature 1.
+    std::istringstream in(OneTreeModel(
+        {{1, 0.5f, 1, 2, 0.0f}, {-1, 0.0f, -1, -1, -2.0f},
+         {-1, 0.0f, -1, -1, 2.0f}}));
+    BoostedTrees model;
+    model.Load(in);
+    const float lo[2] = {0.9f, 0.1f};
+    const float hi[2] = {0.1f, 0.9f};
+    EXPECT_LT(model.Predict(lo), 0.5);
+    EXPECT_GT(model.Predict(hi), 0.5);
+}
+
+TEST(BoostedTrees, LoadRejectsZeroNodeTree)
+{
+    ExpectCorruptTree(OneTreeModel({}));
+}
+
+TEST(BoostedTrees, LoadRejectsOutOfRangeFeature)
+{
+    for (const int32_t feature : {2, 1000}) {
+        ExpectCorruptTree(OneTreeModel(
+            {{feature, 0.5f, 1, 2, 0.0f}, {-1, 0.0f, -1, -1, -2.0f},
+             {-1, 0.0f, -1, -1, 2.0f}}));
+    }
+}
+
+TEST(BoostedTrees, LoadRejectsBackwardOrOutOfBoundsChild)
+{
+    const RawNode leaf{-1, 0.0f, -1, -1, 1.0f};
+    // Self loop, an edge back to the root, and children out of bounds.
+    ExpectCorruptTree(OneTreeModel({{0, 0.5f, 0, 1, 0.0f}, leaf}));
+    ExpectCorruptTree(OneTreeModel(
+        {{0, 0.5f, 1, 2, 0.0f}, {1, 0.5f, 0, 2, 0.0f}, leaf}));
+    ExpectCorruptTree(OneTreeModel({{0, 0.5f, 1, 2, 0.0f}, leaf}));
+    ExpectCorruptTree(OneTreeModel({{0, 0.5f, 2, 1, 0.0f}, leaf}));
+    ExpectCorruptTree(OneTreeModel({{0, 0.5f, 1, -7, 0.0f}, leaf}));
 }
 
 TEST(BoostedTrees, ConstantLabelsPredictThatLabel)

@@ -16,10 +16,11 @@
  *  - accuracy level: on the bundled bench_cache models, int8-vs-fp32
  *    latency divergence is bounded by a fraction of QoS and a seeded
  *    scheduler sweep must reach >= 99% identical Decide outcomes;
- *  - format level: legacy (pre-quant) model files still load, the
- *    versioned container round-trips calibration, old readers reject
- *    a versioned file with a clear error, and unknown future versions
- *    are rejected by name.
+ *  - format level: the versioned container round-trips calibration,
+ *    the bundled models re-save byte for byte, old readers reject a
+ *    versioned file with a clear error, and pre-container streams,
+ *    unknown future versions and weights for another config are
+ *    rejected by name.
  */
 #include <gtest/gtest.h>
 
@@ -27,6 +28,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <fstream>
 #include <limits>
 #include <memory>
 #include <sstream>
@@ -494,27 +496,6 @@ TEST_F(QuantModelTest, EvaluateTimedStampsKernelIdsInEveryMode)
 // Serialization format.
 // ---------------------------------------------------------------------
 
-TEST_F(QuantModelTest, LegacyFormatStillRoundTrips)
-{
-    const MetricWindow w = MakeWindow(*features_, 150, 120);
-    const auto cands = MakeCandidates(*features_, 12);
-
-    ThreadGuard guard;
-    SetNumThreads(1);
-    model_->SetQuantMode(QuantMode::kOff);
-    const std::vector<Prediction> ref = model_->Evaluate(w, cands);
-
-    std::ostringstream out;
-    model_->SaveLegacy(out);
-    HybridModel loaded(*features_, DefaultHybridConfig(), 999);
-    std::istringstream in(out.str());
-    loaded.Load(in); // auto-detects the pre-container layout
-    EXPECT_FALSE(loaded.Int8Calibrated())
-        << "legacy files carry no quant section";
-    ExpectPredictionsBitIdentical(loaded.Evaluate(w, cands), ref,
-                                  "legacy round trip");
-}
-
 TEST_F(QuantModelTest, VersionedRoundTripPreservesCalibration)
 {
     const MetricWindow w = MakeWindow(*features_, 150, 120);
@@ -590,6 +571,75 @@ TEST_F(QuantModelTest, UnknownFutureVersionIsRejectedByName)
             << "unexpected error: " << what;
         EXPECT_NE(what.find(std::to_string(version)), std::string::npos)
             << "error should name the offending version: " << what;
+    }
+}
+
+TEST_F(QuantModelTest, PreContainerStreamIsRejectedByName)
+{
+    // The pre-container layout: the payload with no magic or version.
+    std::ostringstream out;
+    model_->Cnn().Save(out);
+    model_->Bt().Save(out);
+    const double rmse[2] = {model_->ValRmseMs(), model_->ValRmseSubQosMs()};
+    out.write(reinterpret_cast<const char*>(rmse), sizeof(rmse));
+
+    HybridModel loaded(*features_, DefaultHybridConfig(), 999);
+    std::istringstream in(out.str());
+    try {
+        loaded.Load(in);
+        FAIL() << "pre-container stream was accepted";
+    } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find("not a SINN model container"),
+                  std::string::npos)
+            << "unexpected error: " << e.what();
+    }
+}
+
+/** Load then Save of a bundled model must reproduce the committed
+ *  file byte for byte: the container is the only format. */
+void
+CheckBundledResave(const Application& app, const std::string& name)
+{
+    std::unique_ptr<HybridModel> model = LoadBundledModel(app, name);
+    if (!model)
+        GTEST_SKIP() << "bundled model " << name << " not present";
+    std::ifstream in(std::string(SINAN_REPO_ROOT) + "/bench_cache/" +
+                         name + ".model",
+                     std::ios::binary);
+    std::ostringstream committed;
+    committed << in.rdbuf();
+    std::ostringstream resaved;
+    model->Save(resaved);
+    EXPECT_TRUE(resaved.str() == committed.str())
+        << name << ": re-saved " << resaved.str().size()
+        << " bytes differ from the committed " << committed.str().size();
+}
+
+TEST(BundledModelFormat, HotelResavesByteForByte)
+{
+    CheckBundledResave(BuildHotelReservation(), "hotel");
+}
+
+TEST(BundledModelFormat, SocialResavesByteForByte)
+{
+    CheckBundledResave(BuildSocialNetwork(), "social");
+}
+
+TEST(BundledModelFormat, HotelModelIntoSocialConfigThrowsAtLoad)
+{
+    // LoadBundledModel builds the 28-tier social config; the file holds
+    // hotel's weights, so a layer shape differs and Load must say so.
+    try {
+        if (!LoadBundledModel(BuildSocialNetwork(), "hotel"))
+            GTEST_SKIP() << "bundled model hotel not present";
+        FAIL() << "hotel weights loaded into the social config";
+    } catch (const std::runtime_error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("::Load: loaded shape ["), std::string::npos)
+            << "unexpected error: " << what;
+        EXPECT_NE(what.find("does not match the layer's ["),
+                  std::string::npos)
+            << "unexpected error: " << what;
     }
 }
 

@@ -5,6 +5,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <functional>
 #include <new>
 #include <sstream>
@@ -109,6 +110,19 @@ TEST(Tensor, LoadRejectsCorruptStream)
 {
     std::stringstream ss("garbage");
     EXPECT_THROW(Tensor::Load(ss), std::runtime_error);
+}
+
+TEST(Tensor, LoadRejectsNegativeDimension)
+{
+    std::stringstream ss;
+    const int32_t header[3] = {2, 3, -4};
+    ss.write(reinterpret_cast<const char*>(header), sizeof(header));
+    try {
+        (void)Tensor::Load(ss);
+        FAIL() << "negative dimension was accepted";
+    } catch (const std::runtime_error& e) {
+        EXPECT_STREQ(e.what(), "Tensor::Load: corrupt header");
+    }
 }
 
 TEST(MatMul, MatchesHandComputedProduct)
