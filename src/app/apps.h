@@ -18,11 +18,6 @@
 
 namespace sinan {
 
-/** Knobs for BuildHotelReservation. */
-struct HotelOptions {
-    // Currently the hotel app has no paper variants; reserved for growth.
-};
-
 /** Knobs for BuildSocialNetwork (the paper's Sec. 5.4 / 5.6 variants). */
 struct SocialOptions {
     /**
@@ -40,7 +35,7 @@ struct SocialOptions {
 };
 
 /** Builds the 17-tier Hotel Reservation application (QoS: 200 ms p99). */
-Application BuildHotelReservation(const HotelOptions& opts = {});
+Application BuildHotelReservation();
 
 /** Builds the 28-tier Social Network application (QoS: 500 ms p99). */
 Application BuildSocialNetwork(const SocialOptions& opts = {});

@@ -28,7 +28,7 @@ MakeTier(const std::string& name, int conc_per_replica, int replicas,
 } // namespace
 
 Application
-BuildHotelReservation(const HotelOptions& /*opts*/)
+BuildHotelReservation()
 {
     Application app;
     app.name = "hotel-reservation";

@@ -7,11 +7,6 @@
 
 namespace sinan {
 
-PowerChief::PowerChief(const PowerChiefConfig& cfg)
-    : cfg_(cfg)
-{
-}
-
 std::vector<double>
 PowerChief::Decide(const IntervalObservation& obs,
                    const std::vector<double>& alloc, const Application& app)
@@ -34,21 +29,21 @@ PowerChief::Decide(const IntervalObservation& obs,
               [&](int a, int b) { return queueing(a) > queueing(b); });
 
     // Boost the apparent bottlenecks.
-    for (int r = 0; r < cfg_.boost_top_k && r < n; ++r) {
+    for (int r = 0; r < kBoostTopK && r < n; ++r) {
         const int i = order[r];
-        if (queueing(i) <= cfg_.idle_wait_s)
+        if (queueing(i) <= kIdleWaitS)
             break; // nothing is queueing anywhere
-        next[i] = alloc[i] * (1.0 + cfg_.boost_ratio) + 0.2;
+        next[i] = alloc[i] * (1.0 + kBoostRatio) + 0.2;
     }
 
     // Reclaim from stages that show no queue and low utilization, but
     // never below a headroom multiple of their measured usage.
     for (int i = 0; i < n; ++i) {
-        if (queueing(i) <= cfg_.idle_wait_s &&
-            obs.tiers[i].Utilization() < cfg_.idle_util) {
-            next[i] = std::max(alloc[i] * (1.0 - cfg_.reclaim_ratio),
+        if (queueing(i) <= kIdleWaitS &&
+            obs.tiers[i].Utilization() < kIdleUtil) {
+            next[i] = std::max(alloc[i] * (1.0 - kReclaimRatio),
                                obs.tiers[i].cpu_used *
-                                   cfg_.reclaim_floor_headroom);
+                                   kReclaimFloorHeadroom);
         }
     }
 

@@ -18,36 +18,29 @@
 
 namespace sinan {
 
-/** PowerChief knobs. */
-struct PowerChiefConfig {
-    /** Boost ratio applied to the bottleneck tier. */
-    double boost_ratio = 0.30;
-    /** How many of the longest-queue tiers get boosted per interval. */
-    int boost_top_k = 3;
-    /** Reclaim ratio for idle tiers. */
-    double reclaim_ratio = 0.10;
-    /** Utilization below which an unqueued tier is considered idle. */
-    double idle_util = 0.30;
-    /** Queueing time (s) below which a tier is queue-free. */
-    double idle_wait_s = 0.002;
-    /** Reclaim floor as a multiple of measured usage (keeps the manager
-     *  from starving tiers outright at low load). */
-    double reclaim_floor_headroom = 1.4;
-};
-
 /** Queue-driven boosting manager. */
 class PowerChief : public ResourceManager {
   public:
-    explicit PowerChief(const PowerChiefConfig& cfg = PowerChiefConfig());
+    /** Boost ratio applied to the bottleneck tier. */
+    static constexpr double kBoostRatio = 0.30;
+    /** How many of the longest-queue tiers get boosted per interval. */
+    static constexpr int kBoostTopK = 3;
+    /** Reclaim ratio for idle tiers. */
+    static constexpr double kReclaimRatio = 0.10;
+    /** Utilization below which an unqueued tier is considered idle. */
+    static constexpr double kIdleUtil = 0.30;
+    /** Queueing time (s) below which a tier is queue-free. */
+    static constexpr double kIdleWaitS = 0.002;
+    /** Reclaim floor as a multiple of measured usage (keeps the manager
+     *  from starving tiers outright at low load). */
+    static constexpr double kReclaimFloorHeadroom = 1.4;
+
 
     std::vector<double> Decide(const IntervalObservation& obs,
                                const std::vector<double>& alloc,
                                const Application& app) override;
 
     const char* Name() const override { return "PowerChief"; }
-
-  private:
-    PowerChiefConfig cfg_;
 };
 
 } // namespace sinan

@@ -115,18 +115,18 @@ BanditExplorer::Decide(const IntervalObservation& obs,
     auto recovery_target = [&](int i, double factor, double add) {
         double cap = app.tiers[i].max_cpu;
         if (!anchor_.empty())
-            cap = std::min(cap, anchor_[i] * cfg_.recovery_cap + 0.2);
+            cap = std::min(cap, anchor_[i] * kRecoveryCap + 0.2);
         return std::min(cap, std::max(alloc[i],
                                       alloc[i] * factor + add));
     };
 
     // 2. Out of the exploration region: force recovery so latency comes
     // back under QoS*(1+alpha) quickly (paper's region guard).
-    if (lat > cfg_.qos_ms * (1.0 + cfg_.alpha)) {
+    if (lat > cfg_.qos_ms * (1.0 + kAlpha)) {
         for (int i = 0; i < n_tiers; ++i) {
             next[i] = recovery_target(i, 1.3, 0.2);
             pending_[i].second =
-                static_cast<int>(std::lround(next[i] / cfg_.quantum));
+                static_cast<int>(std::lround(next[i] / kQuantum));
         }
         prev_p99_ = lat;
         has_prev_ = true;
@@ -139,15 +139,15 @@ BanditExplorer::Decide(const IntervalObservation& obs,
     // keep exploring upward via the bandit below.
     const bool violating = lat > cfg_.qos_ms;
     if (violating)
-        hold_left_ = cfg_.recovery_hold;
+        hold_left_ = kRecoveryHold;
     else if (hold_left_ > 0)
         --hold_left_;
     if (violating) {
         for (int i = 0; i < n_tiers; ++i) {
             if (obs.tiers[i].Utilization() > 0.6) {
-                next[i] = recovery_target(i, cfg_.violation_boost, 0.1);
+                next[i] = recovery_target(i, kViolationBoost, 0.1);
                 pending_[i].second = static_cast<int>(
-                    std::lround(next[i] / cfg_.quantum));
+                    std::lround(next[i] / kQuantum));
             }
         }
     }
@@ -164,11 +164,11 @@ BanditExplorer::Decide(const IntervalObservation& obs,
         // and granted to a random tier subset each interval otherwise.
         // Nearly idle tiers shed CPU with high probability so the
         // trajectory reaches the boundary even at low loads.
-        const double p_down = util < cfg_.idle_util
+        const double p_down = util < kIdleUtil
                                   ? cfg_.idle_down_eligibility
                                   : cfg_.down_eligibility;
         const bool may_down = !violating && hold_left_ == 0 &&
-                              util <= cfg_.util_cap &&
+                              util <= kUtilCap &&
                               rng_.Bernoulli(p_down);
 
         double best_score = -1e18;
@@ -180,7 +180,7 @@ BanditExplorer::Decide(const IntervalObservation& obs,
                          alloc[i] * op.ratio;
             cpu = std::clamp(cpu, spec.min_cpu, spec.max_cpu);
             const int level =
-                static_cast<int>(std::lround(cpu / cfg_.quantum));
+                static_cast<int>(std::lround(cpu / kQuantum));
 
             // C_op: bias exploration toward the QoS boundary.
             double coeff;
@@ -205,7 +205,7 @@ BanditExplorer::Decide(const IntervalObservation& obs,
         }
         next[i] = best_cpu;
         pending_[i].second =
-            static_cast<int>(std::lround(best_cpu / cfg_.quantum));
+            static_cast<int>(std::lround(best_cpu / kQuantum));
     }
 
     prev_p99_ = lat;

@@ -30,35 +30,15 @@ namespace sinan {
 struct BanditConfig {
     /** End-to-end QoS target, ms. */
     double qos_ms = 500.0;
-    /** Exploration overshoot: allowed region is QoS * (1 + alpha). */
-    double alpha = 0.2;
-    /** Per-tier CPU utilization cap above which downsizing is blocked. */
-    double util_cap = 0.8;
-    /** CPU allocation quantum (paper: 0.2 CPU). */
-    double quantum = 0.2;
-    /** Intervals with downsizing disabled after a QoS violation, so the
-     *  drained system stabilizes before exploration resumes. */
-    int recovery_hold = 5;
     /** Probability that a tier may pick a down op in a given interval;
      *  throttles the collective descent rate toward the boundary so the
      *  system does not oscillate across it every few seconds. */
     double down_eligibility = 0.35;
     /** Eligibility used instead when a tier is nearly idle (utilization
-     *  below idle_util): heavily overprovisioned tiers may shed CPU
-     *  quickly or the descent never reaches the low-load boundary
-     *  within one load-dwell. */
+     *  below BanditExplorer::kIdleUtil): heavily overprovisioned tiers
+     *  may shed CPU quickly or the descent never reaches the low-load
+     *  boundary within one load-dwell. */
     double idle_down_eligibility = 0.8;
-    double idle_util = 0.25;
-    /** Per-tier cap on recovery upscaling, as a multiple of the tier's
-     *  allocation when the violation episode began (prevents the
-     *  multiplicative recovery from overshooting far past the
-     *  boundary). */
-    double recovery_cap = 2.2;
-    /** Upscale factor applied to loaded tiers while QoS is violated
-     *  inside the exploration region. Deliberately moderate: a heavier
-     *  hand drifts the whole trajectory to high allocations and the
-     *  dataset loses its boundary coverage. */
-    double violation_boost = 1.15;
     /** RNG seed for tie-breaking. */
     uint64_t seed = 11;
 };
@@ -66,6 +46,29 @@ struct BanditConfig {
 /** Bandit-driven explorer; plugs in as a ResourceManager. */
 class BanditExplorer : public ResourceManager {
   public:
+    /** Exploration overshoot: allowed region is QoS * (1 + kAlpha). */
+    static constexpr double kAlpha = 0.2;
+    /** Per-tier CPU utilization cap above which downsizing is blocked. */
+    static constexpr double kUtilCap = 0.8;
+    /** CPU allocation quantum (paper: 0.2 CPU). */
+    static constexpr double kQuantum = 0.2;
+    /** Intervals with downsizing disabled after a QoS violation, so the
+     *  drained system stabilizes before exploration resumes. */
+    static constexpr int kRecoveryHold = 5;
+    /** Utilization below which a tier counts as nearly idle (see
+     *  BanditConfig::idle_down_eligibility). */
+    static constexpr double kIdleUtil = 0.25;
+    /** Per-tier cap on recovery upscaling, as a multiple of the tier's
+     *  allocation when the violation episode began (prevents the
+     *  multiplicative recovery from overshooting far past the
+     *  boundary). */
+    static constexpr double kRecoveryCap = 2.2;
+    /** Upscale factor applied to loaded tiers while QoS is violated
+     *  inside the exploration region. Deliberately moderate: a heavier
+     *  hand drifts the whole trajectory to high allocations and the
+     *  dataset loses its boundary coverage. */
+    static constexpr double kViolationBoost = 1.15;
+
     explicit BanditExplorer(const BanditConfig& cfg);
 
     std::vector<double> Decide(const IntervalObservation& obs,

@@ -20,18 +20,6 @@
 
 namespace sinan {
 
-/** Perturbation / regression knobs. */
-struct LimeConfig {
-    /** Number of perturbed samples per explanation. */
-    int n_samples = 256;
-    /** Multipliers are drawn uniformly from [low, high]. */
-    double multiplier_low = 0.5;
-    double multiplier_high = 1.5;
-    /** Ridge regularization of the linear surrogate. */
-    double ridge_lambda = 1e-3;
-    uint64_t seed = 7;
-};
-
 /** One explanation: weights per group, ranked accessors. */
 struct LimeExplanation {
     /** |weight| per group, aligned with the group naming used to build. */
@@ -44,8 +32,7 @@ struct LimeExplanation {
 /** Perturbation-based linear surrogate explainer. */
 class LimeExplainer {
   public:
-    LimeExplainer(LatencyModel& model, const FeatureConfig& fcfg,
-                  const LimeConfig& cfg = LimeConfig());
+    LimeExplainer(LatencyModel& model, const FeatureConfig& fcfg);
 
     /**
      * Importance of each tier for the prediction at @p x: all resource
@@ -78,7 +65,6 @@ class LimeExplainer {
 
     LatencyModel& model_;
     FeatureConfig fcfg_;
-    LimeConfig cfg_;
 };
 
 /**

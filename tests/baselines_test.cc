@@ -151,26 +151,30 @@ TEST(PowerChief, LeavesBusyUnqueuedTiersAlone)
 TEST(PowerChief, MisattributesUnderBackpressure)
 {
     // The paper's core critique: when a downstream tier is the culprit
-    // but the upstream tier shows the longer ingress queue (slots held
-    // waiting), PowerChief boosts the upstream symptom.
-    const Application app = ToyApp(2);
-    PowerChiefConfig cfg;
-    cfg.boost_top_k = 1;
-    PowerChief pc(cfg);
-    const FeatureConfig f = SmallFeatures(2, 3);
+    // but the upstream tiers show the longer ingress queues (slots held
+    // waiting), PowerChief boosts the upstream symptoms — as many as
+    // it boosts per interval — and never reaches the culprit.
+    constexpr int kCulprit = PowerChief::kBoostTopK;
+    const Application app = ToyApp(kCulprit + 1);
+    PowerChief pc;
+    const FeatureConfig f = SmallFeatures(kCulprit + 1, 3);
     IntervalObservation obs = MakeObs(f, 0, 100, 4.0, 0.5, 600);
-    // Upstream (0) queues visibly; downstream (1) is saturated but its
-    // queue is short because upstream back-pressure throttles arrivals.
-    obs.tiers[0].queue_wait_s = 0.10;
-    obs.tiers[0].queue_len = 30.0;
-    obs.tiers[0].cpu_used = 1.0;
-    obs.tiers[1].queue_wait_s = 0.01;
-    obs.tiers[1].queue_len = 2.0;
-    obs.tiers[1].cpu_used = 4.0; // fully used
-    const std::vector<double> alloc = {4.0, 4.0};
+    // The upstream tiers queue visibly; the downstream culprit is
+    // saturated but its queue is short because upstream back-pressure
+    // throttles arrivals.
+    for (int i = 0; i < kCulprit; ++i) {
+        obs.tiers[i].queue_wait_s = 0.10;
+        obs.tiers[i].queue_len = 30.0;
+        obs.tiers[i].cpu_used = 1.0;
+    }
+    obs.tiers[kCulprit].queue_wait_s = 0.01;
+    obs.tiers[kCulprit].queue_len = 2.0;
+    obs.tiers[kCulprit].cpu_used = 4.0; // fully used
+    const std::vector<double> alloc(kCulprit + 1, 4.0);
     const std::vector<double> next = pc.Decide(obs, alloc, app);
-    EXPECT_GT(next[0], alloc[0]);          // symptom boosted
-    EXPECT_DOUBLE_EQ(next[1], alloc[1]);   // culprit ignored
+    for (int i = 0; i < kCulprit; ++i)
+        EXPECT_GT(next[i], alloc[i]) << "symptom tier " << i;
+    EXPECT_DOUBLE_EQ(next[kCulprit], alloc[kCulprit]); // culprit ignored
 }
 
 } // namespace

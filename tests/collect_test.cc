@@ -131,7 +131,7 @@ TEST_F(BanditFixture, ForcedRecoveryBeyondExploreRegion)
 {
     BanditExplorer bandit(cfg_);
     std::vector<double> alloc(app_.tiers.size(), 2.0);
-    const double lat = app_.qos_ms * (1.0 + cfg_.alpha) + 100.0;
+    const double lat = app_.qos_ms * (1.0 + BanditExplorer::kAlpha) + 100.0;
     const IntervalObservation obs =
         MakeObs(features_, 0, 200, 2.0, 0.9, lat);
     const std::vector<double> next = bandit.Decide(obs, alloc, app_);
@@ -292,8 +292,8 @@ TEST_P(BanditSpreadTest, RepeatedStateVisitsMultipleLevels)
         const IntervalObservation obs =
             MakeObs(f, step, 200.0, 3.0, 0.5, 150.0);
         alloc = bandit.Decide(obs, alloc, app);
-        tier0_levels.insert(
-            static_cast<int>(std::lround(alloc[0] / cfg.quantum)));
+        tier0_levels.insert(static_cast<int>(
+            std::lround(alloc[0] / BanditExplorer::kQuantum)));
     }
     EXPECT_GE(tier0_levels.size(), 3u);
 }

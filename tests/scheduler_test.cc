@@ -126,11 +126,10 @@ TEST_F(SchedulerFixture, ObservedViolationTriggersBlanketUpscale)
 
 TEST_F(SchedulerFixture, PersistentViolationEscalatesToMax)
 {
-    SchedulerConfig cfg;
-    cfg.max_fallback_after = 2;
-    SinanScheduler sched(*model_, cfg);
+    SinanScheduler sched(*model_, SchedulerConfig{});
     std::vector<double> alloc(app_->tiers.size(), 2.0);
-    for (int t = 0; t < features_->history + 3; ++t) {
+    for (int t = 0;
+         t < features_->history + SinanScheduler::kMaxFallbackAfter; ++t) {
         const IntervalObservation obs = MakeObs(
             *features_, t, 100, 2.0, 0.95, app_->qos_ms + 200.0);
         alloc = sched.Decide(obs, alloc, *app_);
@@ -141,11 +140,9 @@ TEST_F(SchedulerFixture, PersistentViolationEscalatesToMax)
 
 TEST_F(SchedulerFixture, PersistentViolationReducesModelTrust)
 {
-    SchedulerConfig cfg;
-    cfg.max_fallback_after = 2;
-    SinanScheduler sched(*model_, cfg);
+    SinanScheduler sched(*model_, SchedulerConfig{});
     std::vector<double> alloc(app_->tiers.size(), 2.0);
-    // Healthy warmup, then a violation streak: after max_fallback_after
+    // Healthy warmup, then a violation streak: after kMaxFallbackAfter
     // consecutive observed violations the safety fallback escalates and
     // the model's trust is reduced.
     for (int t = 0; t < features_->history; ++t) {
@@ -155,12 +152,15 @@ TEST_F(SchedulerFixture, PersistentViolationReducesModelTrust)
     }
     EXPECT_FALSE(sched.TrustReduced());
     int t = features_->history;
-    // First violation: blanket upscale but no trust change yet.
-    alloc = sched.Decide(
-        MakeObs(*features_, t++, 100, 2.0, 0.95, app_->qos_ms + 200.0),
-        alloc, *app_);
-    EXPECT_FALSE(sched.TrustReduced());
-    // Second consecutive violation reaches max_fallback_after.
+    // The violations before the threshold: blanket upscales but no
+    // trust change yet.
+    for (int v = 0; v + 1 < SinanScheduler::kMaxFallbackAfter; ++v) {
+        alloc = sched.Decide(MakeObs(*features_, t++, 100, 2.0, 0.95,
+                                     app_->qos_ms + 200.0),
+                             alloc, *app_);
+        EXPECT_FALSE(sched.TrustReduced()) << "violation " << v;
+    }
+    // The next consecutive violation reaches kMaxFallbackAfter.
     alloc = sched.Decide(
         MakeObs(*features_, t++, 100, 2.0, 0.95, app_->qos_ms + 200.0),
         alloc, *app_);
@@ -180,19 +180,15 @@ TEST_F(SchedulerFixture, TrustRestoredAfterSustainedHealthyStreak)
 {
     // Regression: trust_reduced_ used to latch on forever; the paper
     // restores trust as predictions prove out.
-    SchedulerConfig cfg;
-    cfg.max_fallback_after = 2;
-    cfg.trust_decay_every = 2;
-    cfg.trust_restore_healthy = 4;
-    SinanScheduler sched(*model_, cfg);
+    SinanScheduler sched(*model_, SchedulerConfig{});
     std::vector<double> alloc(app_->tiers.size(), 2.0);
     for (int t = 0; t < features_->history; ++t) {
         alloc = sched.Decide(
             MakeObs(*features_, t, 100, 2.0, 0.5, 100), alloc, *app_);
     }
-    // Violation streak reaching max_fallback_after loses trust...
+    // Violation streak reaching kMaxFallbackAfter loses trust...
     int t = features_->history;
-    for (int v = 0; v < 2; ++v) {
+    for (int v = 0; v < SinanScheduler::kMaxFallbackAfter; ++v) {
         alloc = sched.Decide(
             MakeObs(*features_, t++, 100, 2.0, 0.95,
                     app_->qos_ms + 200.0),
@@ -200,7 +196,7 @@ TEST_F(SchedulerFixture, TrustRestoredAfterSustainedHealthyStreak)
     }
     ASSERT_TRUE(sched.TrustReduced());
     // ...a short healthy stretch is not enough to restore it...
-    for (int k = 0; k < cfg.trust_restore_healthy - 1; ++k) {
+    for (int k = 0; k + 1 < SinanScheduler::kTrustRestoreHealthy; ++k) {
         alloc = sched.Decide(
             MakeObs(*features_, t++, 100, 2.0, 0.4, 90), alloc, *app_);
         EXPECT_TRUE(sched.TrustReduced());
@@ -215,9 +211,7 @@ TEST_F(SchedulerFixture, MispredictionsDecayDuringHealthyStreak)
 {
     // Regression: mispredictions_ only ever grew, so one bad phase
     // early in a long run poisoned the trust budget permanently.
-    SchedulerConfig cfg;
-    cfg.trust_decay_every = 1;
-    SinanScheduler sched(*model_, cfg);
+    SinanScheduler sched(*model_, SchedulerConfig{});
     std::vector<double> alloc(app_->tiers.size(), 4.0);
     for (int t = 0; t + 1 < features_->history; ++t) {
         alloc = sched.Decide(
@@ -234,28 +228,32 @@ TEST_F(SchedulerFixture, MispredictionsDecayDuringHealthyStreak)
                 app_->qos_ms + 100.0),
         alloc, *app_);
     ASSERT_EQ(sched.Mispredictions(), 1);
-    // Comfortably-healthy intervals decay the count back to zero.
-    alloc = sched.Decide(
-        MakeObs(*features_, features_->history + 2, 100, 4.0, 0.4, 90),
-        alloc, *app_);
+    // Every kTrustDecayEvery-th comfortably-healthy interval forgives
+    // one misprediction: the count holds until then, then reaches zero.
+    int t = features_->history + 2;
+    for (int k = 0; k + 1 < SinanScheduler::kTrustDecayEvery; ++k) {
+        alloc = sched.Decide(MakeObs(*features_, t++, 100, 4.0, 0.4, 90),
+                             alloc, *app_);
+        EXPECT_EQ(sched.Mispredictions(), 1) << "healthy interval " << k;
+    }
+    alloc = sched.Decide(MakeObs(*features_, t++, 100, 4.0, 0.4, 90),
+                         alloc, *app_);
     EXPECT_EQ(sched.Mispredictions(), 0);
 }
 
 TEST_F(SchedulerFixture, BrokenViolationStreakKeepsTrust)
 {
-    SchedulerConfig cfg;
-    cfg.max_fallback_after = 3;
-    SinanScheduler sched(*model_, cfg);
+    SinanScheduler sched(*model_, SchedulerConfig{});
     std::vector<double> alloc(app_->tiers.size(), 2.0);
     for (int t = 0; t < features_->history; ++t) {
         alloc = sched.Decide(
             MakeObs(*features_, t, 100, 2.0, 0.5, 100), alloc, *app_);
     }
-    // Violation streaks of length 2 separated by healthy intervals never
-    // reach max_fallback_after = 3, so trust is kept.
+    // Violation streaks one short of kMaxFallbackAfter, separated by
+    // healthy intervals, never escalate, so trust is kept.
     int t = features_->history;
     for (int round = 0; round < 3; ++round) {
-        for (int v = 0; v < 2; ++v) {
+        for (int v = 0; v + 1 < SinanScheduler::kMaxFallbackAfter; ++v) {
             alloc = sched.Decide(
                 MakeObs(*features_, t++, 100, 2.0, 0.95,
                         app_->qos_ms + 150.0),
@@ -269,9 +267,7 @@ TEST_F(SchedulerFixture, BrokenViolationStreakKeepsTrust)
 
 TEST_F(SchedulerFixture, EscalatedFallbackScalesUpEveryTier)
 {
-    SchedulerConfig cfg;
-    cfg.max_fallback_after = 2;
-    SinanScheduler sched(*model_, cfg);
+    SinanScheduler sched(*model_, SchedulerConfig{});
     std::vector<double> alloc(app_->tiers.size(), 2.0);
     for (int t = 0; t < features_->history; ++t) {
         alloc = sched.Decide(
@@ -280,7 +276,7 @@ TEST_F(SchedulerFixture, EscalatedFallbackScalesUpEveryTier)
     // Drive into the escalated fallback and check the scale-up-all
     // shape: every tier strictly grows (until clamped at max_cpu).
     std::vector<double> before = alloc;
-    for (int v = 0; v < 3; ++v) {
+    for (int v = 0; v < SinanScheduler::kMaxFallbackAfter; ++v) {
         before = alloc;
         alloc = sched.Decide(
             MakeObs(*features_, features_->history + v, 100, 2.0, 0.95,
@@ -448,9 +444,7 @@ TEST_F(SchedulerFixture, DegradedTelemetryNeverThrowsOrShrinks)
 
 TEST_F(SchedulerFixture, WatchdogUpscalesAfterPersistentSilence)
 {
-    SchedulerConfig cfg;
-    cfg.watchdog_silent_after = 3;
-    SinanScheduler sched(*model_, cfg);
+    SinanScheduler sched(*model_, SchedulerConfig{});
     MetricsRegistry metrics;
     sched.AttachTelemetry(nullptr, &metrics);
     std::vector<double> alloc(app_->tiers.size(), 2.0);
@@ -467,7 +461,7 @@ TEST_F(SchedulerFixture, WatchdogUpscalesAfterPersistentSilence)
         const std::vector<double> before = alloc;
         alloc = sched.Decide(BlankObs(static_cast<double>(t++)), before,
                              *app_);
-        if (k + 1 >= cfg.watchdog_silent_after) {
+        if (k + 1 >= SinanScheduler::kWatchdogSilentAfter) {
             for (size_t i = 0; i < alloc.size(); ++i) {
                 if (before[i] < app_->tiers[i].max_cpu - 1e-9) {
                     EXPECT_GT(alloc[i], before[i]) << "tier " << i;
@@ -475,7 +469,8 @@ TEST_F(SchedulerFixture, WatchdogUpscalesAfterPersistentSilence)
             }
         }
     }
-    EXPECT_EQ(metrics.Counter("sinan.scheduler.watchdog"), 3u);
+    EXPECT_EQ(metrics.Counter("sinan.scheduler.watchdog"),
+              5u - SinanScheduler::kWatchdogSilentAfter + 1u);
     EXPECT_EQ(sched.SilentIntervals(), 5);
     sched.AttachTelemetry(nullptr, nullptr);
 }
@@ -518,20 +513,19 @@ TEST_F(SchedulerFixture, DegradedBeforeAnyGoodTelemetryHolds)
     // Telemetry broken from the very first interval: nothing to fall
     // back on, so the scheduler holds (and the watchdog eventually
     // takes over).
-    SchedulerConfig cfg;
-    cfg.watchdog_silent_after = 4;
-    SinanScheduler sched(*model_, cfg);
+    SinanScheduler sched(*model_, SchedulerConfig{});
     DecisionTrace trace;
     sched.AttachTelemetry(&trace, nullptr);
     const std::vector<double> alloc(app_->tiers.size(), 2.0);
     std::vector<double> a = alloc;
-    for (int k = 0; k < 3; ++k) {
+    int k = 0;
+    for (; k + 1 < SinanScheduler::kWatchdogSilentAfter; ++k) {
         a = sched.Decide(BlankObs(static_cast<double>(k)), a, *app_);
         EXPECT_EQ(a, alloc);
         EXPECT_EQ(trace.intervals.back().kind,
                   DecisionKind::kDegradedHold);
     }
-    a = sched.Decide(BlankObs(3.0), a, *app_);
+    a = sched.Decide(BlankObs(static_cast<double>(k)), a, *app_);
     EXPECT_EQ(trace.intervals.back().kind,
               DecisionKind::kWatchdogUpscale);
     for (size_t i = 0; i < a.size(); ++i)
@@ -541,12 +535,10 @@ TEST_F(SchedulerFixture, DegradedBeforeAnyGoodTelemetryHolds)
 
 TEST_F(SchedulerFixture, WatchdogFiresExactlyAtConfiguredSilence)
 {
-    // Pins the off-by-one: with watchdog_silent_after = 3 the blanket
-    // upscale fires on the 3rd consecutive blind interval (the silence
-    // count includes the interval being decided), not the 4th.
-    SchedulerConfig cfg;
-    cfg.watchdog_silent_after = 3;
-    SinanScheduler sched(*model_, cfg);
+    // Pins the off-by-one: the blanket upscale fires on the
+    // kWatchdogSilentAfter-th consecutive blind interval (the silence
+    // count includes the interval being decided), not the one after.
+    SinanScheduler sched(*model_, SchedulerConfig{});
     DecisionTrace trace;
     MetricsRegistry metrics;
     sched.AttachTelemetry(&trace, &metrics);
@@ -556,16 +548,18 @@ TEST_F(SchedulerFixture, WatchdogFiresExactlyAtConfiguredSilence)
         alloc = sched.Decide(
             MakeObs(*features_, t, 100, 2.0, 0.5, 100), alloc, *app_);
     }
-    alloc = sched.Decide(BlankObs(static_cast<double>(t++)), alloc, *app_);
-    EXPECT_EQ(trace.intervals.back().kind, DecisionKind::kDegradedModel);
-    alloc = sched.Decide(BlankObs(static_cast<double>(t++)), alloc, *app_);
-    EXPECT_EQ(trace.intervals.back().kind, DecisionKind::kDegradedModel);
+    for (int k = 0; k + 1 < SinanScheduler::kWatchdogSilentAfter; ++k) {
+        alloc = sched.Decide(BlankObs(static_cast<double>(t++)), alloc,
+                             *app_);
+        EXPECT_EQ(trace.intervals.back().kind,
+                  DecisionKind::kDegradedModel);
+    }
     EXPECT_EQ(metrics.Counter("sinan.scheduler.watchdog"), 0u);
     alloc = sched.Decide(BlankObs(static_cast<double>(t++)), alloc, *app_);
     EXPECT_EQ(trace.intervals.back().kind,
               DecisionKind::kWatchdogUpscale);
     EXPECT_EQ(metrics.Counter("sinan.scheduler.watchdog"), 1u);
-    EXPECT_EQ(sched.SilentIntervals(), 3);
+    EXPECT_EQ(sched.SilentIntervals(), SinanScheduler::kWatchdogSilentAfter);
     sched.AttachTelemetry(nullptr, nullptr);
 }
 
@@ -831,12 +825,14 @@ TEST_F(SchedulerFixture, ConfidenceGaugeFollowsEveryInterval)
 
 TEST_F(SchedulerFixture, StaleDecaySinksBelowFloorIntoLadder)
 {
-    // Redelivered telemetry decays geometrically: with decay 0.6 and
-    // floor 0.35 the first two stale intervals ride the graded path
-    // (0.6, then 0.36) and the third (0.216) drops into the ladder.
+    // Redelivered telemetry decays geometrically: with decay 0.5 and
+    // floor 0.35 the first stale interval rides the graded path (0.5)
+    // and the second (0.25) drops into the ladder — before the silence
+    // reaches the watchdog, which then takes the third.
+    static_assert(SinanScheduler::kWatchdogSilentAfter == 3);
     SchedulerConfig cfg;
     cfg.uncertainty.enabled = true;
-    cfg.watchdog_silent_after = 5; // keep the watchdog out of the way
+    cfg.uncertainty.decay = 0.5;
     SinanScheduler sched(*model_, cfg);
     DecisionTrace trace;
     sched.AttachTelemetry(&trace, nullptr);
@@ -852,15 +848,15 @@ TEST_F(SchedulerFixture, StaleDecaySinksBelowFloorIntoLadder)
     alloc = sched.Decide(stale, alloc, *app_);
     EXPECT_EQ(trace.intervals.back().kind,
               DecisionKind::kUncertainModel);
-    EXPECT_NEAR(trace.intervals.back().confidence, 0.6, 1e-12);
-    alloc = sched.Decide(stale, alloc, *app_);
-    EXPECT_EQ(trace.intervals.back().kind,
-              DecisionKind::kUncertainModel);
-    EXPECT_NEAR(trace.intervals.back().confidence, 0.36, 1e-12);
+    EXPECT_NEAR(trace.intervals.back().confidence, 0.5, 1e-12);
     alloc = sched.Decide(stale, alloc, *app_);
     EXPECT_EQ(trace.intervals.back().kind,
               DecisionKind::kDegradedModel);
-    EXPECT_NEAR(trace.intervals.back().confidence, 0.216, 1e-12);
+    EXPECT_NEAR(trace.intervals.back().confidence, 0.25, 1e-12);
+    alloc = sched.Decide(stale, alloc, *app_);
+    EXPECT_EQ(trace.intervals.back().kind,
+              DecisionKind::kWatchdogUpscale);
+    EXPECT_NEAR(trace.intervals.back().confidence, 0.125, 1e-12);
     sched.AttachTelemetry(nullptr, nullptr);
 }
 
@@ -868,11 +864,7 @@ TEST_F(SchedulerFixture, StaleDecaySinksBelowFloorIntoLadder)
 
 TEST_F(SchedulerFixture, TrustLifecycleSurvivesDegradedPhases)
 {
-    SchedulerConfig cfg;
-    cfg.max_fallback_after = 2;
-    cfg.trust_restore_healthy = 4;
-    cfg.watchdog_silent_after = 2;
-    SinanScheduler sched(*model_, cfg);
+    SinanScheduler sched(*model_, SchedulerConfig{});
     std::vector<double> alloc(app_->tiers.size(), 2.0);
     int t = 0;
     for (; t < features_->history; ++t) {
@@ -881,7 +873,7 @@ TEST_F(SchedulerFixture, TrustLifecycleSurvivesDegradedPhases)
     }
 
     // Phase 1: persistent violations lose trust via escalation.
-    for (int v = 0; v < 2; ++v) {
+    for (int v = 0; v < SinanScheduler::kMaxFallbackAfter; ++v) {
         alloc = sched.Decide(
             MakeObs(*features_, t++, 100, 2.0, 0.95,
                     app_->qos_ms + 200.0),
@@ -893,6 +885,7 @@ TEST_F(SchedulerFixture, TrustLifecycleSurvivesDegradedPhases)
     // silence is neither healthy evidence nor a new misprediction —
     // and the watchdog runs the allocation.
     const int mispred_before = sched.Mispredictions();
+    static_assert(SinanScheduler::kWatchdogSilentAfter < 4);
     for (int k = 0; k < 4; ++k) {
         alloc = sched.Decide(BlankObs(static_cast<double>(t++)), alloc,
                              *app_);
@@ -903,8 +896,8 @@ TEST_F(SchedulerFixture, TrustLifecycleSurvivesDegradedPhases)
 
     // Phase 3: telemetry returns healthy. The healthy streak restarts
     // from zero (the outage reset it), so restoration takes the full
-    // trust_restore_healthy stretch — not less.
-    for (int k = 0; k < cfg.trust_restore_healthy - 1; ++k) {
+    // kTrustRestoreHealthy stretch — not less.
+    for (int k = 0; k + 1 < SinanScheduler::kTrustRestoreHealthy; ++k) {
         alloc = sched.Decide(
             MakeObs(*features_, t++, 100, 2.0, 0.4, 90), alloc, *app_);
         EXPECT_TRUE(sched.TrustReduced()) << "healthy interval " << k;
@@ -916,7 +909,7 @@ TEST_F(SchedulerFixture, TrustLifecycleSurvivesDegradedPhases)
 
     // Phase 4: a second violation phase reduces trust again — the
     // lifecycle is repeatable, not one-shot.
-    for (int v = 0; v < 2; ++v) {
+    for (int v = 0; v < SinanScheduler::kMaxFallbackAfter; ++v) {
         alloc = sched.Decide(
             MakeObs(*features_, t++, 100, 2.0, 0.95,
                     app_->qos_ms + 200.0),

@@ -132,9 +132,7 @@ TEST_F(TelemetryFixture, ForcedViolationProducesFallbackEvent)
 
 TEST_F(TelemetryFixture, EscalatedFallbackIsDistinguished)
 {
-    SchedulerConfig cfg;
-    cfg.max_fallback_after = 2;
-    SinanScheduler sched(*model_, cfg);
+    SinanScheduler sched(*model_, SchedulerConfig{});
     DecisionTrace trace;
     MetricsRegistry metrics;
     sched.AttachTelemetry(&trace, &metrics);
@@ -142,7 +140,7 @@ TEST_F(TelemetryFixture, EscalatedFallbackIsDistinguished)
     std::vector<double> alloc(app_->tiers.size(), 2.0);
     alloc = Warmup(sched, alloc);
     int t = features_->history;
-    for (int v = 0; v < 2; ++v) {
+    for (int v = 0; v < SinanScheduler::kMaxFallbackAfter; ++v) {
         alloc = sched.Decide(MakeObs(*features_, t++, 100, alloc[0],
                                      0.95, app_->qos_ms + 200.0),
                              alloc, *app_);
@@ -202,7 +200,7 @@ TEST_F(TelemetryFixture, RejectedDownCandidateCarriesHysteresisReason)
 
     std::vector<double> alloc(app_->tiers.size(), 4.0);
     // Warm up at a p99 that meets QoS but is NOT comfortably healthy
-    // (above healthy_frac * QoS = 400), so the healthy streak stays 0
+    // (above kHealthyFrac * QoS = 400), so the healthy streak stays 0
     // and hysteresis forbids reclaiming.
     alloc = Warmup(sched, alloc, 450.0);
     sched.Decide(MakeObs(*features_, features_->history, 100, alloc[0],
@@ -225,7 +223,7 @@ TEST_F(TelemetryFixture, RejectedDownCandidateCarriesHysteresisReason)
 TEST_F(TelemetryFixture, PhantomNoOpDownCandidatesAreNotEmitted)
 {
     // Regression: when every one of the k least-utilized tiers is above
-    // util_cap, the batch-down loop used to emit a candidate identical
+    // kUtilCap, the batch-down loop used to emit a candidate identical
     // to Hold but flagged as a down action.
     SinanScheduler sched(*model_, SchedulerConfig{});
     DecisionTrace trace;
@@ -233,7 +231,7 @@ TEST_F(TelemetryFixture, PhantomNoOpDownCandidatesAreNotEmitted)
 
     std::vector<double> alloc(app_->tiers.size(), 2.0);
     alloc = Warmup(sched, alloc);
-    // All tiers above util_cap (0.90) but latency healthy: no tier may
+    // All tiers above kUtilCap (0.90) but latency healthy: no tier may
     // be scaled down, so no down candidate of any kind may appear.
     sched.Decide(
         MakeObs(*features_, features_->history, 100, alloc[0], 0.95, 90),
@@ -254,11 +252,7 @@ TEST_F(TelemetryFixture, PhantomNoOpDownCandidatesAreNotEmitted)
 
 TEST_F(TelemetryFixture, TrustRestorationIsTraced)
 {
-    SchedulerConfig cfg;
-    cfg.max_fallback_after = 2;
-    cfg.trust_decay_every = 2;
-    cfg.trust_restore_healthy = 4;
-    SinanScheduler sched(*model_, cfg);
+    SinanScheduler sched(*model_, SchedulerConfig{});
     DecisionTrace trace;
     MetricsRegistry metrics;
     sched.AttachTelemetry(&trace, &metrics);
@@ -266,14 +260,14 @@ TEST_F(TelemetryFixture, TrustRestorationIsTraced)
     std::vector<double> alloc(app_->tiers.size(), 2.0);
     alloc = Warmup(sched, alloc);
     int t = features_->history;
-    for (int v = 0; v < 2; ++v) {
+    for (int v = 0; v < SinanScheduler::kMaxFallbackAfter; ++v) {
         alloc = sched.Decide(MakeObs(*features_, t++, 100, alloc[0],
                                      0.95, app_->qos_ms + 200.0),
                              alloc, *app_);
     }
     ASSERT_TRUE(sched.TrustReduced());
     bool restored_seen = false;
-    for (int k = 0; k < cfg.trust_restore_healthy; ++k) {
+    for (int k = 0; k < SinanScheduler::kTrustRestoreHealthy; ++k) {
         alloc = sched.Decide(
             MakeObs(*features_, t++, 100, alloc[0], 0.4, 90), alloc,
             *app_);
