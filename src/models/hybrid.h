@@ -167,8 +167,9 @@ class HybridModel {
     void Save(std::ostream& out) const;
 
     /** Loads a versioned container. Rejects a stream without the
-     *  magic, an unknown version, a truncated stream, and weights
-     *  whose shapes differ from this model's config, each with a
+     *  magic, an unknown version, a truncated stream, weights whose
+     *  shapes differ from this model's config, and a tree ensemble
+     *  whose row width differs from the BT feature row, each with a
      *  std::runtime_error. */
     void Load(std::istream& in);
 
@@ -185,13 +186,6 @@ class HybridModel {
     HybridModel(const HybridModel&) = default;
 
   private:
-    /** BT feature row: latent L_f, the normalized X_RC, and digested
-     *  aggregates (total allocation, current p99, mean utilization,
-     *  traffic level) that let the trees anchor the load-vs-allocation
-     *  boundary without relying on latent extrapolation. */
-    std::vector<float> BtRow(const Tensor& latent, int row,
-                             const Batch& batch) const;
-
     /** Aggregates shared by every candidate of one window: current
      *  p99, mean utilization, and traffic from the newest history
      *  step of the given (single- or multi-row) inputs. */
@@ -201,7 +195,7 @@ class HybridModel {
 
     /** Scores candidates from per-row latent/xrc tensors into @p out,
      *  writing BT feature rows into the workspace (shared by both
-     *  evaluation paths; bit-identical to the legacy BtRow loop). */
+     *  evaluation paths). */
     void ScoreCandidates(const Tensor& latent, const Tensor& xrc,
                          const Tensor& pred, float cur_p99, float util,
                          float traffic, std::vector<Prediction>& out);

@@ -199,22 +199,45 @@ struct RawNode {
     float value;
 };
 
-/** A one-tree, two-feature logistic model holding @p nodes. */
+/** A logistic model header claiming @p nf features and @p nt trees;
+ *  with @p nt > 0, one tree claiming @p nn nodes follows, of which
+ *  only @p nodes are actually written. */
 std::string
-OneTreeModel(const std::vector<RawNode>& nodes)
+CraftedModel(int32_t nf, int32_t nt, int32_t nn,
+             const std::vector<RawNode>& nodes)
 {
     std::ostringstream out;
-    const int32_t obj = 0, nf = 2, nt = 1;
+    const int32_t obj = 0;
     const double base = 0.0;
-    const int32_t nn = static_cast<int32_t>(nodes.size());
     out.write(reinterpret_cast<const char*>(&obj), sizeof(obj));
     out.write(reinterpret_cast<const char*>(&nf), sizeof(nf));
     out.write(reinterpret_cast<const char*>(&base), sizeof(base));
     out.write(reinterpret_cast<const char*>(&nt), sizeof(nt));
-    out.write(reinterpret_cast<const char*>(&nn), sizeof(nn));
+    if (nt > 0)
+        out.write(reinterpret_cast<const char*>(&nn), sizeof(nn));
     for (const RawNode& n : nodes)
         out.write(reinterpret_cast<const char*>(&n), sizeof(n));
     return out.str();
+}
+
+/** A one-tree, two-feature logistic model holding @p nodes. */
+std::string
+OneTreeModel(const std::vector<RawNode>& nodes)
+{
+    return CraftedModel(2, 1, static_cast<int32_t>(nodes.size()), nodes);
+}
+
+/** The runtime_error message Load throws on @p bytes ("" if none). */
+std::string
+LoadError(BoostedTrees& model, const std::string& bytes)
+{
+    std::istringstream in(bytes);
+    try {
+        model.Load(in);
+    } catch (const std::runtime_error& e) {
+        return e.what();
+    }
+    return "";
 }
 
 void
@@ -268,6 +291,45 @@ TEST(BoostedTrees, LoadRejectsBackwardOrOutOfBoundsChild)
     ExpectCorruptTree(OneTreeModel({{0, 0.5f, 1, 2, 0.0f}, leaf}));
     ExpectCorruptTree(OneTreeModel({{0, 0.5f, 2, 1, 0.0f}, leaf}));
     ExpectCorruptTree(OneTreeModel({{0, 0.5f, 1, -7, 0.0f}, leaf}));
+}
+
+// The counts in a header are untrusted: a forged one must fail as a
+// short read, before anything is sized by it.
+
+TEST(BoostedTrees, LoadRejectsForgedTreeCountBeforeAllocating)
+{
+    BoostedTrees model;
+    const GbtDataset train = ThresholdDataset(200, 5);
+    model.Train(train);
+    const int trees = model.NumTrees();
+    const double before = model.Predict(&train.x[0]);
+    // Two billion trees claimed, none present.
+    EXPECT_EQ(LoadError(model, CraftedModel(2, INT32_MAX, 0, {})),
+              "BoostedTrees::Load: corrupt tree");
+    // A failed load leaves the trained model as it was.
+    EXPECT_EQ(model.NumTrees(), trees);
+    EXPECT_DOUBLE_EQ(model.Predict(&train.x[0]), before);
+}
+
+TEST(BoostedTrees, LoadRejectsForgedNodeCountBeforeAllocating)
+{
+    // One tree claiming two billion nodes, holding three.
+    const RawNode leaf{-1, 0.0f, -1, -1, 1.0f};
+    BoostedTrees model;
+    EXPECT_EQ(LoadError(model,
+                        CraftedModel(2, 1, INT32_MAX,
+                                     {{1, 0.5f, 1, 2, 0.0f}, leaf, leaf})),
+              "BoostedTrees::Load: truncated");
+}
+
+TEST(BoostedTrees, LoadSizesNothingByTheFeatureCount)
+{
+    // A tree-less model claiming a million features loads (the count is
+    // only compared against rows later), but no per-feature buffer is
+    // sized by it: split gains are not serialized.
+    BoostedTrees model;
+    EXPECT_EQ(LoadError(model, CraftedModel(1 << 20, 0, 0, {})), "");
+    EXPECT_TRUE(model.FeatureImportance().empty());
 }
 
 TEST(BoostedTrees, ConstantLabelsPredictThatLabel)

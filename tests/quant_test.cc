@@ -595,6 +595,58 @@ TEST_F(QuantModelTest, PreContainerStreamIsRejectedByName)
     }
 }
 
+TEST_F(QuantModelTest, WiderTreeEnsembleIsRejectedByName)
+{
+    // A container whose CNN matches the config but whose trees split on
+    // one feature past the BT row (latent + tiers + 4): scoring would
+    // read past each candidate's row, so Load must refuse it.
+    const int width = model_->Cnn().LatentSize() + features_->n_tiers + 4;
+    std::ostringstream out;
+    const int32_t magic = kModelMagic;
+    out.write(reinterpret_cast<const char*>(&magic), sizeof(magic));
+    out.write(reinterpret_cast<const char*>(&kModelVersion),
+              sizeof(kModelVersion));
+    model_->Cnn().Save(out);
+    const int32_t obj = 0, nf = width + 1, nt = 1, nn = 3;
+    const double base = 0.0;
+    out.write(reinterpret_cast<const char*>(&obj), sizeof(obj));
+    out.write(reinterpret_cast<const char*>(&nf), sizeof(nf));
+    out.write(reinterpret_cast<const char*>(&base), sizeof(base));
+    out.write(reinterpret_cast<const char*>(&nt), sizeof(nt));
+    out.write(reinterpret_cast<const char*>(&nn), sizeof(nn));
+    // A stump on the extra feature: {feature, threshold, left, right,
+    // value}, as BoostedTrees::Save lays a node out.
+    const struct {
+        int32_t feature;
+        float threshold;
+        int32_t left, right;
+        float value;
+    } nodes[3] = {{width, 0.5f, 1, 2, 0.0f},
+                  {-1, 0.0f, -1, -1, -1.0f},
+                  {-1, 0.0f, -1, -1, 1.0f}};
+    out.write(reinterpret_cast<const char*>(nodes), sizeof(nodes));
+    const double rmse[2] = {model_->ValRmseMs(), model_->ValRmseSubQosMs()};
+    out.write(reinterpret_cast<const char*>(rmse), sizeof(rmse));
+    const int32_t has_quant = 0;
+    out.write(reinterpret_cast<const char*>(&has_quant), sizeof(has_quant));
+
+    HybridModel loaded(*features_, DefaultHybridConfig(), 999);
+    std::istringstream in(out.str());
+    try {
+        loaded.Load(in);
+        FAIL() << "a tree ensemble wider than the BT row was accepted";
+    } catch (const std::runtime_error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("tree ensemble expects " +
+                            std::to_string(width + 1) + " features"),
+                  std::string::npos)
+            << "unexpected error: " << what;
+        EXPECT_NE(what.find("rows hold " + std::to_string(width)),
+                  std::string::npos)
+            << "unexpected error: " << what;
+    }
+}
+
 /** Load then Save of a bundled model must reproduce the committed
  *  file byte for byte: the container is the only format. */
 void
