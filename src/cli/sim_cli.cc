@@ -139,15 +139,8 @@ ParseUncertaintyArg(const std::string& v)
     return cfg;
 }
 
-bool
-KnownManagerName(const std::string& m)
-{
-    return m == "sinan" || m == "opt" || m == "cons" ||
-           m == "powerchief" || m == "hold";
-}
+} // namespace
 
-/** Trains the Sinan pipeline for one app kind with the CLI's
- *  collection/epoch knobs (shared by single-run and fleet mode). */
 std::unique_ptr<TrainedSinan>
 TrainForCli(const Application& app, bool hotel, const SimOptions& opt)
 {
@@ -168,8 +161,6 @@ TrainForCli(const Application& app, bool hotel, const SimOptions& opt)
                 100.0 * trained->report.bt_val_accuracy);
     return trained;
 }
-
-} // namespace
 
 std::string
 FormatChaosCatalog()
@@ -361,7 +352,7 @@ ParseSimArgs(int argc, const char* const* argv)
     }
     if (opt.app != "hotel" && opt.app != "social")
         SimUsage("--app must be hotel or social");
-    if (!KnownManagerName(opt.manager))
+    if (!KnownManager(opt.manager))
         SimUsage(("unknown --manager " + opt.manager).c_str());
     if (opt.users_set && opt.diurnal)
         SimUsage("--users and --diurnal are mutually exclusive");

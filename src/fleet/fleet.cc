@@ -49,13 +49,6 @@ KnownApp(const std::string& app)
     return app == "hotel" || app == "social";
 }
 
-bool
-KnownManager(const std::string& manager)
-{
-    return manager == "sinan" || manager == "opt" || manager == "cons" ||
-           manager == "powerchief" || manager == "hold";
-}
-
 /**
  * Per-app default load when the fleet config leaves users unset,
  * staggered ±20% by shard index so a default fleet exercises distinct
@@ -251,6 +244,13 @@ ResolveFleetShards(const FleetConfig& cfg, const FleetApps& apps)
         specs.push_back(std::move(s));
     }
     return specs;
+}
+
+bool
+KnownManager(const std::string& manager)
+{
+    return manager == "sinan" || manager == "opt" || manager == "cons" ||
+           manager == "powerchief" || manager == "hold";
 }
 
 std::unique_ptr<ResourceManager>

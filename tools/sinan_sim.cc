@@ -65,32 +65,11 @@ main(int argc, char** argv)
     cfg.warmup_s = opt.warmup_s;
     cfg.seed = opt.seed;
     cfg.faults = opt.faults;
-    if (!opt.faults.Empty()) {
-        try {
-            ValidateFaultSchedule(
-                opt.faults, static_cast<int>(app.tiers.size()));
-        } catch (const std::exception& e) {
-            SimUsage(e.what());
-        }
-    }
 
     std::unique_ptr<ResourceManager> manager;
     std::unique_ptr<TrainedSinan> trained;
     if (opt.manager == "sinan") {
-        std::printf("training Sinan (%.0f s collection, %d epochs)...\n",
-                    opt.collect_s, opt.epochs);
-        PipelineConfig pcfg;
-        pcfg.collect_s = opt.collect_s;
-        pcfg.users_min = opt.app == "hotel" ? 500.0 : 50.0;
-        pcfg.users_max = opt.app == "hotel" ? 3700.0 : 450.0;
-        pcfg.hybrid = DefaultHybridConfig();
-        pcfg.hybrid.train.epochs = opt.epochs;
-        pcfg.seed = opt.seed;
-        trained = std::make_unique<TrainedSinan>(
-            TrainSinanForApp(app, pcfg));
-        std::printf("CNN val RMSE %.1f ms, BT val acc %.1f%%\n",
-                    trained->report.cnn.val_rmse_ms,
-                    100.0 * trained->report.bt_val_accuracy);
+        trained = TrainForCli(app, opt.app == "hotel", opt);
         SchedulerConfig scfg;
         scfg.uncertainty = opt.uncertainty;
         scfg.quant = opt.quant;
