@@ -57,11 +57,12 @@ enum class CandidateOutcome {
     kChosen,
     /** Down-action rejected: healthy streak too short to reclaim. */
     kRejectedHysteresis,
-    /** Down-action rejected: a tier would exceed post_down_util_cap. */
+    /** Down-action rejected: a tier would exceed kPostDownUtilCap. */
     kRejectedPostDownSaturation,
     /** Predicted p99 above QoS minus the (trust-scaled) margin. */
     kRejectedLatencyMargin,
-    /** Predicted violation probability above p_d / p_u. */
+    /** Predicted violation probability above kPDown / kPUp (the
+     *  paper's p_d / p_u). */
     kRejectedViolationProb,
     /** Down-action rejected: deciding on degraded (last-known-good)
      *  telemetry, where reclaiming would be flying blind. */
@@ -143,8 +144,8 @@ struct DecisionTraceEntry {
     /** Telemetry classification that routed this decision. */
     TelemetryHealth telemetry = TelemetryHealth::kFresh;
     /** Consecutive degraded intervals including this one (0 when
-     *  fresh); the watchdog trips when it reaches the config's
-     *  watchdog_silent_after. */
+     *  fresh); the watchdog trips when it reaches
+     *  SinanScheduler::kWatchdogSilentAfter. */
     int silent_intervals = 0;
 
     /** Trust state after this interval's bookkeeping. */
