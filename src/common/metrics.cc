@@ -58,10 +58,17 @@ void
 MetricsRegistry::Observe(const std::string& name, double value,
                          const std::vector<double>& bounds)
 {
+    HistogramFor(name, bounds).Observe(value);
+}
+
+FixedHistogram&
+MetricsRegistry::HistogramFor(const std::string& name,
+                              const std::vector<double>& bounds)
+{
     auto it = histograms_.find(name);
     if (it == histograms_.end())
         it = histograms_.emplace(name, FixedHistogram(bounds)).first;
-    it->second.Observe(value);
+    return it->second;
 }
 
 uint64_t

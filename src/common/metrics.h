@@ -81,6 +81,15 @@ class MetricsRegistry {
     void Observe(const std::string& name, double value,
                  const std::vector<double>& bounds = {});
 
+    /**
+     * Histogram @p name, created with @p bounds on first use exactly
+     * as Observe creates it. Observing into the returned reference is
+     * Observe without the name lookup; the reference stays valid until
+     * Clear().
+     */
+    FixedHistogram& HistogramFor(const std::string& name,
+                                 const std::vector<double>& bounds = {});
+
     /** Counter value (0 when the counter was never incremented). */
     uint64_t Counter(const std::string& name) const;
 

@@ -1,6 +1,7 @@
 #include "core/scheduler.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <numeric>
 
@@ -56,6 +57,10 @@ KindCounter(DecisionKind kind)
     return nullptr;
 }
 
+/** Number of CandidateOutcome values (kNotCheapest is the last). */
+constexpr size_t kOutcomeKinds =
+    static_cast<size_t>(CandidateOutcome::kNotCheapest) + 1;
+
 /** Scale-up-all (AWS step-scaling inspired), clamped to the maxima. */
 std::vector<double>
 UpscaleAll(const std::vector<double>& alloc, const Application& app)
@@ -102,6 +107,9 @@ SinanScheduler::BuildCandidates(const IntervalObservation& obs,
 {
     const int n = static_cast<int>(alloc.size());
     std::vector<Candidate> cands;
+    // Hold, single-tier downs and ups, four batch downs, up-all and
+    // up-victims: an upper bound, since phantoms are dropped.
+    cands.reserve(2 * static_cast<size_t>(n) * kCpuSteps.size() + 7);
 
     auto clamp_alloc = [&](std::vector<double> a) {
         for (int i = 0; i < n; ++i)
@@ -564,42 +572,8 @@ SinanScheduler::Decide(const IntervalObservation& obs,
             recent_victims_.pop_front();
     }
 
-    if (trace_) {
-        DecisionTraceEntry& e = trace_->intervals.emplace_back();
-        e.interval = interval_idx_;
-        e.kind = kind;
-        e.observed_p99_ms = latency_trusted ? ref->P99() : -1.0;
-        e.violated = violated;
-        e.telemetry = assess.health;
-        e.silent_intervals = silent;
-        e.trust_reduced = trust_reduced_;
-        e.mispredictions = mispredictions_;
-        e.healthy_streak = healthy_streak_;
-        e.consecutive_violations = consecutive_violations_;
-        e.trust_lost = trust_lost;
-        e.trust_restored = trust_restored;
-        e.confidence = assess.confidence;
-        if (!fresh)
-            e.tier_confidence = assess.tier_confidence;
-        e.uncertainty_margin_ms = umargin;
-        if (model_path) {
-            e.margin_ms = margin;
-            e.may_reclaim = may_reclaim;
-            e.chosen = best;
-            e.candidates.reserve(cands.size());
-            for (size_t i = 0; i < cands.size(); ++i) {
-                CandidateTrace ct;
-                ct.kind = cands[i].kind;
-                ct.total_cpu = cands[i].total_cpu;
-                ct.latency_ms = preds[i].latency_ms;
-                ct.p_violation = preds[i].p_violation;
-                ct.outcome = outcomes[i];
-                e.candidates.push_back(std::move(ct));
-            }
-        }
-    }
-    ++interval_idx_;
-
+    // Metrics before the trace: the trace takes each prediction's
+    // latency vector by move.
     if (metrics_) {
         MetricsRegistry& m = *metrics_;
         m.Inc("sinan.scheduler.decisions");
@@ -639,17 +613,27 @@ SinanScheduler::Decide(const IntervalObservation& obs,
             m.Set("sinan.scheduler.confidence", assess.confidence);
         if (model_path) {
             m.Inc("sinan.scheduler.candidates", cands.size());
-            for (size_t i = 0; i < cands.size(); ++i) {
-                m.Inc(std::string("sinan.scheduler.outcome.") +
-                      ToString(outcomes[i]));
-                // Predictions on the blind ladder's frozen picture stay
-                // out of the prediction histograms.
-                if (blind)
-                    continue;
-                m.Observe("sinan.scheduler.pred_p99_ms", preds[i].P99(),
-                          LatencyBounds());
-                m.Observe("sinan.scheduler.pred_p_violation",
-                          preds[i].p_violation, ProbabilityBounds());
+            std::array<uint64_t, kOutcomeKinds> counts{};
+            for (const CandidateOutcome o : outcomes)
+                ++counts[static_cast<size_t>(o)];
+            for (size_t k = 0; k < kOutcomeKinds; ++k) {
+                if (counts[k] > 0)
+                    m.Inc(std::string("sinan.scheduler.outcome.") +
+                              ToString(static_cast<CandidateOutcome>(k)),
+                          counts[k]);
+            }
+            // Predictions on the blind ladder's frozen picture stay out
+            // of the prediction histograms.
+            if (!blind) {
+                FixedHistogram& p99_hist = m.HistogramFor(
+                    "sinan.scheduler.pred_p99_ms", LatencyBounds());
+                FixedHistogram& pv_hist = m.HistogramFor(
+                    "sinan.scheduler.pred_p_violation",
+                    ProbabilityBounds());
+                for (const Prediction& p : preds) {
+                    p99_hist.Observe(p.P99());
+                    pv_hist.Observe(p.p_violation);
+                }
             }
             if (best >= 0) {
                 m.Inc(std::string("sinan.scheduler.chosen.") +
@@ -659,6 +643,41 @@ SinanScheduler::Decide(const IntervalObservation& obs,
             }
         }
     }
+    if (trace_) {
+        DecisionTraceEntry& e = trace_->intervals.emplace_back();
+        e.interval = interval_idx_;
+        e.kind = kind;
+        e.observed_p99_ms = latency_trusted ? ref->P99() : -1.0;
+        e.violated = violated;
+        e.telemetry = assess.health;
+        e.silent_intervals = silent;
+        e.trust_reduced = trust_reduced_;
+        e.mispredictions = mispredictions_;
+        e.healthy_streak = healthy_streak_;
+        e.consecutive_violations = consecutive_violations_;
+        e.trust_lost = trust_lost;
+        e.trust_restored = trust_restored;
+        e.confidence = assess.confidence;
+        if (!fresh)
+            e.tier_confidence = assess.tier_confidence;
+        e.uncertainty_margin_ms = umargin;
+        if (model_path) {
+            e.margin_ms = margin;
+            e.may_reclaim = may_reclaim;
+            e.chosen = best;
+            e.candidates.reserve(cands.size());
+            for (size_t i = 0; i < cands.size(); ++i) {
+                CandidateTrace ct;
+                ct.kind = cands[i].kind;
+                ct.total_cpu = cands[i].total_cpu;
+                ct.latency_ms = std::move(preds[i].latency_ms);
+                ct.p_violation = preds[i].p_violation;
+                ct.outcome = outcomes[i];
+                e.candidates.push_back(std::move(ct));
+            }
+        }
+    }
+    ++interval_idx_;
     return chosen;
 }
 

@@ -4,6 +4,8 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "common/check.h"
+
 namespace sinan {
 
 namespace {
@@ -33,6 +35,14 @@ BuildHistoryRow(const MetricWindow& window, Tensor& xrh, Tensor& xlh,
     const int n = cfg.n_tiers;
     const int t_len = cfg.history;
     const int m = cfg.n_percentiles;
+    SINAN_CHECK_SHAPE(xrh, xrh.Dim(0), FeatureConfig::kChannels, n, t_len);
+    SINAN_CHECK_SHAPE(xlh, xrh.Dim(0), t_len * m);
+    SINAN_CHECK_BOUNDS(row, 0, xrh.Dim(0) - 1);
+    // Channel c of the row is the [n, t_len] plane at rh + c * plane.
+    const size_t plane = static_cast<size_t>(n) * t_len;
+    float* rh = xrh.Data() +
+                static_cast<size_t>(row) * FeatureConfig::kChannels * plane;
+    float* lh = xlh.Data() + static_cast<size_t>(row) * t_len * m;
 
     for (int t = 0; t < t_len; ++t) {
         const IntervalObservation& obs = window.At(static_cast<size_t>(t));
@@ -40,19 +50,20 @@ BuildHistoryRow(const MetricWindow& window, Tensor& xrh, Tensor& xlh,
             throw std::invalid_argument("BuildInput: tier count mismatch");
         for (int i = 0; i < n; ++i) {
             const TierMetrics& tm = obs.tiers[i];
-            xrh.At(row, 0, i, t) = Clip(tm.cpu_limit / cfg.cpu_scale);
-            xrh.At(row, 1, i, t) = Clip(tm.cpu_used / cfg.cpu_scale);
-            xrh.At(row, 2, i, t) = Clip(tm.rss_mb / cfg.rss_scale);
-            xrh.At(row, 3, i, t) = Clip(tm.cache_mb / cfg.cache_scale);
-            xrh.At(row, 4, i, t) = Clip(tm.rx_pps / cfg.pps_scale);
-            xrh.At(row, 5, i, t) = Clip(tm.tx_pps / cfg.pps_scale);
+            float* x = rh + static_cast<size_t>(i) * t_len + t;
+            x[0 * plane] = Clip(tm.cpu_limit / cfg.cpu_scale);
+            x[1 * plane] = Clip(tm.cpu_used / cfg.cpu_scale);
+            x[2 * plane] = Clip(tm.rss_mb / cfg.rss_scale);
+            x[3 * plane] = Clip(tm.cache_mb / cfg.cache_scale);
+            x[4 * plane] = Clip(tm.rx_pps / cfg.pps_scale);
+            x[5 * plane] = Clip(tm.tx_pps / cfg.pps_scale);
         }
         for (int p = 0; p < m; ++p) {
             const double lat =
                 p < static_cast<int>(obs.latency_ms.size())
                     ? obs.latency_ms[p]
                     : 0.0;
-            xlh.At(row, t * m + p) = Clip(lat / cfg.qos_ms);
+            lh[t * m + p] = Clip(lat / cfg.qos_ms);
         }
     }
 }
@@ -63,8 +74,14 @@ BuildAllocRow(const FeatureConfig& cfg,
 {
     if (static_cast<int>(next_alloc.size()) != cfg.n_tiers)
         throw std::invalid_argument("BuildInput: allocation size mismatch");
+    // Checked without SINAN_CHECK_SHAPE's vector: this runs once per
+    // candidate.
+    SINAN_CHECK_EQ(xrc.Rank(), 2);
+    SINAN_CHECK_EQ(xrc.Dim(1), cfg.n_tiers);
+    SINAN_CHECK_BOUNDS(row, 0, xrc.Dim(0) - 1);
+    float* x = xrc.Data() + static_cast<size_t>(row) * cfg.n_tiers;
     for (int i = 0; i < cfg.n_tiers; ++i)
-        xrc.At(row, i) = Clip(next_alloc[i] / cfg.cpu_scale);
+        x[i] = Clip(next_alloc[i] / cfg.cpu_scale);
 }
 
 Sample

@@ -30,22 +30,20 @@ BtRowWidth(int latent_dim, int n_tiers)
     return latent_dim + n_tiers + 4;
 }
 
-/** Writes row @p row's BT features, the one layout training and
- *  inference share: L_f, the normalized X_RC, then the aggregates
- *  (total allocation, current p99, mean utilization, traffic) that
- *  anchor the trees without latent extrapolation. */
+/** Writes one BT feature row, the one layout training and inference
+ *  share: L_f (@p latent_dim values at @p latent), the normalized X_RC
+ *  (@p n values at @p xrc), then the aggregates (total allocation,
+ *  current p99, mean utilization, traffic) that anchor the trees
+ *  without latent extrapolation. */
 void
-WriteBtRow(const Tensor& latent, const Tensor& xrc, int row, float cur_p99,
-           float util, float traffic, float* out)
+WriteBtRow(const float* latent, int latent_dim, const float* xrc, int n,
+           float cur_p99, float util, float traffic, float* out)
 {
-    const int latent_dim = latent.Dim(1);
-    const int n = xrc.Dim(1);
-    for (int j = 0; j < latent_dim; ++j)
-        out[j] = latent.At(row, j);
+    std::copy(latent, latent + latent_dim, out);
     float total_alloc = 0.0f;
     for (int j = 0; j < n; ++j) {
-        out[latent_dim + j] = xrc.At(row, j);
-        total_alloc += xrc.At(row, j);
+        out[latent_dim + j] = xrc[j];
+        total_alloc += xrc[j];
     }
     out[latent_dim + n] = total_alloc;
     out[latent_dim + n + 1] = cur_p99;
@@ -87,9 +85,16 @@ HybridModel::ScoreCandidates(const Tensor& latent, const Tensor& xrc,
                              const Tensor& pred, float cur_p99, float util,
                              float traffic, std::vector<Prediction>& out)
 {
+    SINAN_CHECK_EQ(pred.Rank(), 2);
+    SINAN_CHECK_EQ(latent.Rank(), 2);
+    SINAN_CHECK_EQ(xrc.Rank(), 2);
     const int n_cands = pred.Dim(0);
     const int m = pred.Dim(1);
-    const int nf = BtRowWidth(latent.Dim(1), xrc.Dim(1));
+    const int latent_dim = latent.Dim(1);
+    const int n = xrc.Dim(1);
+    SINAN_CHECK_EQ(latent.Dim(0), n_cands);
+    SINAN_CHECK_EQ(xrc.Dim(0), n_cands);
+    const int nf = BtRowWidth(latent_dim, n);
     bt_rows_.EnsureShape({n_cands, nf});
     out.resize(static_cast<size_t>(n_cands));
 
@@ -98,15 +103,18 @@ HybridModel::ScoreCandidates(const Tensor& latent, const Tensor& xrc,
     // independent, so score them in parallel.
     ParallelFor(0, n_cands, 8, [&](int64_t lo, int64_t hi) {
         for (int64_t i = lo; i < hi; ++i) {
-            const int row = static_cast<int>(i);
-            Prediction& p = out[static_cast<size_t>(i)];
+            const size_t row = static_cast<size_t>(i);
+            Prediction& p = out[row];
+            const float* prow = pred.Data() + row * m;
             p.latency_ms.resize(static_cast<size_t>(m));
             for (int j = 0; j < m; ++j) {
                 p.latency_ms[static_cast<size_t>(j)] =
-                    static_cast<double>(pred.At(row, j)) * fcfg_.qos_ms;
+                    static_cast<double>(prow[j]) * fcfg_.qos_ms;
             }
-            float* fr = bt_rows_.Data() + static_cast<size_t>(i) * nf;
-            WriteBtRow(latent, xrc, row, cur_p99, util, traffic, fr);
+            float* fr = bt_rows_.Data() + row * nf;
+            WriteBtRow(latent.Data() + row * latent_dim, latent_dim,
+                       xrc.Data() + row * n, n, cur_p99, util, traffic,
+                       fr);
             p.p_violation = bt_.Predict(fr);
         }
     });
@@ -126,15 +134,21 @@ HybridModel::TrainBt(const Dataset& train, const Dataset& valid,
             const Batch batch = data.MakeBatch(order, begin, end);
             (void)cnn_.Forward(batch);
             const Tensor& latent = cnn_.Latent();
-            std::vector<float> row(static_cast<size_t>(
-                BtRowWidth(latent.Dim(1), batch.xrc.Dim(1))));
+            const int latent_dim = latent.Dim(1);
+            const int n = batch.xrc.Dim(1);
+            SINAN_CHECK_EQ(latent.Dim(0), static_cast<int>(end - begin));
+            SINAN_CHECK_EQ(batch.xrc.Dim(0), static_cast<int>(end - begin));
+            std::vector<float> row(
+                static_cast<size_t>(BtRowWidth(latent_dim, n)));
             for (size_t i = begin; i < end; ++i) {
                 const int r = static_cast<int>(i - begin);
                 float cur_p99 = 0.0f, util = 0.0f, traffic = 0.0f;
                 SharedAggregates(batch.xrh, batch.xlh, r, &cur_p99, &util,
                                  &traffic);
-                WriteBtRow(latent, batch.xrc, r, cur_p99, util, traffic,
-                           row.data());
+                const size_t ri = static_cast<size_t>(r);
+                WriteBtRow(latent.Data() + ri * latent_dim, latent_dim,
+                           batch.xrc.Data() + ri * n, n, cur_p99, util,
+                           traffic, row.data());
                 out.AddRow(row, data.samples[order[i]].violation);
             }
         }

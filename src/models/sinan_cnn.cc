@@ -6,10 +6,17 @@
 #include <stdexcept>
 
 #include "common/check.h"
+#include "common/thread_pool.h"
+#include "tensor/gemm_kernels.h"
 
 namespace sinan {
 
 namespace {
+
+/** Candidate rows per ParallelFor block of the head's fc_latent. Fixed,
+ *  so the block structure never depends on the thread count (each row
+ *  is written by one block either way, so neither do the bytes). */
+constexpr int64_t kHeadRowGrain = 32;
 
 /** Concatenates three [B, *] tensors along dim 1. */
 Tensor
@@ -125,28 +132,6 @@ SinanCnn::ForwardTrunk(CnnEvalWorkspace& ws) const
 }
 
 void
-SinanCnn::BroadcastConcat(CnnEvalWorkspace& ws) const
-{
-    // Broadcast-concat: every candidate row is [ha | hb | hc_i] with
-    // the shared trunk embeddings ha/hb — exactly the rows the
-    // full-batch ConcatCols would build from B identical trunk inputs.
-    const int batch = ws.xrc.Dim(0);
-    const int na = rh_out_, nb = lh_out_, nc = rc_out_;
-    const int width = na + nb + nc;
-    ws.concat.EnsureShape({batch, width});
-    const float* ha = ws.rh_embed.Data();
-    const float* hb = ws.lh_embed.Data();
-    for (int i = 0; i < batch; ++i) {
-        float* row = ws.concat.Data() + static_cast<size_t>(i) * width;
-        std::copy(ha, ha + na, row);
-        std::copy(hb, hb + nb, row + na);
-        const float* hc =
-            ws.rc_embed.Data() + static_cast<size_t>(i) * nc;
-        std::copy(hc, hc + nc, row + na + nb);
-    }
-}
-
-void
 SinanCnn::AddPersistence(CnnEvalWorkspace& ws) const
 {
     // Persistence residual, broadcast from the shared window row: the
@@ -155,9 +140,13 @@ SinanCnn::AddPersistence(CnnEvalWorkspace& ws) const
     const int batch = ws.pred.Dim(0);
     const int m = fcfg_.n_percentiles;
     const int base = (fcfg_.history - 1) * m;
+    SINAN_CHECK_SHAPE(ws.pred, batch, m);
+    SINAN_CHECK_SHAPE(ws.xlh, 1, base + m);
+    const float* last = ws.xlh.Data() + base;
     for (int i = 0; i < batch; ++i) {
+        float* row = ws.pred.Data() + static_cast<size_t>(i) * m;
         for (int p = 0; p < m; ++p)
-            ws.pred.At(i, p) += ws.xlh.At(0, base + p);
+            row[p] += last[p];
     }
 }
 
@@ -172,8 +161,39 @@ SinanCnn::ForwardHead(CnnEvalWorkspace& ws) const
                     "ForwardTrunk first");
     rc_fc_.ForwardInto(ws.xrc, ws.rc_embed);
     ReluInPlace(ws.rc_embed);
-    BroadcastConcat(ws);
-    fc_latent_.ForwardInto(ws.concat, ws.latent);
+
+    // fc_latent over rows [rh | lh | rc_i]. GemmRows accumulates each
+    // output in ascending k with a separate multiply and add, so the
+    // sum over the shared rh and lh columns is the same prefix for
+    // every candidate: compute it once, copy it into each row, and
+    // continue over the row's own rc columns. Bias last, as in Dense —
+    // the bytes of Dense::ForwardInto on the concatenated rows.
+    const int batch = ws.xrc.Dim(0);
+    const int na = rh_out_, nb = lh_out_, nc = rc_out_;
+    const Tensor& w = fc_latent_.Weight(); // [na + nb + nc, latent]
+    const int lat = w.Dim(1);
+    const float* wp = w.Data();
+    const float* bias = fc_latent_.Bias().Data();
+    const GemmRowsFn kern = ActiveGemmRows();
+    ws.latent_trunk.EnsureShape({1, lat});
+    ws.latent_trunk.Fill(0.0f);
+    float* prefix = ws.latent_trunk.Data();
+    kern(ws.rh_embed.Data(), na, wp, lat, prefix, lat, 0, 1, na, lat);
+    kern(ws.lh_embed.Data(), nb, wp + static_cast<size_t>(na) * lat, lat,
+         prefix, lat, 0, 1, nb, lat);
+    ws.latent.EnsureShape({batch, lat});
+    const float* rc_w = wp + static_cast<size_t>(na + nb) * lat;
+    ParallelFor(0, batch, kHeadRowGrain, [&](int64_t lo, int64_t hi) {
+        float* out = ws.latent.Data();
+        for (int64_t i = lo; i < hi; ++i)
+            std::copy(prefix, prefix + lat, out + i * lat);
+        kern(ws.rc_embed.Data(), nc, rc_w, lat, out, lat, lo, hi, nc, lat);
+        for (int64_t i = lo; i < hi; ++i) {
+            float* row = out + i * lat;
+            for (int j = 0; j < lat; ++j)
+                row[j] += bias[j];
+        }
+    });
     ReluInPlace(ws.latent);
     fc_out_.ForwardInto(ws.latent, ws.pred);
     AddPersistence(ws);
@@ -258,7 +278,9 @@ SinanCnn::ObserveCalibration(const CnnEvalWorkspace& ws,
     cal.conv2_out = std::max(cal.conv2_out, MaxAbs(ws.conv2_out));
     cal.xlh = std::max(cal.xlh, MaxAbs(ws.xlh));
     cal.xrc = std::max(cal.xrc, MaxAbs(ws.xrc));
-    cal.concat = std::max(cal.concat, MaxAbs(ws.concat));
+    // fc_latent's input rows are [rh_embed | lh_embed | rc_embed_i].
+    cal.concat = std::max({cal.concat, MaxAbs(ws.rh_embed),
+                           MaxAbs(ws.lh_embed), MaxAbs(ws.rc_embed)});
     cal.latent = std::max(cal.latent, MaxAbs(ws.latent));
 }
 

@@ -15,10 +15,11 @@
  *  - ForwardTrunk()/ForwardHead(): the online scheduler's single-pass
  *    candidate inference. Within one decision interval every candidate
  *    shares identical X_RH/X_LH, so the rh/lh branches (the trunk, and
- *    by far the dominant cost) run once on a batch of 1 and their
- *    embeddings are broadcast across the candidate batch in the head
- *    (rc branch + latent + output layers). Both paths accumulate every
- *    output element in the same order, so they are bit-identical.
+ *    by far the dominant cost) run once on a batch of 1, and so does
+ *    their share of fc_latent, which every candidate row of the head
+ *    (rc branch + latent + output layers) then continues. Both paths
+ *    accumulate every output element in the same order, so they are
+ *    bit-identical.
  */
 #ifndef SINAN_MODELS_SINAN_CNN_H
 #define SINAN_MODELS_SINAN_CNN_H
@@ -69,8 +70,8 @@ struct CnnEvalWorkspace {
     Tensor lh_embed;  // [1, lh_embed]
     // Head intermediates.
     Tensor rc_embed; // [B, rc_embed]
-    Tensor concat;   // [B, rh_embed + lh_embed + rc_embed]
-    Tensor latent;   // [B, latent]
+    Tensor latent_trunk; // [1, latent]: fc_latent over rh/lh only
+    Tensor latent;       // [B, latent]
     Tensor pred;     // [B, M]
     // Quantized-path scratch (u8 activations, int32 accumulators);
     // grows once on first int8 use, then stays allocation-free.
@@ -90,7 +91,7 @@ struct CnnCalibration {
     float conv2_out = 0.0f; // rh_fc input (post-ReLU, flattened)
     float xlh = 0.0f;       // lh_fc input
     float xrc = 0.0f;       // rc_fc input
-    float concat = 0.0f;    // fc_latent input
+    float concat = 0.0f;    // fc_latent input [rh | lh | rc embeds]
     float latent = 0.0f;    // fc_out input (post-ReLU)
 };
 
@@ -125,9 +126,9 @@ class SinanCnn : public LatencyModel {
     void ForwardTrunk(CnnEvalWorkspace& ws) const;
 
     /**
-     * Head pass: encodes ws.xrc (one row per candidate), broadcasts
-     * the cached trunk embeddings across the candidate batch, and
-     * fills ws.latent ([B, latent], the L_f rows the Boosted Trees
+     * Head pass: encodes ws.xrc (one row per candidate), computes
+     * fc_latent's sum over the cached trunk embeddings once and
+     * continues it per candidate, and fills ws.latent ([B, latent], the L_f rows the Boosted Trees
      * consume) and ws.pred ([B, M], with the persistence residual
      * applied). Requires a preceding ForwardTrunk on @p ws.
      */
@@ -208,10 +209,6 @@ class SinanCnn : public LatencyModel {
     int rh_out_ = 0;
     int lh_out_ = 0;
     int rc_out_ = 0;
-
-    /** Broadcast-concat of the cached trunk embeddings with ws.rc_embed
-     *  into ws.concat. */
-    void BroadcastConcat(CnnEvalWorkspace& ws) const;
 
     /** Adds the persistence residual to ws.pred from ws.xlh. */
     void AddPersistence(CnnEvalWorkspace& ws) const;

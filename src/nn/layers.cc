@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
@@ -119,10 +121,18 @@ Dense::Load(std::istream& in)
 void
 ReluInPlace(Tensor& t)
 {
+    // Keeps exactly the bit patterns of floats > 0 — 0x00000001 (the
+    // least denormal) through 0x7f800000 (+inf) — and clears the rest
+    // (negatives, -0 and NaN) to +0: the bytes of `x > 0 ? x : 0`
+    // without a data-dependent branch, so the loop vectorizes.
     float* p = t.Data();
     const size_t n = t.Size();
-    for (size_t i = 0; i < n; ++i)
-        p[i] = p[i] > 0.0f ? p[i] : 0.0f;
+    for (size_t i = 0; i < n; ++i) {
+        uint32_t u = 0;
+        std::memcpy(&u, p + i, sizeof(u));
+        u &= 0u - static_cast<uint32_t>(u - 1u < 0x7f800000u);
+        std::memcpy(p + i, &u, sizeof(u));
+    }
 }
 
 Tensor
@@ -130,8 +140,7 @@ ReLU::Forward(const Tensor& x)
 {
     x_cache_ = x;
     Tensor y = x;
-    for (size_t i = 0; i < y.Size(); ++i)
-        y[i] = y[i] > 0.0f ? y[i] : 0.0f;
+    ReluInPlace(y);
     return y;
 }
 
@@ -199,6 +208,12 @@ Conv2D::ForwardInto(const Tensor& x, Tensor& y, Tensor& col) const
     // with zeros outside the image. A padding zero contributes exactly
     // 0.0f to the accumulation, so including it (instead of the old
     // bounds-check skip) leaves every sum bit-identical.
+    //
+    // Each patch row is the input plane shifted by d = (ki - pad) * w +
+    // (kj - pad) positions: one contiguous copy over the rows whose
+    // source row is in the image, zeros around it, then zeros over the
+    // columns whose source column is outside the image (the copy
+    // wrapped those in from the neighbouring row).
     ParallelFor(0, batch, 1, [&](int64_t lo, int64_t hi) {
         for (int64_t bi = lo; bi < hi; ++bi) {
             const float* xb =
@@ -207,6 +222,9 @@ Conv2D::ForwardInto(const Tensor& x, Tensor& y, Tensor& col) const
             for (int c = 0; c < in_c; ++c) {
                 const float* xc = xb + static_cast<size_t>(c) * hw;
                 for (int ki = 0; ki < kernel_; ++ki) {
+                    // Rows i whose source row i + ki - pad is in range.
+                    const int i0 = std::clamp(pad - ki, 0, h);
+                    const int i1 = std::clamp(h + pad - ki, i0, h);
                     for (int kj = 0; kj < kernel_; ++kj) {
                         float* crow =
                             cb + (static_cast<size_t>(c) * kernel_ *
@@ -214,25 +232,30 @@ Conv2D::ForwardInto(const Tensor& x, Tensor& y, Tensor& col) const
                                   static_cast<size_t>(ki) * kernel_ +
                                   static_cast<size_t>(kj)) *
                                      hw;
-                        // Columns j with an in-bounds source sj = j +
-                        // kj - pad form one contiguous run per row.
-                        const int j0 = std::max(0, pad - kj);
-                        const int j1 = std::min(w, w + pad - kj);
-                        for (int i = 0; i < h; ++i) {
-                            const int si = i + ki - pad;
+                        // Columns j whose source column j + kj - pad
+                        // is in range.
+                        const int j0 = std::clamp(pad - kj, 0, w);
+                        const int j1 = std::clamp(w + pad - kj, j0, w);
+                        // Positions [q0, q1) lie in the in-range rows
+                        // and have their shifted source q + d inside
+                        // the plane.
+                        const int64_t d =
+                            static_cast<int64_t>(ki - pad) * w +
+                            (kj - pad);
+                        const int64_t q0 = std::min<int64_t>(
+                            hw, std::max<int64_t>(int64_t{i0} * w, -d));
+                        const int64_t q1 = std::max<int64_t>(
+                            q0, std::min<int64_t>(int64_t{i1} * w, hw - d));
+                        std::fill(crow, crow + q0, 0.0f);
+                        if (q0 < q1)
+                            std::copy(xc + q0 + d, xc + q1 + d, crow + q0);
+                        std::fill(crow + q1, crow + hw, 0.0f);
+                        if (j0 == 0 && j1 == w)
+                            continue;
+                        for (int i = i0; i < i1; ++i) {
                             float* dst = crow + static_cast<size_t>(i) * w;
-                            if (si < 0 || si >= h) {
-                                std::fill(dst, dst + w, 0.0f);
-                                continue;
-                            }
-                            const float* srow =
-                                xc + static_cast<size_t>(si) * w;
-                            for (int j = 0; j < j0; ++j)
-                                dst[j] = 0.0f;
-                            for (int j = j0; j < j1; ++j)
-                                dst[j] = srow[j + kj - pad];
-                            for (int j = j1; j < w; ++j)
-                                dst[j] = 0.0f;
+                            std::fill(dst, dst + j0, 0.0f);
+                            std::fill(dst + j1, dst + w, 0.0f);
                         }
                     }
                 }

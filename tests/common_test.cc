@@ -762,5 +762,38 @@ TEST(MetricsRegistry, SerializationIsDeterministic)
     EXPECT_NE(x.ToJson().find("\"counter.b\": 2"), std::string::npos);
 }
 
+TEST(MetricsRegistry, BatchedUpdatesRenderLikePerValueUpdates)
+{
+    // The scheduler counts a decision's candidate outcomes locally and
+    // adds each count once, and observes its prediction histograms
+    // through HistogramFor; both must leave the exact bytes that one
+    // Inc / Observe per candidate would.
+    const std::vector<double> bounds = {0.1, 1.0, 10.0};
+    const std::vector<double> values = {0.05, 3.0, 0.7, 1e-3, 42.0,
+                                        0.1,  9.5, 1.0, 7.25};
+    MetricsRegistry one_by_one, batched;
+    for (int i = 0; i < 7; ++i)
+        one_by_one.Inc("outcome.kept");
+    one_by_one.Inc("outcome.dropped");
+    for (const double v : values) {
+        one_by_one.Observe("pred.a", v, bounds);
+        one_by_one.Observe("pred.b", -v);
+    }
+
+    batched.Inc("outcome.kept", 7);
+    batched.Inc("outcome.dropped", 1);
+    FixedHistogram& a = batched.HistogramFor("pred.a", bounds);
+    FixedHistogram& b = batched.HistogramFor("pred.b");
+    for (const double v : values) {
+        a.Observe(v);
+        b.Observe(-v);
+    }
+    // An existing histogram keeps its bounds and its contents.
+    EXPECT_EQ(&batched.HistogramFor("pred.a", {5.0}), &a);
+
+    EXPECT_EQ(batched.ToCsv(), one_by_one.ToCsv());
+    EXPECT_EQ(batched.ToJson(), one_by_one.ToJson());
+}
+
 } // namespace
 } // namespace sinan

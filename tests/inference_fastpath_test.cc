@@ -380,23 +380,42 @@ TEST(InferenceFastPath, Im2colConvMatchesNaiveReferenceBitwise)
     // Zero-padding contributions in the im2col formulation add +-0.0f,
     // which leaves every partial sum bitwise unchanged, so the two
     // kernels must agree exactly — not just approximately — under
-    // either dispatch mode.
+    // either dispatch mode. The shapes cover the edges of the
+    // plane-shift im2col: images narrower or shorter than the kernel
+    // (every shifted copy clipped, some entirely), single rows and
+    // columns, and the bundled models' conv1/conv2 inputs.
     SimdModeGuard mode_guard;
+    const int history = FeatureConfig{}.history;
+    std::vector<std::vector<int>> shapes = {
+        {3, 4, 7, 6}, {2, 4, 7, 2}, {2, 4, 2, 6}, {2, 3, 7, 1},
+        {2, 3, 1, 6}, {1, 3, 1, 1}, {1, 2, 2, 2},
+    };
+    for (const Application& app :
+         {BuildHotelReservation(), BuildSocialNetwork()}) {
+        const int n_tiers = static_cast<int>(app.tiers.size());
+        shapes.push_back({1, FeatureConfig::kChannels, n_tiers, history});
+        shapes.push_back({1, SinanCnnConfig{}.conv_channels1, n_tiers,
+                          history});
+    }
     Rng rng(17);
-    for (const int kernel : {3, 5}) {
-        Conv2D conv(4, 6, kernel, rng);
-        const Tensor x = Tensor::Randn({3, 4, 7, 6}, rng, 0.5f);
-        const std::vector<Param*> params = conv.Params();
-        const Tensor ref = NaiveConvForward(x, params[0]->value,
-                                            params[1]->value, kernel);
-        for (const SimdMode mode : {SimdMode::kOn, SimdMode::kOff}) {
-            SetSimdMode(mode);
-            const Tensor y = conv.Forward(x);
-            ASSERT_EQ(y.Shape(), ref.Shape());
-            for (size_t i = 0; i < y.Size(); ++i)
-                ASSERT_EQ(y.Data()[i], ref.Data()[i])
-                    << "kernel=" << kernel << " mode "
-                    << ActiveKernelId() << " element " << i;
+    for (const std::vector<int>& shape : shapes) {
+        for (const int kernel : {3, 5}) {
+            Conv2D conv(shape[1], 6, kernel, rng);
+            const Tensor x = Tensor::Randn(shape, rng, 0.5f);
+            const std::vector<Param*> params = conv.Params();
+            const Tensor ref = NaiveConvForward(x, params[0]->value,
+                                                params[1]->value, kernel);
+            for (const SimdMode mode : {SimdMode::kOn, SimdMode::kOff}) {
+                SetSimdMode(mode);
+                const Tensor y = conv.Forward(x);
+                ASSERT_EQ(y.Shape(), ref.Shape());
+                ASSERT_EQ(std::memcmp(y.Data(), ref.Data(),
+                                      y.Size() * sizeof(float)),
+                          0)
+                    << "shape " << shape[0] << "x" << shape[1] << "x"
+                    << shape[2] << "x" << shape[3] << " kernel=" << kernel
+                    << " mode " << ActiveKernelId();
+            }
         }
     }
 }

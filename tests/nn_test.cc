@@ -7,7 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <functional>
+#include <iterator>
 #include <sstream>
 
 #include "nn/layers.h"
@@ -138,6 +141,50 @@ TEST(ReLU, ForwardClampsAndBackwardMasks)
     EXPECT_EQ(dx[0], 0.0f);
     EXPECT_EQ(dx[1], 1.0f);
     EXPECT_EQ(dx[3], 1.0f);
+}
+
+TEST(ReLU, InPlaceMatchesTernaryBitForBit)
+{
+    // ReluInPlace is branchless bit arithmetic; it must produce exactly
+    // the bytes of `x > 0 ? x : 0` on every class of float, including
+    // the ones a value comparison cannot tell apart (-0 vs +0, NaNs).
+    const uint32_t patterns[] = {
+        0x00000000u, // +0
+        0x80000000u, // -0
+        0x00000001u, // least positive denormal
+        0x007fffffu, // largest positive denormal
+        0x80000001u, // least negative denormal
+        0x807fffffu, // largest negative denormal
+        0x00800000u, // FLT_MIN
+        0x80800000u, // -FLT_MIN
+        0x3f800000u, // 1
+        0xbf800000u, // -1
+        0x7f7fffffu, // FLT_MAX
+        0xff7fffffu, // -FLT_MAX
+        0x7f800000u, // +inf
+        0xff800000u, // -inf
+        0x7f800001u, // signalling NaN
+        0x7fc00000u, // quiet NaN
+        0x7fffffffu, // NaN, all payload bits
+        0xffc00000u, // negative quiet NaN
+        0xffffffffu, // negative NaN, all payload bits
+        0x40490fdbu, // pi
+        0xc0490fdbu, // -pi
+    };
+    Tensor t({1, static_cast<int>(std::size(patterns))});
+    for (size_t i = 0; i < std::size(patterns); ++i)
+        std::memcpy(t.Data() + i, &patterns[i], sizeof(float));
+    const Tensor in = t;
+    ReluInPlace(t);
+    for (size_t i = 0; i < std::size(patterns); ++i) {
+        const float x = in[i];
+        const float want = x > 0.0f ? x : 0.0f;
+        uint32_t want_bits = 0, got_bits = 0;
+        std::memcpy(&want_bits, &want, sizeof(want));
+        std::memcpy(&got_bits, t.Data() + i, sizeof(float));
+        EXPECT_EQ(got_bits, want_bits)
+            << std::hex << "input bits 0x" << patterns[i];
+    }
 }
 
 TEST(Conv2D, IdentityKernelPassesThrough)

@@ -647,6 +647,41 @@ TEST_F(QuantModelTest, WiderTreeEnsembleIsRejectedByName)
     }
 }
 
+TEST(QuantCalibration, ActScalesArePinnedOnASyntheticRun)
+{
+    // CalibrateInt8 on an untrained model over a fixed synthetic set.
+    // The concat scale is fc_latent's input maximum, the max over the
+    // rh, lh and rc embeddings its rows are made of; all seven values
+    // are pinned to the bytes a materialized [rh | lh | rc] batch gave.
+    const FeatureConfig f = SmallFeatures();
+    const Dataset calib = SyntheticDataset(f, 40, 811);
+    const uint32_t kPinned[kCnnInt8NumScales] = {
+        0x3e8e015bu, // xrh        0.277354091
+        0x3e7333edu, // conv1_out  0.237502769
+        0x3db81f50u, // conv2_out  0.0899034739
+        0x3fad6845u, // xlh        1.35474455
+        0x3ea27a62u, // xrc        0.317339957
+        0x408060aau, // concat     4.01179981
+        0x4031ab24u, // latent     2.77607059
+    };
+    SimdModeGuard mode_guard;
+    for (const SimdMode mode : {SimdMode::kOn, SimdMode::kOff}) {
+        SetSimdMode(mode);
+        HybridModel model(f, DefaultHybridConfig(), 812);
+        model.CalibrateInt8(calib);
+        const auto scales = model.Cnn().Int8ActScales();
+        for (int i = 0; i < kCnnInt8NumScales; ++i) {
+            uint32_t bits = 0;
+            std::memcpy(&bits, &scales[static_cast<size_t>(i)],
+                        sizeof(bits));
+            EXPECT_EQ(bits, kPinned[i])
+                << "scale " << i << " (" << scales[static_cast<size_t>(i)]
+                << ") mode " << ActiveKernelId() << " bits 0x" << std::hex
+                << bits;
+        }
+    }
+}
+
 /** Load then Save of a bundled model must reproduce the committed
  *  file byte for byte: the container is the only format. */
 void
