@@ -43,41 +43,48 @@ Cluster::Cluster(const Application& app, const ClusterConfig& cfg,
         t.next_sync_at = t.spec.log_sync_period_s;
     }
 
-    trees_.resize(app.request_types.size());
-    for (size_t r = 0; r < app.request_types.size(); ++r) {
-        const int32_t root = FlattenTree(app.request_types[r].root,
-                                         trees_[r]);
-        if (root != 0)
-            throw std::logic_error("Cluster: tree root must flatten to 0");
-    }
+    roots_.reserve(app.request_types.size());
+    for (const RequestType& rt : app.request_types)
+        roots_.push_back(FlattenTree(rt.root, -1));
 }
 
 int32_t
-Cluster::FlattenTree(const CallNode& node, std::vector<FlatNode>& out)
+Cluster::FlattenTree(const CallNode& node, int caller_tier)
 {
     if (node.tier < 0 || node.tier >= static_cast<int>(tiers_.size()))
         throw std::invalid_argument("Cluster: call node has bad tier index");
-    const int32_t idx = static_cast<int32_t>(out.size());
-    out.push_back(FlatNode{
-        node.tier, LogNormalParams::FromMeanCv(node.demand_s, node.demand_cv),
-        node.hit_prob, node.async, 0, 0, -1});
+    // A node without positive finite work would be admitted but never
+    // runnable, holding its slot and its request forever.
+    if (!(std::isfinite(node.demand_s) && node.demand_s > 0.0))
+        throw std::invalid_argument(
+            "Cluster: call node demand_s must be finite and > 0");
+    if (!(std::isfinite(node.demand_cv) && node.demand_cv >= 0.0))
+        throw std::invalid_argument(
+            "Cluster: call node demand_cv must be finite and >= 0");
+    if (!(node.hit_prob >= 0.0 && node.hit_prob <= 1.0))
+        throw std::invalid_argument(
+            "Cluster: call node hit_prob must be in [0, 1]");
+    const int32_t idx = static_cast<int32_t>(nodes_.size());
+    nodes_.push_back(FlatNode{
+        node.tier, caller_tier,
+        LogNormalParams::FromMeanCv(node.demand_s, node.demand_cv),
+        node.hit_prob, node.async, -1, -1});
     // Depth-first layout: a node's first child is at idx+1 and sibling
     // k+1 starts right after sibling k's whole subtree; each child links
     // to the next, so FinishLocalWork walks siblings without subtrees.
     int32_t prev = -1;
     for (const CallNode& c : node.children) {
-        const int32_t child = FlattenTree(c, out);
+        const int32_t child = FlattenTree(c, c.async ? -1 : node.tier);
         if (prev < 0)
-            out[idx].child_begin = child;
+            nodes_[idx].child_begin = child;
         else
-            out[prev].next_sibling = child;
+            nodes_[prev].next_sibling = child;
         prev = child;
     }
-    out[idx].child_count = static_cast<int32_t>(node.children.size());
     return idx;
 }
 
-int32_t
+inline int32_t
 Cluster::AllocStage()
 {
     // No reset: SpawnStage writes every field of the recycled slot.
@@ -90,22 +97,21 @@ Cluster::AllocStage()
     return static_cast<int32_t>(stages_.size()) - 1;
 }
 
-void
+inline void
 Cluster::FreeStage(int32_t handle)
 {
     stages_[handle].state = 0;
     free_stages_.push_back(handle);
 }
 
-int32_t
-Cluster::SpawnStage(int16_t type, int32_t node, int32_t parent,
-                    bool record_latency, double now, double birth)
+inline int32_t
+Cluster::SpawnStage(int32_t node, int32_t parent, bool record_latency,
+                    double now, double birth)
 {
-    const FlatNode& fn = trees_[type][node];
+    const FlatNode& fn = nodes_[node];
     const int32_t h = AllocStage();
     Stage& s = stages_[h];
     s.node = node;
-    s.type = type;
     s.state = 1; // queued
     s.record_latency = record_latency;
     s.parent = parent;
@@ -121,10 +127,9 @@ Cluster::SpawnStage(int16_t type, int32_t node, int32_t parent,
     TierState& tier = tiers_[fn.tier];
     tier.queue.push_back(h);
     tier.rx_pkts += tier.spec.pkts_per_rpc;
-    if (parent >= 0) {
-        const FlatNode& pn = trees_[type][stages_[parent].node];
-        tiers_[pn.tier].tx_pkts += tiers_[pn.tier].spec.pkts_per_rpc;
-    }
+    if (fn.caller_tier >= 0)
+        tiers_[fn.caller_tier].tx_pkts +=
+            tiers_[fn.caller_tier].spec.pkts_per_rpc;
     return h;
 }
 
@@ -132,11 +137,10 @@ void
 Cluster::Inject(int request_type, double now)
 {
     if (request_type < 0 ||
-        request_type >= static_cast<int>(trees_.size())) {
+        request_type >= static_cast<int>(roots_.size())) {
         throw std::out_of_range("Cluster::Inject: bad request type");
     }
-    const int32_t h = SpawnStage(static_cast<int16_t>(request_type), 0,
-                                 -1, true, now, now);
+    const int32_t h = SpawnStage(roots_[request_type], -1, true, now, now);
     ++injected_;
     ++in_flight_;
 
@@ -167,7 +171,7 @@ Cluster::AttachSpan(int32_t handle, int32_t trace_idx, int parent_span,
     Stage& s = stages_[handle];
     Trace& trace = active_traces_[trace_idx];
     Span span;
-    span.tier = trees_[s.type][s.node].tier;
+    span.tier = nodes_[s.node].tier;
     span.span_id = static_cast<int>(trace.spans.size());
     span.parent_span = parent_span;
     span.async = async;
@@ -239,103 +243,75 @@ Cluster::AdmitFromQueue(TierState& tier, double now)
 void
 Cluster::FinishLocalWork(int32_t handle, double end_time)
 {
-    // Copy what we need up front: SpawnStage can grow the stage arena and
-    // invalidate references into it.
-    const int16_t type = stages_[handle].type;
-    const int32_t node = stages_[handle].node;
-    const double birth = stages_[handle].birth_time;
-    const FlatNode& fn = trees_[type][node];
-
-    const bool invoke_children =
-        fn.child_count > 0 && !rng_.Bernoulli(fn.hit_prob);
-
-    if (!invoke_children) {
+    const Stage& s = stages_[handle];
+    const FlatNode& fn = nodes_[s.node];
+    if (fn.child_begin < 0 || rng_.Bernoulli(fn.hit_prob)) {
         CompleteStage(handle, end_time);
         return;
     }
 
-    // Spawn all children in parallel.
-    const int32_t parent_trace = stages_[handle].trace_idx;
-    const int32_t parent_span = stages_[handle].span_idx;
-    int32_t child = fn.child_begin;
+    // Spawn all children in parallel. Copy what we need up front:
+    // SpawnStage can grow the stage arena and invalidate s.
+    const double birth = s.birth_time;
+    const int32_t parent_trace = s.trace_idx;
+    const int32_t parent_span = s.span_idx;
     int sync_children = 0;
-    for (int k = 0; k < fn.child_count; ++k) {
-        const bool async = trees_[type][child].async;
-        const int32_t ch = SpawnStage(type, child,
-                                      async ? -1 : handle, false,
+    for (int32_t child = fn.child_begin; child >= 0;
+         child = nodes_[child].next_sibling) {
+        const bool async = nodes_[child].async;
+        const int32_t ch = SpawnStage(child, async ? -1 : handle, false,
                                       end_time, birth);
         if (parent_trace >= 0)
             AttachSpan(ch, parent_trace, parent_span, async, end_time);
         if (!async)
             ++sync_children;
-        child = trees_[type][child].next_sibling;
     }
 
     if (sync_children == 0) {
         CompleteStage(handle, end_time);
     } else {
-        Stage& s = stages_[handle];
-        s.pending_children = sync_children;
-        s.state = 3; // blocked, still holding its slot
+        Stage& p = stages_[handle];
+        p.pending_children = sync_children;
+        p.state = 3; // blocked, still holding its slot
     }
 }
 
 void
 Cluster::CompleteStage(int32_t handle, double end_time)
 {
-    // Nothing below allocates a stage, so the reference stays valid;
-    // fields are read before FreeStage recycles the slot.
-    const Stage& s = stages_[handle];
-    const FlatNode& fn = trees_[s.type][s.node];
-    TierState& tier = tiers_[fn.tier];
+    for (;;) {
+        // Nothing below allocates a stage, so the reference stays valid;
+        // fields are read before FreeStage recycles the slot.
+        const Stage& s = stages_[handle];
+        const FlatNode& fn = nodes_[s.node];
+        TierState& tier = tiers_[fn.tier];
 
-    --tier.active;
-    ++tier.completions;
-    tier.tx_pkts += tier.spec.pkts_per_rpc;
-    tier.written_mb += tier.spec.written_mb_per_req;
-    tier.cache_mb = std::min(tier.spec.max_cache_mb,
-                             tier.cache_mb + tier.spec.cache_per_req_mb);
-    if (s.parent >= 0) {
-        const FlatNode& pn = trees_[s.type][stages_[s.parent].node];
-        tiers_[pn.tier].rx_pkts += tiers_[pn.tier].spec.pkts_per_rpc;
-    }
+        --tier.active;
+        tier.tx_pkts += tier.spec.pkts_per_rpc;
+        tier.written_mb += tier.spec.written_mb_per_req;
+        tier.cache_mb = std::min(tier.spec.max_cache_mb,
+                                 tier.cache_mb + tier.spec.cache_per_req_mb);
+        if (fn.caller_tier >= 0)
+            tiers_[fn.caller_tier].rx_pkts +=
+                tiers_[fn.caller_tier].spec.pkts_per_rpc;
 
-    if (s.record_latency) {
-        latency_.Add((end_time - s.birth_time) * 1000.0);
-        ++completed_;
-        --in_flight_;
-    }
-    if (s.trace_idx >= 0)
-        CloseSpan(s, end_time);
-
-    const int32_t parent = s.parent;
-    FreeStage(handle);
-
-    if (parent >= 0) {
-        Stage& p = stages_[parent];
-        if (--p.pending_children == 0 && p.state == 3)
-            CompleteStage(parent, end_time);
-    }
-}
-
-void
-Cluster::RemoveFinished(std::vector<int32_t>& running) const
-{
-    // finished_ is a subsequence of running (same order, handles unique
-    // in running), so one stable pass drops exactly those positions. A
-    // finished handle may already be recycled by a spawn of this round,
-    // which is why this matches positions and never reads stage state.
-    size_t next = 0;
-    size_t out = 0;
-    for (const int32_t h : running) {
-        if (next < finished_.size() && h == finished_[next]) {
-            ++next;
-            continue;
+        if (s.record_latency) {
+            latency_.Add((end_time - s.birth_time) * 1000.0);
+            ++completed_;
+            --in_flight_;
         }
-        running[out++] = h;
+        if (s.trace_idx >= 0)
+            CloseSpan(s, end_time);
+
+        const int32_t parent = s.parent;
+        FreeStage(handle);
+        if (parent < 0)
+            return;
+        Stage& p = stages_[parent];
+        if (--p.pending_children != 0 || p.state != 3)
+            return;
+        handle = parent; // its last sync child is done
     }
-    SINAN_DCHECK(next == finished_.size());
-    running.resize(out);
 }
 
 void
@@ -357,12 +333,23 @@ Cluster::Tick(double now, double dt)
             tier.next_sync_at += tier.spec.log_sync_period_s;
         }
 
+        // Idle: nothing runs and nothing can be admitted, so admission,
+        // the sharing rounds and the compaction would all be no-ops and
+        // the checks below hold trivially. Only occupancy is sampled.
+        const bool admissible = tier.CanAdmit();
+        if (tier.running.empty() && !admissible) {
+            tier.queue_len_acc += static_cast<int64_t>(tier.QueueLen());
+            tier.active_acc += tier.active;
+            continue;
+        }
+
         // Fraction of this tick the tier is able to run.
         double avail = 1.0;
         if (tier.stall_until > now)
             avail = std::max(0.0, (end_time - tier.stall_until) / dt);
 
-        AdmitFromQueue(tier, now);
+        if (admissible)
+            AdmitFromQueue(tier, now);
 
         const double cap0_s = tier.cpu_limit * cfg_.speed_factor *
                               tier.capacity_factor * dt * avail;
@@ -376,21 +363,24 @@ Cluster::Tick(double now, double dt)
         // neither can be undone within the tick, so the set is built once
         // and then only filtered in place and extended by the stages each
         // round's admission appends to running — the same set, in the same
-        // order, that a re-scan of running would produce.
+        // order, that a re-scan of running would produce. The set holds
+        // positions in running; a finished stage's entry becomes -1 there,
+        // and one stable pass drops those marks after the last round.
         // Entering the set starts the stage's CPU count for this tick.
         runnable_.clear();
-        const auto consider = [&](int32_t h) {
-            Stage& s = stages_[h];
+        const auto consider = [&](size_t pos) {
+            Stage& s = stages_[tier.running[pos]];
             if (s.ready_tick <= tick_id_ && s.remaining_s > kEpsWork) {
                 s.consumed_tick_s = 0.0;
-                runnable_.push_back(h);
+                runnable_.push_back(static_cast<int32_t>(pos));
             }
         };
         if (cap_s > kEpsWork && per_stage_cap > kEpsWork) {
-            for (const int32_t h : tier.running)
-                consider(h);
+            for (size_t i = 0; i < tier.running.size(); ++i)
+                consider(i);
         }
 
+        bool finished = false;
         for (int round = 0; round < kMaxRounds && cap_s > kEpsWork;
              ++round) {
             if (runnable_.empty())
@@ -399,16 +389,16 @@ Cluster::Tick(double now, double dt)
             const double share =
                 cap_s / static_cast<double>(runnable_.size());
             bool progressed = false;
-            finished_.clear();
             size_t kept = 0;
             for (size_t k = 0; k < runnable_.size(); ++k) {
-                const int32_t h = runnable_[k];
+                const int32_t pos = runnable_[k];
+                const int32_t h = tier.running[pos];
                 Stage& s = stages_[h];
                 const double give =
                     std::min({share, s.remaining_s,
                               per_stage_cap - s.consumed_tick_s});
                 if (give <= kEpsWork) {
-                    runnable_[kept++] = h; // unchanged, still runnable
+                    runnable_[kept++] = pos; // unchanged, still runnable
                     continue;
                 }
                 s.remaining_s -= give;
@@ -418,24 +408,27 @@ Cluster::Tick(double now, double dt)
                 progressed = true;
                 if (s.remaining_s <= kEpsWork) {
                     s.remaining_s = 0.0;
-                    finished_.push_back(h);
+                    tier.running[pos] = -1;
+                    finished = true;
                     // May spawn into the arena (invalidating s) and free h
                     // for reuse; neither touches this tier's running list.
                     FinishLocalWork(h, end_time);
                 } else if (s.consumed_tick_s < per_stage_cap - kEpsWork) {
-                    runnable_[kept++] = h;
+                    runnable_[kept++] = pos;
                 }
             }
             runnable_.resize(kept);
-            if (!finished_.empty())
-                RemoveFinished(tier.running);
             if (!progressed)
                 break;
-            const size_t admitted_from = tier.running.size();
-            AdmitFromQueue(tier, now);
-            for (size_t i = admitted_from; i < tier.running.size(); ++i)
-                consider(tier.running[i]);
+            if (tier.CanAdmit()) {
+                const size_t admitted_from = tier.running.size();
+                AdmitFromQueue(tier, now);
+                for (size_t i = admitted_from; i < tier.running.size(); ++i)
+                    consider(i);
+            }
         }
+        if (finished)
+            std::erase(tier.running, -1);
 
         // O(1) conservation checks (DCHECKs stay on in Release builds).
         SINAN_DCHECK(tier.cpu_used_acc - used_before <= cap0_s + kEpsCpu);
@@ -444,10 +437,10 @@ Cluster::Tick(double now, double dt)
                      static_cast<size_t>(tier.active));
         SINAN_DCHECK(tier.queue_head <= tier.queue.size());
 
-        tier.queue_len_acc += static_cast<double>(tier.QueueLen());
-        tier.active_acc += static_cast<double>(tier.active);
-        ++tier.tick_samples;
+        tier.queue_len_acc += static_cast<int64_t>(tier.QueueLen());
+        tier.active_acc += tier.active;
     }
+    ++tick_samples_;
     ++tick_id_;
     in_tick_ = false;
 }
@@ -460,6 +453,8 @@ Cluster::Harvest(double now, double interval_s)
     obs.rps = static_cast<double>(injected_) / interval_s;
     obs.completed_rps = static_cast<double>(completed_) / interval_s;
     obs.tiers.reserve(tiers_.size());
+    const double samples =
+        std::max<double>(1.0, static_cast<double>(tick_samples_));
 
     auto noisy = [&](double v) {
         if (cfg_.metric_noise <= 0.0)
@@ -470,19 +465,16 @@ Cluster::Harvest(double now, double interval_s)
 
     for (TierState& tier : tiers_) {
         TierMetrics m;
-        const double samples =
-            std::max<double>(1.0, static_cast<double>(tier.tick_samples));
         m.cpu_limit = tier.cpu_limit;
         m.cpu_used = noisy(tier.cpu_used_acc / interval_s);
-        const double inflight = tier.queue_len_acc / samples +
-                                tier.active_acc / samples;
+        m.queue_len = static_cast<double>(tier.queue_len_acc) / samples;
+        m.active = static_cast<double>(tier.active_acc) / samples;
         m.rss_mb = noisy(tier.spec.base_rss_mb + tier.written_mb +
-                         tier.spec.rss_per_inflight_mb * inflight);
+                         tier.spec.rss_per_inflight_mb *
+                             (m.queue_len + m.active));
         m.cache_mb = noisy(tier.cache_mb);
         m.rx_pps = noisy(tier.rx_pkts / interval_s);
         m.tx_pps = noisy(tier.tx_pkts / interval_s);
-        m.queue_len = tier.queue_len_acc / samples;
-        m.active = tier.active_acc / samples;
         m.queue_wait_s =
             tier.wait_count ? tier.wait_acc /
                                   static_cast<double>(tier.wait_count)
@@ -490,15 +482,14 @@ Cluster::Harvest(double now, double interval_s)
         obs.tiers.push_back(m);
 
         tier.cpu_used_acc = 0.0;
-        tier.queue_len_acc = 0.0;
-        tier.active_acc = 0.0;
-        tier.tick_samples = 0;
+        tier.queue_len_acc = 0;
+        tier.active_acc = 0;
         tier.rx_pkts = 0.0;
         tier.tx_pkts = 0.0;
         tier.wait_acc = 0.0;
         tier.wait_count = 0;
-        tier.completions = 0;
     }
+    tick_samples_ = 0;
 
     // Only the ascending p95..p99 tail is read, so order just that part.
     latency_.SealFrom(LatencyQuantiles().front());

@@ -59,13 +59,21 @@ struct TierState {
     std::vector<int32_t> queue;
     size_t queue_head = 0;
     /** Stages admitted and still owing local CPU work, in admission
-     *  order (the order CPU is handed out in). */
+     *  order (the order CPU is handed out in). Inside Tick a finished
+     *  entry is marked -1 and dropped before the tier-tick ends. */
     std::vector<int32_t> running;
 
     static constexpr size_t kQueueCompactAt = 1024;
 
     /** Stages waiting for a slot. */
     size_t QueueLen() const { return queue.size() - queue_head; }
+
+    /** A slot is free and a stage is waiting for it. */
+    bool
+    CanAdmit() const
+    {
+        return active < slots && queue_head < queue.size();
+    }
 
     /** Externally imposed capacity multiplier in [0, 1] (fault
      *  injection: capacity loss / noisy neighbor). Invisible to the
@@ -78,16 +86,14 @@ struct TierState {
     double written_mb = 0.0;
     double cache_mb = 0.0;
 
-    // Interval accumulators.
+    // Interval accumulators. The occupancy sums are exact integers.
     double cpu_used_acc = 0.0;
-    double queue_len_acc = 0.0;
-    double active_acc = 0.0;
-    int64_t tick_samples = 0;
+    int64_t queue_len_acc = 0;
+    int64_t active_acc = 0;
     double rx_pkts = 0.0;
     double tx_pkts = 0.0;
     double wait_acc = 0.0;
     int64_t wait_count = 0;
-    int64_t completions = 0;
 };
 
 /**
@@ -164,15 +170,17 @@ class Cluster {
     /** One node of a flattened call tree. */
     struct FlatNode {
         int tier;
+        /** Tier of the stage that waits on this one: the parent's for a
+         *  sync child, -1 for a root or an async child. */
+        int caller_tier;
         /** Local CPU demand distribution, precomputed from the node's
          *  demand_s and demand_cv. */
         LogNormalParams demand;
         double hit_prob;
         bool async;
-        /** Index of the first child (the node right after this one). */
+        /** Index of the first child (the node right after this one; -1
+         *  for a leaf). */
         int32_t child_begin;
-        /** Number of direct children. */
-        int32_t child_count;
         /** Index of the parent's next child (-1 for the last). */
         int32_t next_sibling;
     };
@@ -180,7 +188,6 @@ class Cluster {
     /** In-flight execution of one call-tree node; one cache line. */
     struct alignas(64) Stage {
         int32_t node = -1;
-        int16_t type = -1;
         int8_t state = 0; // 0 free, 1 queued, 2 running, 3 blocked
         bool record_latency = false;
         int32_t parent = -1;
@@ -210,11 +217,12 @@ class Cluster {
 
     /** Closes the stage's span; finalizes the trace when drained. */
     void CloseSpan(const Stage& s, double end_time);
-    int32_t FlattenTree(const CallNode& node, std::vector<FlatNode>& out);
+    /** Appends @p node's subtree to nodes_; returns the node's index. */
+    int32_t FlattenTree(const CallNode& node, int caller_tier);
 
     /** Creates a stage for @p node and enqueues it at its tier. */
-    int32_t SpawnStage(int16_t type, int32_t node, int32_t parent,
-                       bool record_latency, double now, double birth);
+    int32_t SpawnStage(int32_t node, int32_t parent, bool record_latency,
+                       double now, double birth);
 
     /** Moves queued stages into running while slots are free. */
     void AdmitFromQueue(TierState& tier, double now);
@@ -222,19 +230,19 @@ class Cluster {
     /** Local work finished: fan out to children or complete. */
     void FinishLocalWork(int32_t handle, double end_time);
 
-    /** Stage (and its sync subtree) fully done; notify parent. */
+    /** Stage (and its sync subtree) fully done; completes each blocked
+     *  ancestor whose last sync child this was. */
     void CompleteStage(int32_t handle, double end_time);
-
-    /** Drops the stages in finished_ from @p running, keeping order. */
-    void RemoveFinished(std::vector<int32_t>& running) const;
 
     Application app_;
     ClusterConfig cfg_;
     Rng rng_;
 
     std::vector<TierState> tiers_;
-    /** Flattened call trees, one vector per request type. */
-    std::vector<std::vector<FlatNode>> trees_;
+    /** Every request type's call tree, flattened into one table. */
+    std::vector<FlatNode> nodes_;
+    /** Root node index of each request type. */
+    std::vector<int32_t> roots_;
 
     std::vector<Stage> stages_;
     /** Recycled stage handles, most recently freed last. */
@@ -249,6 +257,8 @@ class Cluster {
     int64_t trace_counter_ = 0;
 
     int64_t tick_id_ = 0;
+    /** Ticks since the last Harvest (every tier is sampled each tick). */
+    int64_t tick_samples_ = 0;
     /** True while Tick() is running (stages spawned then wait a tick). */
     bool in_tick_ = false;
     int64_t injected_ = 0;  // this interval
@@ -259,11 +269,9 @@ class Cluster {
     int64_t completed_total_ = 0;
     PercentileDigest latency_;
 
-    // Scratch buffers reused across ticks to avoid reallocations: the
-    // current round's runnable stages of one tier, and the stages that
-    // finished their local work in it.
+    /** Scratch reused across ticks: positions in one tier's running
+     *  of the current round's runnable stages. */
     std::vector<int32_t> runnable_;
-    std::vector<int32_t> finished_;
 };
 
 } // namespace sinan

@@ -22,13 +22,6 @@ QuantileIndex(size_t n, double p)
 } // namespace
 
 void
-PercentileDigest::Add(double v)
-{
-    samples_.push_back(v);
-    sealed_from_ = kUnsealed;
-}
-
-void
 PercentileDigest::SealFrom(double p_min)
 {
     SINAN_CHECK_BOUNDS(p_min, 0.0, 1.0);

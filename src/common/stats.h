@@ -35,7 +35,12 @@ namespace sinan {
 class PercentileDigest {
   public:
     /** Adds one sample (invalidates the sealed state). */
-    void Add(double v);
+    void
+    Add(double v)
+    {
+        samples_.push_back(v);
+        sealed_from_ = kUnsealed;
+    }
 
     /** Number of samples in the current interval. */
     size_t Count() const { return samples_.size(); }

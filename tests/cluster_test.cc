@@ -3,14 +3,17 @@
  * Tests for the cluster queueing substrate: processor sharing, call-tree
  * execution, concurrency-slot back-pressure, cache short-circuits, async
  * fan-out, metric accounting, the log-sync stall model, and the tick's
- * bookkeeping: admission-queue compaction, stage-handle recycling, the
- * precomputed demand draw, and conservation under every chaos scenario.
+ * bookkeeping: call-node validation, admission-queue compaction,
+ * stage-handle recycling, finished-stage marks, idle-tier occupancy
+ * sampling, the precomputed demand draw, and conservation under every
+ * chaos scenario.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -81,6 +84,51 @@ TEST(Cluster, RejectsBadInputs)
     EXPECT_THROW(ok.Inject(5, 0.0), std::out_of_range);
     EXPECT_THROW(ok.SetCpuLimit(9, 1.0), std::out_of_range);
     EXPECT_THROW(ok.SetAllocation({1.0, 2.0}), std::invalid_argument);
+}
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/** Cluster construction must fail on @p app, naming @p field. */
+void
+ExpectRejectsNode(const Application& app, const std::string& field)
+{
+    try {
+        Cluster cluster(app, ClusterConfig{}, 1);
+        ADD_FAILURE() << "accepted a call node with a bad " << field;
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+            << e.what();
+    }
+}
+
+// A node without positive finite work would be admitted but never
+// runnable: it would hold its slot and its request forever.
+TEST(Cluster, RejectsNodeWithoutPositiveFiniteDemand)
+{
+    for (const double d : {0.0, -0.001, kNaN, kInf}) {
+        Application app = ChainApp({1.0, 2.0});
+        app.request_types[0].root.children[0].demand_s = d;
+        ExpectRejectsNode(app, "demand_s");
+    }
+}
+
+TEST(Cluster, RejectsNodeWithBadDemandCv)
+{
+    for (const double cv : {-0.1, kNaN, kInf}) {
+        Application app = ChainApp({1.0, 2.0});
+        app.request_types[0].root.children[0].demand_cv = cv;
+        ExpectRejectsNode(app, "demand_cv");
+    }
+}
+
+TEST(Cluster, RejectsNodeWithHitProbOutsideUnitInterval)
+{
+    for (const double p : {-0.01, 1.01, kNaN}) {
+        Application app = ChainApp({1.0, 2.0});
+        app.request_types[0].root.hit_prob = p;
+        ExpectRejectsNode(app, "hit_prob");
+    }
 }
 
 TEST(Cluster, SingleRequestCompletesWithExpectedLatency)
@@ -609,6 +657,63 @@ TEST(Cluster, RecycledHandleNeverRunsTwice)
     EXPECT_EQ(cluster.InFlight(), 0);
     const IntervalObservation obs = cluster.Harvest(now, now);
     EXPECT_EQ(std::llround(obs.completed_rps * now), injected);
+}
+
+TEST(Cluster, BlockedTierReportsExactOccupancyMeans)
+{
+    // t0's only slot holds a root blocked on a 500 ms child at t1, so
+    // from tick 1 on t0 runs nothing and admits nothing while one
+    // arrival per tick queues behind it; t2 gets no traffic. Over 20
+    // ticks t0's queue reads 0, 1, ..., 19 and every busy tier keeps
+    // one slot occupied.
+    Application app = ChainApp({1.0, 500.0});
+    app.tiers[0].concurrency_per_replica = 1;
+    app.tiers[0].replicas = 1;
+    app.tiers.push_back(app.tiers[1]);
+    app.tiers.back().name = "idle";
+    Cluster cluster(app, ClusterConfig{}, 1);
+    const int ticks = 20;
+    for (int k = 0; k < ticks; ++k) {
+        cluster.Inject(0, k * 0.01);
+        cluster.Tick(k * 0.01, 0.01);
+    }
+    EXPECT_TRUE(cluster.TierAt(0).running.empty());
+    EXPECT_EQ(cluster.TierAt(0).active, 1);
+    EXPECT_EQ(cluster.TierAt(0).QueueLen(), static_cast<size_t>(ticks - 1));
+    const IntervalObservation obs = cluster.Harvest(ticks * 0.01, 0.2);
+    EXPECT_EQ(obs.tiers[0].queue_len, 190.0 / 20.0);
+    EXPECT_EQ(obs.tiers[0].active, 1.0);
+    EXPECT_EQ(obs.tiers[1].queue_len, 0.0);
+    EXPECT_EQ(obs.tiers[1].active, 1.0);
+    EXPECT_EQ(obs.tiers[2].queue_len, 0.0);
+    EXPECT_EQ(obs.tiers[2].active, 0.0);
+}
+
+TEST(Cluster, NoFinishedMarkSurvivesATick)
+{
+    // Finished stages are marked -1 in running during a tier-tick; a
+    // squeezed hotel cluster finishes many per round, and no mark may
+    // be left behind once Tick returns.
+    Application app = BuildHotelReservation();
+    Cluster cluster(app, ClusterConfig{}, 5);
+    for (int t = 0; t < cluster.NumTiers(); ++t)
+        cluster.SetCpuLimit(t, t % 2 ? 0.5 : 2.0);
+    Rng rng(9);
+    const int types = static_cast<int>(app.request_types.size());
+    double now = 0.0;
+    for (int tick = 0; tick < 300; ++tick) {
+        for (int j = rng.Poisson(20.0); j > 0; --j)
+            cluster.Inject(static_cast<int>(rng.UniformInt(0, types - 1)),
+                           now);
+        cluster.Tick(now, 0.01);
+        now += 0.01;
+        for (int t = 0; t < cluster.NumTiers(); ++t) {
+            const std::vector<int32_t>& running = cluster.TierAt(t).running;
+            ASSERT_TRUE(std::none_of(running.begin(), running.end(),
+                                     [](int32_t h) { return h < 0; }))
+                << "tier " << t << " after tick " << tick;
+        }
+    }
 }
 
 TEST(Cluster, PrecomputedLogNormalMatchesReferenceBitForBit)
