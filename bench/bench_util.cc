@@ -1,17 +1,13 @@
 #include "bench_util.h"
 
-#include "baselines/autoscale.h"
-#include "baselines/powerchief.h"
 #include "collect/bandit.h"
 #include "collect/collector.h"
-#include "core/scheduler.h"
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <sstream>
 #include <fstream>
 #include <stdexcept>
 
@@ -170,168 +166,6 @@ GceFineTunedSinan(const Application& app, ClusterConfig gce)
     std::printf("fine-tuned: CNN val RMSE %.1f ms, BT val acc %.1f%%\n",
                 rep.cnn.val_rmse_ms, 100.0 * rep.bt_val_accuracy);
     return base;
-}
-
-
-namespace {
-
-/** Owns a cloned hybrid model together with its scheduler so each
- *  concurrent sweep run has private model state (Evaluate mutates the
- *  CNN's forward caches). */
-class OwningSinan : public ResourceManager {
-  public:
-    explicit OwningSinan(std::unique_ptr<HybridModel> model,
-                         const SchedulerConfig& cfg = SchedulerConfig{})
-        : model_(std::move(model)), sched_(*model_, cfg)
-    {
-    }
-
-    std::vector<double>
-    Decide(const IntervalObservation& obs,
-           const std::vector<double>& alloc,
-           const Application& app) override
-    {
-        return sched_.Decide(obs, alloc, app);
-    }
-
-    const char* Name() const override { return sched_.Name(); }
-    void Reset() override { sched_.Reset(); }
-
-    double
-    LastPredictedP99() const override
-    {
-        return sched_.LastPredictedP99();
-    }
-
-    double
-    LastViolationProb() const override
-    {
-        return sched_.LastViolationProb();
-    }
-
-    void
-    AttachTelemetry(DecisionTrace* trace,
-                    MetricsRegistry* metrics) override
-    {
-        sched_.AttachTelemetry(trace, metrics);
-    }
-
-  private:
-    std::unique_ptr<HybridModel> model_;
-    SinanScheduler sched_;
-};
-
-} // namespace
-
-std::map<std::string, std::vector<RunResult>>
-SweepManagersAcrossLoads(const Application& app,
-                         const TrainedSinan& trained,
-                         const std::vector<double>& loads,
-                         double duration_s, uint64_t seed)
-{
-    struct ManagerSpec {
-        std::string name;
-        std::function<std::unique_ptr<ResourceManager>()> make;
-    };
-    const std::vector<ManagerSpec> specs = {
-        {"Sinan",
-         [&] {
-             return std::make_unique<OwningSinan>(trained.model->Clone());
-         }},
-        {"AutoScaleOpt",
-         [] { return std::make_unique<AutoScaler>(MakeAutoScaleOpt()); }},
-        {"AutoScaleCons",
-         [] { return std::make_unique<AutoScaler>(MakeAutoScaleCons()); }},
-        {"PowerChief", [] { return std::make_unique<PowerChief>(); }},
-    };
-
-    std::vector<SweepJob> jobs;
-    for (const ManagerSpec& spec : specs) {
-        for (double users : loads) {
-            SweepJob job;
-            job.make_manager = spec.make;
-            job.make_load = [users] {
-                return std::make_unique<ConstantLoad>(users);
-            };
-            job.cfg.duration_s = duration_s;
-            job.cfg.warmup_s = 20.0;
-            job.cfg.seed = seed;
-            jobs.push_back(std::move(job));
-        }
-    }
-    const std::vector<RunResult> results = RunSweep(app, jobs);
-
-    std::map<std::string, std::vector<RunResult>> by_manager;
-    size_t idx = 0;
-    for (const ManagerSpec& spec : specs) {
-        for (double users : loads) {
-            const RunResult& r = results[idx++];
-            by_manager[spec.name].push_back(r);
-            std::printf("  %-14s users=%5.0f  meanCPU=%7.1f  "
-                        "maxCPU=%7.1f  P(meet QoS)=%.3f\n",
-                        spec.name.c_str(), users, r.mean_cpu, r.max_cpu,
-                        r.qos_meet_prob);
-        }
-    }
-    return by_manager;
-}
-
-std::map<std::string, std::vector<RunResult>>
-SweepManagersAcrossFaults(const Application& app,
-                          const TrainedSinan& trained, double users,
-                          double duration_s, uint64_t seed)
-{
-    struct ManagerSpec {
-        std::string name;
-        std::function<std::unique_ptr<ResourceManager>()> make;
-    };
-    const std::vector<ManagerSpec> specs = {
-        {"Sinan",
-         [&] {
-             return std::make_unique<OwningSinan>(trained.model->Clone());
-         }},
-        // Same model, uncertainty-aware decision policy: graded
-        // telemetry confidence instead of the binary ladder.
-        {"Sinan-U",
-         [&] {
-             SchedulerConfig cfg;
-             cfg.uncertainty.enabled = true;
-             return std::make_unique<OwningSinan>(trained.model->Clone(),
-                                                  cfg);
-         }},
-        {"AutoScaleCons",
-         [] { return std::make_unique<AutoScaler>(MakeAutoScaleCons()); }},
-    };
-    const std::vector<ChaosScenario>& scenarios = ChaosScenarios();
-
-    std::vector<SweepJob> jobs;
-    for (const ManagerSpec& spec : specs) {
-        for (const ChaosScenario& sc : scenarios) {
-            SweepJob job;
-            job.make_manager = spec.make;
-            job.make_load = [users] {
-                return std::make_unique<ConstantLoad>(users);
-            };
-            job.cfg.duration_s = duration_s;
-            job.cfg.warmup_s = 5.0;
-            job.cfg.seed = seed;
-            job.cfg.faults = ParseFaultSpec(sc.spec);
-            ValidateFaultSchedule(job.cfg.faults,
-                                  static_cast<int>(app.tiers.size()));
-            jobs.push_back(std::move(job));
-        }
-    }
-    const std::vector<RunResult> results = RunSweep(app, jobs);
-
-    std::map<std::string, std::vector<RunResult>> by_manager;
-    size_t idx = 0;
-    for (const ManagerSpec& spec : specs) {
-        for (const ChaosScenario& sc : scenarios) {
-            (void)sc;
-            by_manager[spec.name].push_back(results[idx++]);
-        }
-    }
-    return by_manager;
 }
 
 std::vector<double>

@@ -13,8 +13,8 @@
 #define SINAN_BENCH_BENCH_UTIL_H
 
 #include <cstdint>
-#include <map>
 #include <string>
+#include <vector>
 
 #include "app/apps.h"
 #include "harness/harness.h"
@@ -74,29 +74,6 @@ TrainedSinan GceFineTunedSinan(const Application& app, ClusterConfig gce);
 /** The paper's Figure 11 load points (emulated users). */
 std::vector<double> HotelLoads();
 std::vector<double> SocialLoads();
-
-/**
- * Runs the canonical four-manager comparison (Sinan, AutoScaleOpt,
- * AutoScaleCons, PowerChief) across @p loads, concurrently on the
- * global thread pool (each run gets a private manager — Sinan runs
- * clone the hybrid model). Results per manager are ordered like
- * @p loads; every run is seeded, so output matches a serial sweep.
- */
-std::map<std::string, std::vector<RunResult>>
-SweepManagersAcrossLoads(const Application& app, const TrainedSinan& trained,
-                         const std::vector<double>& loads,
-                         double duration_s, uint64_t seed = 7);
-
-/**
- * Runs Sinan and AutoScaleCons (the QoS-meeting managers of Fig. 11)
- * under every named chaos scenario (see sim/fault_injector.h) at a
- * fixed load. Results per manager are ordered like ChaosScenarios().
- * Seeded and deterministic like the load sweep.
- */
-std::map<std::string, std::vector<RunResult>>
-SweepManagersAcrossFaults(const Application& app,
-                          const TrainedSinan& trained, double users,
-                          double duration_s, uint64_t seed = 7);
 
 /** Prints a section header for bench output. */
 void PrintHeader(const std::string& title, const std::string& paper_ref);

@@ -5,31 +5,20 @@
 
 namespace sinan {
 
-RandomStepLoad::RandomStepLoad(double users_min, double users_max,
-                               double dwell_min_s, double dwell_max_s,
-                               double duration_s, uint64_t seed)
+StepLoad
+RandomSteps(double users_min, double users_max, double dwell_min_s,
+            double dwell_max_s, double duration_s, uint64_t seed)
 {
     if (users_max < users_min || dwell_max_s < dwell_min_s)
-        throw std::invalid_argument("RandomStepLoad: inverted ranges");
+        throw std::invalid_argument("RandomSteps: inverted ranges");
     Rng rng(seed);
+    std::vector<std::pair<double, double>> steps;
     double t = 0.0;
     while (t < duration_s) {
-        steps_.emplace_back(t, rng.Uniform(users_min, users_max));
+        steps.emplace_back(t, rng.Uniform(users_min, users_max));
         t += rng.Uniform(dwell_min_s, dwell_max_s);
     }
-}
-
-double
-RandomStepLoad::UsersAt(double t) const
-{
-    double users = steps_.front().second;
-    for (const auto& [start, u] : steps_) {
-        if (t >= start)
-            users = u;
-        else
-            break;
-    }
-    return users;
+    return StepLoad(std::move(steps));
 }
 
 std::vector<double>
@@ -51,8 +40,9 @@ Collect(const Application& app, ResourceManager& policy,
 {
     Simulator sim(cfg.sim);
     Cluster cluster(app, cfg.cluster, cfg.seed);
-    RandomStepLoad load(cfg.users_min, cfg.users_max, cfg.dwell_min_s,
-                        cfg.dwell_max_s, cfg.duration_s, cfg.seed ^ 0x5a5a);
+    const StepLoad load =
+        RandomSteps(cfg.users_min, cfg.users_max, cfg.dwell_min_s,
+                    cfg.dwell_max_s, cfg.duration_s, cfg.seed ^ 0x5a5a);
     WorkloadGenerator gen(cluster, load, cfg.seed ^ 0xc0ffee, 1.0,
                           cfg.bursts);
 

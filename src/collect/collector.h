@@ -47,19 +47,13 @@ struct CollectionConfig {
 };
 
 /**
- * Load shape that holds a uniformly random user count for a random dwell
- * and then jumps — covers the rps dimension of the state space.
+ * Step schedule that holds a uniformly random user count for a random
+ * dwell and then jumps — covers the rps dimension of the state space.
+ * Throws std::invalid_argument on inverted ranges or a non-positive
+ * duration (an empty schedule).
  */
-class RandomStepLoad : public LoadShape {
-  public:
-    RandomStepLoad(double users_min, double users_max, double dwell_min_s,
-                   double dwell_max_s, double duration_s, uint64_t seed);
-
-    double UsersAt(double t) const override;
-
-  private:
-    std::vector<std::pair<double, double>> steps_; // (start, users)
-};
+StepLoad RandomSteps(double users_min, double users_max, double dwell_min_s,
+                     double dwell_max_s, double duration_s, uint64_t seed);
 
 /**
  * Uniform-random allocation policy — the paper's "random data collection"

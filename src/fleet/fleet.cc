@@ -1,9 +1,11 @@
 #include "fleet/fleet.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <mutex>
 #include <set>
 #include <stdexcept>
@@ -69,26 +71,36 @@ BadOverride(const std::string& what, const std::string& text)
                                 text + "'");
 }
 
-/** Full-consumption strtod; rejects trailing garbage. */
+/** Full-consumption strtod; rejects trailing garbage and values
+ *  strtod reports out of range. */
 double
 ParseOverrideDouble(const std::string& value, const std::string& text)
 {
     if (value.empty())
         BadOverride("empty number", text);
     char* end = nullptr;
+    errno = 0;
     const double parsed = std::strtod(value.c_str(), &end);
-    if (end != value.c_str() + value.size() || !std::isfinite(parsed))
+    if (end != value.c_str() + value.size() || !std::isfinite(parsed) ||
+        errno == ERANGE)
         BadOverride("bad number '" + value + "'", text);
     return parsed;
 }
 
+/** Digits-only strtoull; rejects values above 2^64-1, which strtoull
+ *  would saturate. */
 uint64_t
 ParseOverrideU64(const std::string& value, const std::string& text)
 {
     if (value.empty() ||
         value.find_first_not_of("0123456789") != std::string::npos)
         BadOverride("bad seed '" + value + "'", text);
-    return std::strtoull(value.c_str(), nullptr, 10);
+    errno = 0;
+    const unsigned long long parsed =
+        std::strtoull(value.c_str(), nullptr, 10);
+    if (errno == ERANGE)
+        BadOverride("seed '" + value + "' out of range", text);
+    return parsed;
 }
 
 /** Nearest-rank percentile of an unsorted sample (q in [0,1]). */
@@ -130,7 +142,11 @@ ParseShardOverride(const std::string& text)
     if (idx.empty() ||
         idx.find_first_not_of("0123456789") != std::string::npos)
         BadOverride("bad shard index '" + idx + "'", text);
-    ov.index = static_cast<int>(std::strtol(idx.c_str(), nullptr, 10));
+    errno = 0;
+    const long long index = std::strtoll(idx.c_str(), nullptr, 10);
+    if (errno == ERANGE || index > std::numeric_limits<int>::max())
+        BadOverride("shard index '" + idx + "' out of range", text);
+    ov.index = static_cast<int>(index);
 
     std::string rest = text.substr(colon + 1);
     if (rest.empty())

@@ -244,9 +244,6 @@ class FleetManager {
     /** Runs the fleet to completion. Call exactly once. */
     FleetResult Run();
 
-    /** Resolved shard specs, in index order. */
-    const std::vector<ShardSpec>& Shards() const { return specs_; }
-
   private:
     struct Shard;
     struct ClonePool;

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 
 #include "collect/bandit.h"
 #include "common/check.h"
-#include "common/thread_pool.h"
 
 namespace sinan {
 
@@ -200,26 +198,6 @@ RecoveryIntervals(const RunResult& result, double fault_end_s,
         ++waited;
     }
     return -1;
-}
-
-std::vector<RunResult>
-RunSweep(const Application& app, const std::vector<SweepJob>& jobs)
-{
-    std::vector<RunResult> results(jobs.size());
-    ParallelFor(0, static_cast<int64_t>(jobs.size()), 1,
-                [&](int64_t lo, int64_t hi) {
-        for (int64_t j = lo; j < hi; ++j) {
-            const SweepJob& job = jobs[j];
-            if (!job.make_manager || !job.make_load)
-                throw std::invalid_argument(
-                    "RunSweep: job factories must be set");
-            const std::unique_ptr<ResourceManager> manager =
-                job.make_manager();
-            const std::unique_ptr<LoadShape> load = job.make_load();
-            results[j] = RunManaged(app, *manager, *load, job.cfg);
-        }
-    });
-    return results;
 }
 
 HybridConfig

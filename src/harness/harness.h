@@ -10,7 +10,6 @@
 #ifndef SINAN_HARNESS_HARNESS_H
 #define SINAN_HARNESS_HARNESS_H
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -179,28 +178,6 @@ class ManagedRun {
  */
 int RecoveryIntervals(const RunResult& result, double fault_end_s,
                       double qos_ms);
-
-/**
- * One run of a concurrent sweep. The factories are invoked inside the
- * worker executing the job, so every run owns a private manager and
- * load instance — managers are stateful and must not be shared across
- * concurrent runs (Sinan jobs should clone the hybrid model, see
- * HybridModel::Clone()).
- */
-struct SweepJob {
-    std::function<std::unique_ptr<ResourceManager>()> make_manager;
-    std::function<std::unique_ptr<LoadShape>()> make_load;
-    RunConfig cfg;
-};
-
-/**
- * Runs every job (concurrently on the global thread pool when it has
- * threads; see SetNumThreads()/SINAN_THREADS). Results are returned in
- * job order, and each simulation is fully seeded, so the output is
- * identical to running the jobs serially.
- */
-std::vector<RunResult> RunSweep(const Application& app,
-                                const std::vector<SweepJob>& jobs);
 
 /** Everything needed to evaluate Sinan on one application. */
 struct TrainedSinan {

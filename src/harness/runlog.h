@@ -3,29 +3,16 @@
  * Execution logs, mirroring the paper artifact's output format: per
  * decision interval, the system's performance and resource telemetry
  * (CPU usage and end-to-end tail latencies "collected periodically over
- * the execution's duration"). Writers emit CSV; the loader reads it back
- * for the processing utilities.
+ * the execution's duration"), written as CSV.
  */
 #ifndef SINAN_HARNESS_RUNLOG_H
 #define SINAN_HARNESS_RUNLOG_H
 
 #include <string>
-#include <vector>
 
 #include "harness/harness.h"
 
 namespace sinan {
-
-/** One parsed log row (a superset of IntervalRecord's aggregates). */
-struct RunLogRow {
-    double time_s = 0.0;
-    double rps = 0.0;
-    double p99_ms = 0.0;
-    double predicted_p99_ms = -1.0;
-    double predicted_violation = -1.0;
-    double total_cpu = 0.0;
-    std::vector<double> alloc;
-};
 
 /** Serializes a run's timeline to CSV (header + one row per interval). */
 std::string RunLogToCsv(const RunResult& result,
@@ -34,26 +21,6 @@ std::string RunLogToCsv(const RunResult& result,
 /** Writes RunLogToCsv output to @p path (creating directories). */
 void WriteRunLog(const std::string& path, const RunResult& result,
                  const Application& app);
-
-/** Parses a CSV produced by RunLogToCsv. Throws on malformed input. */
-std::vector<RunLogRow> ParseRunLog(const std::string& csv);
-
-/** Loads and parses a run-log file. */
-std::vector<RunLogRow> LoadRunLog(const std::string& path);
-
-/** Summary statistics computed from a parsed log (processing script). */
-struct RunLogSummary {
-    double qos_meet_prob = 0.0;
-    double mean_cpu = 0.0;
-    double max_cpu = 0.0;
-    double mean_p99_ms = 0.0;
-    double max_p99_ms = 0.0;
-    size_t intervals = 0;
-};
-
-/** Aggregates rows with time >= warmup_s against the QoS target. */
-RunLogSummary SummarizeRunLog(const std::vector<RunLogRow>& rows,
-                              double qos_ms, double warmup_s = 0.0);
 
 } // namespace sinan
 

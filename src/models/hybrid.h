@@ -153,7 +153,6 @@ class HybridModel {
      * model that never had quantization enabled.
      */
     void SetQuantMode(QuantMode mode);
-    QuantMode GetQuantMode() const { return quant_; }
 
     /** True once CalibrateInt8 has run (or a model with a quant
      *  section was loaded). */

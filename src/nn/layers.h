@@ -31,9 +31,6 @@ class Dense : public Layer {
      */
     void ForwardInto(const Tensor& x, Tensor& y) const;
 
-    int InFeatures() const { return w_.value.Dim(0); }
-    int OutFeatures() const { return w_.value.Dim(1); }
-
     /** Read-only weight/bias views (int8 post-training quantization
      *  reads them; never used to mutate). */
     const Tensor& Weight() const { return w_.value; }

@@ -137,12 +137,6 @@ ParseQuantMode(const char* text, QuantMode* out)
     return false;
 }
 
-const char*
-QuantModeName(QuantMode mode)
-{
-    return mode == QuantMode::kInt8 ? "int8" : "off";
-}
-
 void
 QuantizedLinear::QuantizeWeights(const float* w, int64_t k_dim,
                                  int64_t n_dim, int64_t row_stride,

@@ -52,9 +52,6 @@ enum class QuantMode { kOff, kInt8 };
  *  @p out untouched) — the sim_cli --quant flag values. */
 bool ParseQuantMode(const char* text, QuantMode* out);
 
-/** Stable flag-value name of a mode ("off" / "int8"). */
-const char* QuantModeName(QuantMode mode);
-
 /**
  * Scratch buffers of the quantized forward path. Owned by the model's
  * CnnEvalWorkspace and cloned with it; buffers only ever grow, so the

@@ -1,6 +1,7 @@
 #include "sim/fault_injector.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -28,7 +29,8 @@ Bad(const std::string& what, const std::string& text)
                                 text + "'");
 }
 
-/** Full-consumption strtoll; rejects empty cells and trailing junk. */
+/** Full-consumption strtoll; rejects empty cells, trailing junk and
+ *  values outside long long (which strtoll would saturate). */
 int64_t
 ParseInt(const std::string& s, const std::string& ctx)
 {
@@ -36,9 +38,12 @@ ParseInt(const std::string& s, const std::string& ctx)
     if (t.empty())
         Bad("empty number", ctx);
     char* end = nullptr;
+    errno = 0;
     const long long v = std::strtoll(t.c_str(), &end, 10);
     if (end != t.c_str() + t.size())
         Bad("bad integer '" + t + "'", ctx);
+    if (errno == ERANGE)
+        Bad("integer '" + t + "' out of range", ctx);
     return static_cast<int64_t>(v);
 }
 
@@ -49,9 +54,12 @@ ParseDouble(const std::string& s, const std::string& ctx)
     if (t.empty())
         Bad("empty number", ctx);
     char* end = nullptr;
+    errno = 0;
     const double v = std::strtod(t.c_str(), &end);
     if (end != t.c_str() + t.size())
         Bad("bad number '" + t + "'", ctx);
+    if (errno == ERANGE)
+        Bad("number '" + t + "' out of range", ctx);
     return v;
 }
 
@@ -163,12 +171,24 @@ ParseEvent(const std::string& text)
             ev.jitter = jit;
         } else if (key == "mag") {
             ev.magnitude = ParseDouble(val, t);
+            if (!std::isfinite(ev.magnitude))
+                Bad("mag must be finite", t);
         } else {
             Bad("unknown parameter '" + key + "'", t);
         }
     }
     if (ev.jitter != 0 && ev.tier_hi < 0)
         Bad("jitter requires a tiers= group", t);
+    // ActiveAt() and EndInterval() compute start + GroupSpan() +
+    // duration, so that sum (jitter x span included) must fit int64.
+    const int64_t room =
+        std::numeric_limits<int64_t>::max() - ev.start;
+    const int64_t staggers = ev.tier >= 0 && ev.tier_hi > ev.tier
+                                 ? ev.tier_hi - ev.tier
+                                 : 0;
+    if (ev.duration > room ||
+        (staggers > 0 && ev.jitter > (room - ev.duration) / staggers))
+        Bad("event ends beyond the int64 interval range", t);
 
     switch (ev.kind) {
     case FaultKind::kCapacityLoss:

@@ -149,7 +149,9 @@ struct FaultSchedule {
  * `jitter=N` staggers the members' activation by N intervals each
  * (jitter requires a tiers= group). `chaos:<name>` expands to the
  * named scenario from ChaosScenarios(). Throws std::invalid_argument
- * with the offending event text on any malformed input.
+ * with the offending event text on any malformed input, including
+ * out-of-range integers, a non-finite `mag`, and an event whose
+ * start + GroupSpan() + duration would overflow int64.
  */
 FaultSchedule ParseFaultSpec(const std::string& spec);
 

@@ -22,39 +22,6 @@ DiurnalLoad::UsersAt(double t) const
     return low_ + 0.5 * (high_ - low_) * (1.0 - std::cos(phase));
 }
 
-FlashCrowdLoad::FlashCrowdLoad(const LoadShape& base,
-                               std::vector<FlashSpike> spikes)
-    : base_(base), spikes_(std::move(spikes))
-{
-    for (const FlashSpike& s : spikes_) {
-        if (s.duration_s <= 0.0)
-            throw std::invalid_argument(
-                "FlashCrowdLoad: non-positive spike duration");
-        if (s.multiplier < 1.0)
-            throw std::invalid_argument(
-                "FlashCrowdLoad: spike multiplier must be >= 1");
-    }
-}
-
-double
-FlashCrowdLoad::UsersAt(double t) const
-{
-    double mult = 1.0;
-    for (const FlashSpike& s : spikes_) {
-        if (t < s.start_s || t >= s.start_s + s.duration_s)
-            continue;
-        // Trapezoidal envelope: 20% ramp up, 60% hold, 20% ramp down.
-        const double x = (t - s.start_s) / s.duration_s;
-        double env = 1.0;
-        if (x < 0.2)
-            env = x / 0.2;
-        else if (x > 0.8)
-            env = (1.0 - x) / 0.2;
-        mult *= 1.0 + (s.multiplier - 1.0) * env;
-    }
-    return base_.UsersAt(t) * mult;
-}
-
 StepLoad::StepLoad(std::vector<std::pair<double, double>> steps)
     : steps_(std::move(steps))
 {

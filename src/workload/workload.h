@@ -61,37 +61,6 @@ class StepLoad : public LoadShape {
     std::vector<std::pair<double, double>> steps_;
 };
 
-/** One deterministic flash-crowd spike (see FlashCrowdLoad). */
-struct FlashSpike {
-    /** Onset time, seconds. */
-    double start_s = 0.0;
-    /** Total spike duration, seconds (ramp up, hold, ramp down). */
-    double duration_s = 0.0;
-    /** Peak user multiplier relative to the base shape (>= 1). */
-    double multiplier = 1.0;
-};
-
-/**
- * Flash-crowd spikes layered multiplicatively on a base shape —
- * typically DiurnalLoad, reproducing the paper Sec. 2.3 transient that
- * reactive autoscaling handles poorly. Each spike ramps linearly to
- * its peak multiplier over the first 20% of its duration, holds, and
- * ramps back down over the last 20%, so the population change is steep
- * but not discontinuous. Overlapping spikes multiply. Everything is a
- * pure function of time: no randomness, byte-identical replays.
- */
-class FlashCrowdLoad : public LoadShape {
-  public:
-    /** @param base underlying shape (not owned; must outlive this). */
-    FlashCrowdLoad(const LoadShape& base,
-                   std::vector<FlashSpike> spikes);
-    double UsersAt(double t) const override;
-
-  private:
-    const LoadShape& base_;
-    std::vector<FlashSpike> spikes_;
-};
-
 /** Traffic micro-burst model layered on the Poisson arrivals. */
 struct BurstOptions {
     /** Enables short random bursts (flash-crowd behaviour). */

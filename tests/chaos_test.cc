@@ -56,6 +56,18 @@ TEST(FaultSpecTest, ParsesFullEventList)
     EXPECT_EQ(s.EndInterval(), 10);
 }
 
+void
+ExpectSpecError(const std::string& spec, const std::string& needle)
+{
+    try {
+        ParseFaultSpec(spec);
+        FAIL() << "expected ParseFaultSpec to reject '" << spec << "'";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+            << "message '" << e.what() << "' lacks '" << needle << "'";
+    }
+}
+
 TEST(FaultSpecTest, RejectsMalformedSpecs)
 {
     EXPECT_THROW(ParseFaultSpec(""), std::invalid_argument);
@@ -74,6 +86,32 @@ TEST(FaultSpecTest, RejectsMalformedSpecs)
                  std::invalid_argument);
     EXPECT_THROW(ParseFaultSpec("drop@3;;drop@4"),
                  std::invalid_argument);
+    // Numbers strtoll/strtod would saturate are rejected: a saturated
+    // start would overflow start + duration in EndInterval().
+    ExpectSpecError("stall@99999999999999999999+5:tier=2",
+                    "integer '99999999999999999999' out of range");
+    ExpectSpecError("stall@3+99999999999999999999", "out of range");
+    ExpectSpecError("spike@3:mag=1e999", "number '1e999' out of range");
+    // In range on their own, but the event's end overflows int64.
+    ExpectSpecError("stall@9223372036854775807+5:tier=2",
+                    "event ends beyond the int64 interval range");
+    ExpectSpecError("stall@9223372036854775800+8",
+                    "event ends beyond the int64 interval range");
+    ExpectSpecError("stall@1+2:tiers=0-2,jitter=4611686018427387904",
+                    "event ends beyond the int64 interval range");
+    ExpectSpecError("stall@0+1:tiers=0-1,jitter=9223372036854775807",
+                    "event ends beyond the int64 interval range");
+    // A finite magnitude is required even where mag > 0 holds.
+    ExpectSpecError("flash@1+2:mag=inf", "mag must be finite");
+    ExpectSpecError("spike@1+2:mag=inf", "mag must be finite");
+    ExpectSpecError("stall@1+2:mag=nan", "mag must be finite");
+    // The largest representable event still parses.
+    const FaultSchedule edge =
+        ParseFaultSpec("stall@9223372036854775800+7:tiers=0-1,jitter=0");
+    EXPECT_EQ(edge.EndInterval(), 9223372036854775807LL);
+    const FaultSchedule group =
+        ParseFaultSpec("stall@0+1:tiers=0-2,jitter=4611686018427387903");
+    EXPECT_EQ(group.EndInterval(), 9223372036854775807LL);
 }
 
 TEST(FaultSpecTest, ValidateRejectsOutOfRangeTier)
@@ -111,18 +149,6 @@ SameEvent(const FaultEvent& a, const FaultEvent& b)
            a.duration == b.duration && a.tier == b.tier &&
            a.tier_hi == b.tier_hi && a.jitter == b.jitter &&
            a.magnitude == b.magnitude;
-}
-
-void
-ExpectSpecError(const std::string& spec, const std::string& needle)
-{
-    try {
-        ParseFaultSpec(spec);
-        FAIL() << "expected ParseFaultSpec to reject '" << spec << "'";
-    } catch (const std::invalid_argument& e) {
-        EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
-            << "message '" << e.what() << "' lacks '" << needle << "'";
-    }
 }
 
 TEST(FaultSpecTest, ParsesCorrelatedGroupsAndFlashCrowds)

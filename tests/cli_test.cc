@@ -137,6 +137,10 @@ TEST(CliDeathTest, MalformedFaultSpecsExitTwo)
                     "mag must be in");
     ExpectUsageExit({"--faults", "chaos:nope"},
                     "unknown chaos scenario");
+    // An infinite flash multiplier must fail in the grammar, not abort
+    // the run in WorkloadGenerator::SetRateMultiplier.
+    ExpectUsageExit({"--faults", "flash@1+2:mag=inf"},
+                    "mag must be finite");
     // Tier validation happens against the selected app's tier count.
     ExpectUsageExit({"--app", "hotel", "--faults", "stall@1:tier=99"},
                     "targets tier 99");

@@ -7,10 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "app/apps.h"
 #include "collect/bandit.h"
 #include "collect/collector.h"
+#include "golden_util.h"
 #include "test_util.h"
 
 namespace sinan {
@@ -19,22 +21,25 @@ namespace {
 using testutil::MakeObs;
 using testutil::SmallFeatures;
 
-TEST(RandomStepLoad, StaysWithinBoundsAndIsDeterministic)
+TEST(RandomSteps, StaysWithinBoundsAndIsDeterministic)
 {
-    RandomStepLoad a(100, 300, 10, 20, 500, 7);
-    RandomStepLoad b(100, 300, 10, 20, 500, 7);
+    const StepLoad a = RandomSteps(100, 300, 10, 20, 500, 7);
+    const StepLoad b = RandomSteps(100, 300, 10, 20, 500, 7);
     for (double t = 0; t < 500; t += 13) {
         EXPECT_GE(a.UsersAt(t), 100.0);
         EXPECT_LE(a.UsersAt(t), 300.0);
         EXPECT_DOUBLE_EQ(a.UsersAt(t), b.UsersAt(t));
     }
-    EXPECT_THROW(RandomStepLoad(300, 100, 10, 20, 500, 7),
+    EXPECT_THROW(RandomSteps(300, 100, 10, 20, 500, 7),
+                 std::invalid_argument);
+    // No duration, no steps: StepLoad rejects the empty schedule.
+    EXPECT_THROW(RandomSteps(100, 300, 10, 20, 0, 7),
                  std::invalid_argument);
 }
 
-TEST(RandomStepLoad, ActuallyChangesLevels)
+TEST(RandomSteps, ActuallyChangesLevels)
 {
-    RandomStepLoad load(0, 1000, 10, 20, 500, 9);
+    const StepLoad load = RandomSteps(0, 1000, 10, 20, 500, 9);
     double lo = 1e18, hi = -1e18;
     for (double t = 0; t < 500; t += 5) {
         lo = std::min(lo, load.UsersAt(t));
@@ -227,6 +232,45 @@ TEST(Collector, EndToEndProducesLabeledSamples)
     }
 }
 
+/** Appends the raw bytes of @p n values at @p p to @p out. */
+template <typename T>
+void
+AppendBytes(std::string& out, const T* p, size_t n)
+{
+    out.append(reinterpret_cast<const char*>(p), n * sizeof(T));
+}
+
+TEST(Collector, CollectionBytesArePinned)
+{
+    // Pins every byte a short bandit collection produces (the random
+    // step schedule, workload, cluster and dataset builder all feed
+    // it); no other test pins collection output.
+    const Application app = BuildSocialNetwork();
+    CollectionConfig cfg;
+    cfg.duration_s = 40.0;
+    cfg.dwell_min_s = 5.0;
+    cfg.dwell_max_s = 10.0;
+    cfg.features = SmallFeatures(static_cast<int>(app.tiers.size()), 3);
+    cfg.features.qos_ms = app.qos_ms;
+    cfg.seed = 21;
+    BanditConfig bcfg;
+    bcfg.qos_ms = app.qos_ms;
+    BanditExplorer bandit(bcfg);
+    const Dataset d = Collect(app, bandit, cfg);
+    ASSERT_FALSE(d.samples.empty());
+
+    std::string bytes;
+    for (const Sample& s : d.samples) {
+        AppendBytes(bytes, s.xrh.Data(), s.xrh.Size());
+        AppendBytes(bytes, s.xlh.Data(), s.xlh.Size());
+        AppendBytes(bytes, s.xrc.Data(), s.xrc.Size());
+        AppendBytes(bytes, s.y_latency.data(), s.y_latency.size());
+        AppendBytes(bytes, &s.violation, 1);
+        AppendBytes(bytes, &s.p99_ms, 1);
+    }
+    EXPECT_EQ(d.samples.size(), 35u);
+    EXPECT_EQ(testutil::Fnv1a64(bytes), 0x6bc87f731982d512ULL);
+}
 
 TEST(BuildDataset, LaterReclaimStopsViolationAttribution)
 {

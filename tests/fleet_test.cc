@@ -333,6 +333,17 @@ TEST(FleetOverride, RejectsMalformedOverrides)
     ExpectOverrideError("3:users=12x", "bad number");
     ExpectOverrideError("3:seed=0", "seed must be > 0");
     ExpectOverrideError("3:users=5,", "trailing ','");
+    // Out-of-range numbers are rejected, not truncated or saturated.
+    ExpectOverrideError("4294967296:users=7",
+                        "shard index '4294967296' out of range");
+    ExpectOverrideError("2147483648:users=7", "out of range");
+    ExpectOverrideError("99999999999999999999:users=7", "out of range");
+    ExpectOverrideError("3:seed=99999999999999999999999",
+                        "seed '99999999999999999999999' out of range");
+    ExpectOverrideError("3:users=1e-310", "bad number");
+    EXPECT_EQ(ParseShardOverride("2147483647:users=7").index, 2147483647);
+    EXPECT_EQ(ParseShardOverride("3:seed=18446744073709551615").seed,
+              18446744073709551615ULL);
 }
 
 TEST(FleetResolve, ValidatesFleetShape)

@@ -5,13 +5,10 @@
  */
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <numeric>
-#include <stdexcept>
 
 #include "app/apps.h"
 #include "baselines/autoscale.h"
-#include "common/thread_pool.h"
 #include "harness/harness.h"
 
 namespace sinan {
@@ -117,52 +114,6 @@ TEST(RunManaged, GceStyleClusterConfigRuns)
     cfg.cluster.replica_scale = 2;
     const RunResult r = RunManaged(app, hold, load, cfg);
     EXPECT_EQ(r.timeline.size(), 15u);
-}
-
-TEST(RunSweep, MatchesSerialRunsInJobOrder)
-{
-    const Application app = BuildSocialNetwork();
-    std::vector<SweepJob> jobs;
-    for (double users : {60.0, 120.0}) {
-        SweepJob job;
-        job.make_manager = [] { return std::make_unique<HoldManager>(); };
-        job.make_load = [users] {
-            return std::make_unique<ConstantLoad>(users);
-        };
-        job.cfg.duration_s = 15.0;
-        job.cfg.warmup_s = 5.0;
-        jobs.push_back(std::move(job));
-    }
-
-    const int saved = NumThreads();
-    SetNumThreads(4);
-    const std::vector<RunResult> swept = RunSweep(app, jobs);
-    SetNumThreads(saved);
-
-    ASSERT_EQ(swept.size(), jobs.size());
-    for (size_t j = 0; j < jobs.size(); ++j) {
-        HoldManager hold;
-        ConstantLoad load(j == 0 ? 60.0 : 120.0);
-        const RunResult serial =
-            RunManaged(app, hold, load, jobs[j].cfg);
-        ASSERT_EQ(swept[j].timeline.size(), serial.timeline.size());
-        for (size_t i = 0; i < serial.timeline.size(); ++i) {
-            EXPECT_DOUBLE_EQ(swept[j].timeline[i].p99_ms,
-                             serial.timeline[i].p99_ms);
-            EXPECT_DOUBLE_EQ(swept[j].timeline[i].total_cpu,
-                             serial.timeline[i].total_cpu);
-        }
-        EXPECT_DOUBLE_EQ(swept[j].mean_cpu, serial.mean_cpu);
-        EXPECT_DOUBLE_EQ(swept[j].qos_meet_prob, serial.qos_meet_prob);
-    }
-}
-
-TEST(RunSweep, RejectsUnsetFactories)
-{
-    const Application app = BuildSocialNetwork();
-    std::vector<SweepJob> jobs(1);
-    jobs[0].cfg.duration_s = 5.0;
-    EXPECT_THROW(RunSweep(app, jobs), std::invalid_argument);
 }
 
 TEST(DefaultHybridConfig, IsSane)

@@ -54,49 +54,6 @@ TEST(StepLoad, RejectsBadSchedules)
                  std::invalid_argument);
 }
 
-TEST(FlashCrowdLoad, TrapezoidEnvelopeOverBaseShape)
-{
-    ConstantLoad base(100.0);
-    // 10 s spike starting at t=20: 2 s ramp up, 6 s hold, 2 s ramp down.
-    FlashCrowdLoad load(base, {{20.0, 10.0, 3.0}});
-    EXPECT_DOUBLE_EQ(load.UsersAt(19.9), 100.0);  // before onset
-    EXPECT_DOUBLE_EQ(load.UsersAt(20.0), 100.0);  // ramp starts at x1
-    EXPECT_NEAR(load.UsersAt(21.0), 200.0, 1e-9); // halfway up the ramp
-    EXPECT_NEAR(load.UsersAt(22.0), 300.0, 1e-9); // hold begins
-    EXPECT_NEAR(load.UsersAt(25.0), 300.0, 1e-9); // mid-hold
-    EXPECT_NEAR(load.UsersAt(28.0), 300.0, 1e-9); // hold ends
-    EXPECT_NEAR(load.UsersAt(29.0), 200.0, 1e-9); // halfway down
-    EXPECT_DOUBLE_EQ(load.UsersAt(30.0), 100.0);  // spike over
-    // Multiplicative on the base: a varying base scales accordingly.
-    StepLoad step({{0.0, 50.0}, {25.0, 80.0}});
-    FlashCrowdLoad on_step(step, {{20.0, 10.0, 3.0}});
-    EXPECT_NEAR(on_step.UsersAt(24.0), 150.0, 1e-9);
-    EXPECT_NEAR(on_step.UsersAt(26.0), 240.0, 1e-9);
-}
-
-TEST(FlashCrowdLoad, OverlappingSpikesMultiply)
-{
-    ConstantLoad base(10.0);
-    FlashCrowdLoad load(base,
-                        {{0.0, 10.0, 2.0}, {5.0, 20.0, 3.0}});
-    // t=9: first spike holding (x=0.9 -> ramp-down env 0.5 gives 1.5x),
-    // second holding at 3x.
-    EXPECT_NEAR(load.UsersAt(9.0), 10.0 * 1.5 * 3.0, 1e-9);
-    // t=12: only the second spike remains, in its hold region.
-    EXPECT_NEAR(load.UsersAt(12.0), 30.0, 1e-9);
-}
-
-TEST(FlashCrowdLoad, RejectsDegenerateSpikes)
-{
-    ConstantLoad base(10.0);
-    EXPECT_THROW(FlashCrowdLoad(base, {{5.0, 0.0, 2.0}}),
-                 std::invalid_argument);
-    EXPECT_THROW(FlashCrowdLoad(base, {{5.0, -1.0, 2.0}}),
-                 std::invalid_argument);
-    EXPECT_THROW(FlashCrowdLoad(base, {{5.0, 4.0, 0.9}}),
-                 std::invalid_argument);
-}
-
 TEST(WorkloadGenerator, InjectsAtPoissonRate)
 {
     const Application app = BuildHotelReservation();
