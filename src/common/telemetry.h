@@ -19,7 +19,10 @@
 
 #include <cmath>
 #include <cstddef>
+#include <iterator>
 #include <vector>
+
+#include "common/percentile_row.h"
 
 namespace sinan {
 
@@ -125,11 +128,15 @@ TelemetryUsable(const IntervalObservation& obs, size_t n_tiers)
            ObservationFinite(obs);
 }
 
-/** Latency percentiles reported per interval (p95..p99). */
+/** Latency percentiles reported per interval (p95..p99); one level
+ *  per PercentileRow slot. */
 inline const std::vector<double>&
 LatencyQuantiles()
 {
-    static const std::vector<double> qs = {0.95, 0.96, 0.97, 0.98, 0.99};
+    static constexpr double kLevels[] = {0.95, 0.96, 0.97, 0.98, 0.99};
+    static_assert(std::size(kLevels) == PercentileRow::kCapacity);
+    static const std::vector<double> qs(std::begin(kLevels),
+                                        std::end(kLevels));
     return qs;
 }
 

@@ -20,12 +20,15 @@
 #ifndef SINAN_CORE_DECISION_TRACE_H
 #define SINAN_CORE_DECISION_TRACE_H
 
+#include <cstdint>
 #include <vector>
+
+#include "common/percentile_row.h"
 
 namespace sinan {
 
 /** Candidate action families (paper Table 1). */
-enum class ActionKind {
+enum class ActionKind : uint8_t {
     kHold,
     kScaleDown,
     kScaleDownBatch,
@@ -52,7 +55,7 @@ enum class TelemetryHealth {
 };
 
 /** Why a candidate was (not) applied. */
-enum class CandidateOutcome {
+enum class CandidateOutcome : uint8_t {
     /** Passed every filter and had the least total CPU. */
     kChosen,
     /** Down-action rejected: healthy streak too short to reclaim. */
@@ -108,23 +111,32 @@ const char* ToString(CandidateOutcome outcome);
 const char* ToString(DecisionKind kind);
 const char* ToString(TelemetryHealth health);
 
-/** One candidate considered by one decision. */
+/**
+ * One candidate considered by one decision: one 64-byte record, with
+ * no heap storage of its own. The row comes first so the enums sit in
+ * its tail padding.
+ */
 struct CandidateTrace {
-    ActionKind kind = ActionKind::kHold;
-    /** Total CPU (cores) of the candidate allocation. */
-    double total_cpu = 0.0;
     /** Predicted latency percentiles, ms (p95..p99); empty on
      *  safety-path intervals where the model was not consulted. */
-    std::vector<double> latency_ms;
+    [[no_unique_address]] PercentileRow latency_ms;
+    ActionKind kind = ActionKind::kHold;
+    CandidateOutcome outcome = CandidateOutcome::kNotCheapest;
+    /** Total CPU (cores) of the candidate allocation. */
+    double total_cpu = 0.0;
     /** Predicted violation probability. */
     double p_violation = 0.0;
-    CandidateOutcome outcome = CandidateOutcome::kNotCheapest;
 
     double P99() const
     {
         return latency_ms.empty() ? 0.0 : latency_ms.back();
     }
 };
+
+// A trace holds one record per candidate per interval (~96 on the
+// social network), so the record's size is the trace's memory budget.
+static_assert(sizeof(CandidateTrace) <= 64,
+              "CandidateTrace must fit in one 64-byte cache line");
 
 /** One decision interval. */
 struct DecisionTraceEntry {

@@ -665,15 +665,14 @@ SinanScheduler::Decide(const IntervalObservation& obs,
             e.margin_ms = margin;
             e.may_reclaim = may_reclaim;
             e.chosen = best;
-            e.candidates.reserve(cands.size());
+            e.candidates.resize(cands.size());
             for (size_t i = 0; i < cands.size(); ++i) {
-                CandidateTrace ct;
+                CandidateTrace& ct = e.candidates[i];
+                ct.latency_ms = preds[i].latency_ms;
                 ct.kind = cands[i].kind;
-                ct.total_cpu = cands[i].total_cpu;
-                ct.latency_ms = std::move(preds[i].latency_ms);
-                ct.p_violation = preds[i].p_violation;
                 ct.outcome = outcomes[i];
-                e.candidates.push_back(std::move(ct));
+                ct.total_cpu = cands[i].total_cpu;
+                ct.p_violation = preds[i].p_violation;
             }
         }
     }

@@ -9,7 +9,8 @@ namespace sinan {
 
 namespace {
 
-constexpr int kPercentiles = 5; // p95..p99, matching LatencyQuantiles()
+// p95..p99: every candidate's prediction is one PercentileRow.
+constexpr int kPercentiles = static_cast<int>(PercentileRow::kCapacity);
 
 void
 AppendEntryPrefix(std::ostringstream& out, const DecisionTraceEntry& e)
@@ -70,10 +71,6 @@ DecisionTraceToCsv(const DecisionTrace& trace)
                            static_cast<int>(e.candidates.size()) - 1);
         for (size_t c = 0; c < e.candidates.size(); ++c) {
             const CandidateTrace& ct = e.candidates[c];
-            // Wider-than-schema prediction vectors would be silently
-            // truncated to kPercentiles columns.
-            SINAN_CHECK_LE(ct.latency_ms.size(),
-                           static_cast<size_t>(kPercentiles));
             AppendEntryPrefix(out, e);
             out << ',' << c << ',' << ToString(ct.kind) << ','
                 << ct.total_cpu;

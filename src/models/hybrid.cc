@@ -51,11 +51,27 @@ WriteBtRow(const float* latent, int latent_dim, const float* xrc, int n,
     out[latent_dim + n + 3] = traffic;
 }
 
+/** Returns @p fcfg, or throws std::invalid_argument when its latency
+ *  head is wider than a PercentileRow (or empty): every prediction is
+ *  one row, so a wider head could never be reported. */
+const FeatureConfig&
+CheckPercentileWidth(const FeatureConfig& fcfg)
+{
+    if (fcfg.n_percentiles < 1 ||
+        fcfg.n_percentiles > static_cast<int>(PercentileRow::kCapacity))
+        throw std::invalid_argument(
+            "HybridModel: n_percentiles must be in [1, " +
+            std::to_string(PercentileRow::kCapacity) + "], got " +
+            std::to_string(fcfg.n_percentiles));
+    return fcfg;
+}
+
 } // namespace
 
 HybridModel::HybridModel(const FeatureConfig& fcfg, const HybridConfig& cfg,
                          uint64_t seed)
-    : fcfg_(fcfg), cfg_(cfg), cnn_(fcfg, cfg.cnn, seed), bt_(cfg.bt)
+    : fcfg_(CheckPercentileWidth(fcfg)), cfg_(cfg),
+      cnn_(fcfg, cfg.cnn, seed), bt_(cfg.bt)
 {
 }
 

@@ -12,6 +12,7 @@
 #include <memory>
 #include <string>
 
+#include "common/percentile_row.h"
 #include "gbt/boosted_trees.h"
 #include "models/sinan_cnn.h"
 #include "models/trainer.h"
@@ -28,7 +29,7 @@ struct HybridConfig {
 /** What the scheduler receives for one candidate allocation. */
 struct Prediction {
     /** Predicted next-interval latency percentiles, ms (p95..p99). */
-    std::vector<double> latency_ms;
+    PercentileRow latency_ms;
     /** Probability of a QoS violation within the next k intervals. */
     double p_violation = 0.0;
 

@@ -10,11 +10,14 @@
  * like GemmRowsScalar, so the two kernels produce identical bytes.
  *
  * Blocking: 4 rows x 16 columns (8 ymm accumulators live across the
- * whole k loop, b rows loaded once per 4 output rows), with a 1-row x
- * 64-column panel for single-row products (the trunk's [1, k] dense
- * layers) so enough independent add chains stay in flight to cover the
- * add latency. Column tails fall back to scalar code with the same
- * per-element order.
+ * whole k loop, b rows loaded once per 4 output rows). Single-row
+ * products (the trunk's [1, k] dense layers) run 1-row panels of up to
+ * 64 columns, whose every 8-column vector is its own register-resident
+ * add chain, so enough independent chains stay in flight to cover the
+ * add latency: a 48-wide layer is six chains in one pass over k, not
+ * six passes of one chain. The n % 8 column tail is one more vector
+ * with masked loads and stores (masked-off lanes read 0.0f and are
+ * never stored), so no column ever takes a scalar path.
  */
 #include "tensor/gemm_kernels.h"
 
@@ -26,76 +29,92 @@ namespace sinan {
 
 namespace {
 
-/** Scalar column tail [j0, n) for one row; ascending-p mul-then-add. */
-inline void
-TailCols(const float* arow, const float* b, int64_t ldb, float* crow,
-         int64_t j0, int64_t n, int64_t k)
+/** Loads 8 floats at @p p, or when kMasked only the lanes set in
+ *  @p mask (the rest read 0.0f and touch no memory). */
+template <bool kMasked>
+inline __m256
+Load8(const float* p, __m256i mask)
 {
-    for (int64_t j = j0; j < n; ++j) {
-        float acc = crow[j];
-        const float* bp = b + j;
-        for (int64_t p = 0; p < k; ++p)
-            acc += arow[p] * bp[p * ldb];
-        crow[j] = acc;
-    }
+    if constexpr (kMasked)
+        return _mm256_maskload_ps(p, mask);
+    else
+        return _mm256_loadu_ps(p);
 }
 
-/** One row, 64 columns: 8 independent accumulator chains. */
+/** Stores 8 floats at @p p, or when kMasked only the lanes of @p mask. */
+template <bool kMasked>
 inline void
-Panel1x64(const float* arow, const float* b, int64_t ldb, float* crow,
-          int64_t j, int64_t k)
+Store8(float* p, __m256 v, __m256i mask)
 {
-    __m256 acc0 = _mm256_loadu_ps(crow + j);
-    __m256 acc1 = _mm256_loadu_ps(crow + j + 8);
-    __m256 acc2 = _mm256_loadu_ps(crow + j + 16);
-    __m256 acc3 = _mm256_loadu_ps(crow + j + 24);
-    __m256 acc4 = _mm256_loadu_ps(crow + j + 32);
-    __m256 acc5 = _mm256_loadu_ps(crow + j + 40);
-    __m256 acc6 = _mm256_loadu_ps(crow + j + 48);
-    __m256 acc7 = _mm256_loadu_ps(crow + j + 56);
+    if constexpr (kMasked)
+        _mm256_maskstore_ps(p, mask, v);
+    else
+        _mm256_storeu_ps(p, v);
+}
+
+/** Mask of the first @p w lanes (0 <= w < 8) for the column tail. */
+inline __m256i
+TailMask(int64_t w)
+{
+    static const int32_t kLanes[16] = {-1, -1, -1, -1, -1, -1, -1, -1,
+                                       0,  0,  0,  0,  0,  0,  0,  0};
+    return _mm256_loadu_si256(
+        reinterpret_cast<const __m256i*>(kLanes + 8 - w));
+}
+
+/**
+ * One row, kVecs full 8-column vectors plus, when kTail, one masked
+ * vector of the n % 8 tail columns: kVecs + kTail independent add
+ * chains, all register-resident across the whole k loop.
+ */
+template <int kVecs, bool kTail>
+inline void
+Panel1xN(const float* arow, const float* b, int64_t ldb, float* crow,
+         int64_t j, int64_t k, __m256i mask)
+{
+    static_assert(kVecs + kTail >= 1 && kVecs + kTail <= 8);
+    float* const c = crow + j;
+    __m256 acc[kVecs + kTail];
+#pragma GCC unroll 8
+    for (int v = 0; v < kVecs; ++v)
+        acc[v] = _mm256_loadu_ps(c + 8 * v);
+    if constexpr (kTail)
+        acc[kVecs] = _mm256_maskload_ps(c + 8 * kVecs, mask);
     for (int64_t p = 0; p < k; ++p) {
         const float* brow = b + p * ldb + j;
         const __m256 av = _mm256_set1_ps(arow[p]);
-        acc0 = _mm256_add_ps(acc0,
-                             _mm256_mul_ps(av, _mm256_loadu_ps(brow)));
-        acc1 = _mm256_add_ps(
-            acc1, _mm256_mul_ps(av, _mm256_loadu_ps(brow + 8)));
-        acc2 = _mm256_add_ps(
-            acc2, _mm256_mul_ps(av, _mm256_loadu_ps(brow + 16)));
-        acc3 = _mm256_add_ps(
-            acc3, _mm256_mul_ps(av, _mm256_loadu_ps(brow + 24)));
-        acc4 = _mm256_add_ps(
-            acc4, _mm256_mul_ps(av, _mm256_loadu_ps(brow + 32)));
-        acc5 = _mm256_add_ps(
-            acc5, _mm256_mul_ps(av, _mm256_loadu_ps(brow + 40)));
-        acc6 = _mm256_add_ps(
-            acc6, _mm256_mul_ps(av, _mm256_loadu_ps(brow + 48)));
-        acc7 = _mm256_add_ps(
-            acc7, _mm256_mul_ps(av, _mm256_loadu_ps(brow + 56)));
+#pragma GCC unroll 8
+        for (int v = 0; v < kVecs; ++v)
+            acc[v] = _mm256_add_ps(
+                acc[v], _mm256_mul_ps(av, _mm256_loadu_ps(brow + 8 * v)));
+        if constexpr (kTail)
+            acc[kVecs] = _mm256_add_ps(
+                acc[kVecs],
+                _mm256_mul_ps(av,
+                              _mm256_maskload_ps(brow + 8 * kVecs, mask)));
     }
-    _mm256_storeu_ps(crow + j, acc0);
-    _mm256_storeu_ps(crow + j + 8, acc1);
-    _mm256_storeu_ps(crow + j + 16, acc2);
-    _mm256_storeu_ps(crow + j + 24, acc3);
-    _mm256_storeu_ps(crow + j + 32, acc4);
-    _mm256_storeu_ps(crow + j + 40, acc5);
-    _mm256_storeu_ps(crow + j + 48, acc6);
-    _mm256_storeu_ps(crow + j + 56, acc7);
+#pragma GCC unroll 8
+    for (int v = 0; v < kVecs; ++v)
+        _mm256_storeu_ps(c + 8 * v, acc[v]);
+    if constexpr (kTail)
+        _mm256_maskstore_ps(c + 8 * kVecs, mask, acc[kVecs]);
 }
 
-/** One row, 8 columns. */
-inline void
-Panel1x8(const float* arow, const float* b, int64_t ldb, float* crow,
-         int64_t j, int64_t k)
-{
-    __m256 acc = _mm256_loadu_ps(crow + j);
-    for (int64_t p = 0; p < k; ++p) {
-        const __m256 av = _mm256_set1_ps(arow[p]);
-        acc = _mm256_add_ps(
-            acc, _mm256_mul_ps(av, _mm256_loadu_ps(b + p * ldb + j)));
-    }
-    _mm256_storeu_ps(crow + j, acc);
-}
+using Panel1Fn = void (*)(const float*, const float*, int64_t, float*,
+                          int64_t, int64_t, __m256i);
+
+/** Panel1xN for a remainder of 8 * vecs + tail columns (< 64),
+ *  indexed [vecs][tail != 0]; [0][0] covers no columns. */
+constexpr Panel1Fn kRowRemainder[8][2] = {
+    {nullptr, Panel1xN<0, true>},
+    {Panel1xN<1, false>, Panel1xN<1, true>},
+    {Panel1xN<2, false>, Panel1xN<2, true>},
+    {Panel1xN<3, false>, Panel1xN<3, true>},
+    {Panel1xN<4, false>, Panel1xN<4, true>},
+    {Panel1xN<5, false>, Panel1xN<5, true>},
+    {Panel1xN<6, false>, Panel1xN<6, true>},
+    {Panel1xN<7, false>, Panel1xN<7, true>},
+};
 
 /** Four rows, 16 columns: b rows loaded once per four output rows. */
 inline void
@@ -145,10 +164,13 @@ Panel4x16(const float* a, int64_t lda, const float* b, int64_t ldb,
     _mm256_storeu_ps(c3 + 8, acc31);
 }
 
-/** Four rows, 8 columns. */
+/** Four rows, 8 columns, or when kMasked the lanes of @p mask (the
+ *  column tail). */
+template <bool kMasked>
 inline void
 Panel4x8(const float* a, int64_t lda, const float* b, int64_t ldb,
-         float* c, int64_t ldc, int64_t r, int64_t j, int64_t k)
+         float* c, int64_t ldc, int64_t r, int64_t j, int64_t k,
+         __m256i mask)
 {
     const float* a0 = a + r * lda;
     const float* a1 = a0 + lda;
@@ -158,12 +180,12 @@ Panel4x8(const float* a, int64_t lda, const float* b, int64_t ldb,
     float* c1 = c0 + ldc;
     float* c2 = c1 + ldc;
     float* c3 = c2 + ldc;
-    __m256 acc0 = _mm256_loadu_ps(c0);
-    __m256 acc1 = _mm256_loadu_ps(c1);
-    __m256 acc2 = _mm256_loadu_ps(c2);
-    __m256 acc3 = _mm256_loadu_ps(c3);
+    __m256 acc0 = Load8<kMasked>(c0, mask);
+    __m256 acc1 = Load8<kMasked>(c1, mask);
+    __m256 acc2 = Load8<kMasked>(c2, mask);
+    __m256 acc3 = Load8<kMasked>(c3, mask);
     for (int64_t p = 0; p < k; ++p) {
-        const __m256 b0 = _mm256_loadu_ps(b + p * ldb + j);
+        const __m256 b0 = Load8<kMasked>(b + p * ldb + j, mask);
         acc0 = _mm256_add_ps(
             acc0, _mm256_mul_ps(_mm256_set1_ps(a0[p]), b0));
         acc1 = _mm256_add_ps(
@@ -173,10 +195,10 @@ Panel4x8(const float* a, int64_t lda, const float* b, int64_t ldb,
         acc3 = _mm256_add_ps(
             acc3, _mm256_mul_ps(_mm256_set1_ps(a3[p]), b0));
     }
-    _mm256_storeu_ps(c0, acc0);
-    _mm256_storeu_ps(c1, acc1);
-    _mm256_storeu_ps(c2, acc2);
-    _mm256_storeu_ps(c3, acc3);
+    Store8<kMasked>(c0, acc0, mask);
+    Store8<kMasked>(c1, acc1, mask);
+    Store8<kMasked>(c2, acc2, mask);
+    Store8<kMasked>(c3, acc3, mask);
 }
 
 } // namespace
@@ -186,28 +208,28 @@ GemmRowsAvx2(const float* a, int64_t lda, const float* b, int64_t ldb,
              float* c, int64_t ldc, int64_t r0, int64_t r1, int64_t k,
              int64_t n)
 {
+    const int64_t tail = n % 8;
+    const __m256i mask = TailMask(tail);
     int64_t r = r0;
     for (; r + 4 <= r1; r += 4) {
         int64_t j = 0;
         for (; j + 16 <= n; j += 16)
             Panel4x16(a, lda, b, ldb, c, ldc, r, j, k);
         for (; j + 8 <= n; j += 8)
-            Panel4x8(a, lda, b, ldb, c, ldc, r, j, k);
-        if (j < n) {
-            for (int64_t rr = r; rr < r + 4; ++rr)
-                TailCols(a + rr * lda, b, ldb, c + rr * ldc, j, n, k);
-        }
+            Panel4x8<false>(a, lda, b, ldb, c, ldc, r, j, k, mask);
+        if (j < n)
+            Panel4x8<true>(a, lda, b, ldb, c, ldc, r, j, k, mask);
     }
     for (; r < r1; ++r) {
         const float* arow = a + r * lda;
         float* crow = c + r * ldc;
         int64_t j = 0;
         for (; j + 64 <= n; j += 64)
-            Panel1x64(arow, b, ldb, crow, j, k);
-        for (; j + 8 <= n; j += 8)
-            Panel1x8(arow, b, ldb, crow, j, k);
-        if (j < n)
-            TailCols(arow, b, ldb, crow, j, n, k);
+            Panel1xN<8, false>(arow, b, ldb, crow, j, k, mask);
+        const int64_t rest = n - j;
+        if (rest > 0)
+            kRowRemainder[rest / 8][tail != 0](arow, b, ldb, crow, j, k,
+                                               mask);
     }
 }
 

@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit and property tests for the common substrate: RNG distributions,
- * percentile digests, ring windows, and table rendering.
+ * percentile digests, fixed-width percentile rows, ring windows, and
+ * table rendering.
  */
 #include <gtest/gtest.h>
 
@@ -16,6 +17,7 @@
 
 #include "common/check.h"
 #include "common/metrics.h"
+#include "common/percentile_row.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/table.h"
@@ -575,6 +577,40 @@ TEST_P(QuantileMonotoneTest, MonotoneInP)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, QuantileMonotoneTest,
                          ::testing::Range(1, 9));
+
+TEST(PercentileRow, ReadsLikeTheVectorItReplaces)
+{
+    PercentileRow row;
+    EXPECT_TRUE(row.empty());
+    EXPECT_EQ(row.begin(), row.end());
+    row = {95.0, 96.0, 97.0, 98.0, 99.0};
+    ASSERT_EQ(row.size(), PercentileRow::kCapacity);
+    EXPECT_EQ(row[0], 95.0);
+    EXPECT_EQ(row.back(), 99.0);
+    EXPECT_EQ(std::vector<double>(row.begin(), row.end()),
+              (std::vector<double>{95.0, 96.0, 97.0, 98.0, 99.0}));
+    row[4] = 1.5;
+    EXPECT_EQ(row.back(), 1.5);
+}
+
+TEST(PercentileRow, ResizeZeroFillsWhatItAdds)
+{
+    PercentileRow row = {1.0, 2.0, 3.0};
+    row.resize(1);
+    EXPECT_EQ(row, (PercentileRow{1.0}));
+    row.resize(4);
+    EXPECT_EQ(row, (PercentileRow{1.0, 0.0, 0.0, 0.0}));
+    EXPECT_FALSE(row == (PercentileRow{1.0, 0.0, 0.0}));
+}
+
+TEST(PercentileRow, RejectsMoreThanCapacity)
+{
+    PercentileRow row;
+    EXPECT_THROW(row.resize(PercentileRow::kCapacity + 1),
+                 ContractViolation);
+    EXPECT_THROW((PercentileRow{1, 2, 3, 4, 5, 6}), ContractViolation);
+    EXPECT_TRUE(row.empty());
+}
 
 TEST(RunningSummary, TracksMinMaxMeanCount)
 {

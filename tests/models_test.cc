@@ -8,6 +8,7 @@
 #include <memory>
 #include <numeric>
 #include <sstream>
+#include <stdexcept>
 
 #include "common/thread_pool.h"
 #include "models/baseline_nets.h"
@@ -311,6 +312,25 @@ TEST(HybridModel, TrainEvaluateAndReport)
     }
     // Starving the app must predict more violation risk than plenty.
     EXPECT_GT(preds[0].p_violation, preds[1].p_violation);
+}
+
+TEST(HybridModel, RejectsPercentileWidthOutsideTheRow)
+{
+    // Predictions are fixed-width PercentileRows (p95..p99), so a
+    // latency head with no outputs or more than five fails at
+    // construction, not later inside a trace serializer.
+    FeatureConfig f = SmallFeatures();
+    for (const int m : {0, 6}) {
+        f.n_percentiles = m;
+        EXPECT_THROW(HybridModel(f, HybridConfig{}, 1),
+                     std::invalid_argument)
+            << "n_percentiles=" << m;
+    }
+    for (const int m : {1, 5}) {
+        f.n_percentiles = m;
+        EXPECT_NO_THROW(HybridModel(f, HybridConfig{}, 1))
+            << "n_percentiles=" << m;
+    }
 }
 
 TEST(HybridModel, SaveLoadRoundTrip)

@@ -49,19 +49,12 @@
 namespace sinan {
 namespace {
 
+using testutil::MakeCandidates;
 using testutil::MakeObs;
+using testutil::MakeWindow;
 using testutil::SmallFeatures;
 using testutil::SyntheticDataset;
-
-/** Restores the entry thread count on scope exit. */
-class ThreadGuard {
-  public:
-    ThreadGuard() : saved_(NumThreads()) {}
-    ~ThreadGuard() { SetNumThreads(saved_); }
-
-  private:
-    int saved_;
-};
+using testutil::ThreadGuard;
 
 /** Restores the entry SIMD dispatch mode on scope exit. */
 class SimdModeGuard {
@@ -93,28 +86,6 @@ TrainSmallHybrid(const FeatureConfig& f, uint64_t seed)
     out.model->Train(train, valid);
     out.calib = train;
     return out;
-}
-
-MetricWindow
-MakeWindow(const FeatureConfig& f, double rps, double p99)
-{
-    MetricWindow w(f);
-    for (int t = 0; t < f.history; ++t)
-        w.Push(MakeObs(f, t, rps, 2.0, 0.6, p99));
-    return w;
-}
-
-std::vector<std::vector<double>>
-MakeCandidates(const FeatureConfig& f, int n)
-{
-    std::vector<std::vector<double>> cands;
-    for (int i = 0; i < n; ++i) {
-        std::vector<double> a(static_cast<size_t>(f.n_tiers));
-        for (int j = 0; j < f.n_tiers; ++j)
-            a[static_cast<size_t>(j)] = 0.4 + 0.13 * ((i + j) % 17);
-        cands.push_back(std::move(a));
-    }
-    return cands;
 }
 
 void

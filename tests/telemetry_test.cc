@@ -153,6 +153,30 @@ TEST_F(TelemetryFixture, EscalatedFallbackIsDistinguished)
     EXPECT_EQ(metrics.Counter("sinan.scheduler.trust_lost"), 1u);
 }
 
+TEST(CandidateTrace, RowWritesKeepTheFieldsInItsTailPadding)
+{
+    // kind and outcome live in the PercentileRow's tail padding
+    // ([[no_unique_address]]); assigning the row must not clobber them.
+    CandidateTrace ct;
+    ct.kind = ActionKind::kScaleUpVictims;
+    ct.outcome = CandidateOutcome::kRejectedUncertaintyStep;
+    ct.total_cpu = 12.5;
+    ct.p_violation = 0.25;
+    Prediction p;
+    p.latency_ms = {1.0, 2.0, 3.0, 4.0, 5.0};
+    ct.latency_ms = p.latency_ms;
+    ct.latency_ms.resize(PercentileRow::kCapacity);
+    EXPECT_EQ(ct.kind, ActionKind::kScaleUpVictims);
+    EXPECT_EQ(ct.outcome, CandidateOutcome::kRejectedUncertaintyStep);
+    EXPECT_EQ(ct.total_cpu, 12.5);
+    EXPECT_EQ(ct.p_violation, 0.25);
+    EXPECT_EQ(ct.P99(), 5.0);
+    const CandidateTrace copy = ct;
+    EXPECT_EQ(copy.kind, ActionKind::kScaleUpVictims);
+    EXPECT_EQ(copy.outcome, CandidateOutcome::kRejectedUncertaintyStep);
+    EXPECT_EQ(copy.latency_ms, p.latency_ms);
+}
+
 TEST_F(TelemetryFixture, ModelDecisionTracesEveryCandidateWithOutcome)
 {
     SinanScheduler sched(*model_, SchedulerConfig{});

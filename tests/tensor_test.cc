@@ -293,17 +293,34 @@ ExpectSimdScalarParity(const Tensor& a, const Tensor& b, int m, int n)
 TEST(MatMulParity, SimdBitIdenticalToScalar)
 {
     Rng rng(31);
-    // Sizes chosen to exercise every kernel tier: 4-row blocks with
-    // 16/8-wide column panels, the 1-row 64-wide panel (m covers a
-    // remainder row), and the scalar column tail (n % 8 != 0).
+    // Every kernel tier: 4-row blocks with 16/8-wide and masked-tail
+    // column panels, and 1-row panels of every width class (64-wide
+    // blocks, register-resident 8..56-wide remainders, the masked
+    // n % 8 tail) — m covers remainder rows, n every tail width.
+    for (int m = 1; m <= 9; ++m) {
+        for (int n = 1; n <= 70; ++n) {
+            for (const int k : {1, 3, 17}) {
+                SCOPED_TRACE(testing::Message()
+                             << m << "x" << k << "x" << n);
+                const Tensor a = Tensor::Randn({m, k}, rng);
+                const Tensor b = Tensor::Randn({k, n}, rng);
+                ExpectSimdScalarParity(a, b, m, n);
+            }
+        }
+    }
+    // The models' real products (social network, 28 tiers).
     const struct {
         int m, k, n;
     } shapes[] = {
-        {1, 1120, 48},  // the rh_fc dense shape: single row, wide k
-        {67, 33, 41},   // odd everything: every tail path
+        {1, 1120, 48},  // rh_fc: single row, wide k
+        {1, 25, 24},    // lh_fc
+        {96, 28, 24},   // rc_fc over a full candidate batch
+        {96, 96, 32},   // fc_latent
+        {96, 32, 5},    // fc_out: the whole product is the masked tail
+        {8, 54, 140},   // conv im2col (oc x ckk x hw): a 4-column tail
+        {8, 72, 140},
+        {67, 33, 41},   // odd everything
         {4, 16, 64},    // exact 4x16 panels, then exact 1x64
-        {5, 7, 3},      // below every vector width
-        {8, 54, 140},   // the conv1 im2col shape (oc x ckk x hw)
     };
     for (const auto& s : shapes) {
         SCOPED_TRACE(testing::Message()

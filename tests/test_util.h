@@ -2,7 +2,8 @@
  * @file
  * Shared helpers for model-level tests: synthetic interval observations
  * and datasets with a known latency law, so learning tests can assert
- * that models recover it.
+ * that models recover it, plus the windows, candidate sets and
+ * thread-count guard the inference tests share.
  */
 #ifndef SINAN_TESTS_TEST_UTIL_H
 #define SINAN_TESTS_TEST_UTIL_H
@@ -10,6 +11,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "models/features.h"
 
 namespace sinan {
@@ -53,6 +55,40 @@ MakeObs(const FeatureConfig& f, double time_s, double rps, double cpu_limit,
                       p99_ms * 0.95, p99_ms};
     return obs;
 }
+
+/** A full window of identical observations at @p rps and @p p99. */
+inline MetricWindow
+MakeWindow(const FeatureConfig& f, double rps, double p99)
+{
+    MetricWindow w(f);
+    for (int t = 0; t < f.history; ++t)
+        w.Push(MakeObs(f, t, rps, 2.0, 0.6, p99));
+    return w;
+}
+
+/** Candidate allocations with per-candidate and per-tier variation. */
+inline std::vector<std::vector<double>>
+MakeCandidates(const FeatureConfig& f, int n)
+{
+    std::vector<std::vector<double>> cands;
+    for (int i = 0; i < n; ++i) {
+        std::vector<double> a(static_cast<size_t>(f.n_tiers));
+        for (int j = 0; j < f.n_tiers; ++j)
+            a[static_cast<size_t>(j)] = 0.4 + 0.13 * ((i + j) % 17);
+        cands.push_back(std::move(a));
+    }
+    return cands;
+}
+
+/** Restores the entry thread count on scope exit. */
+class ThreadGuard {
+  public:
+    ThreadGuard() : saved_(NumThreads()) {}
+    ~ThreadGuard() { SetNumThreads(saved_); }
+
+  private:
+    int saved_;
+};
 
 /** The synthetic queueing law: fine above the boundary, exploding below
  *  it. lat > 500 ms iff ratio < ~0.45. */
