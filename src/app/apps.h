@@ -42,8 +42,9 @@ Application BuildSocialNetwork(const SocialOptions& opts = {});
 
 /**
  * Overrides the request-type mix weights. @p weights must have one entry
- * per request type, in Application::request_types order. Used for the
- * W0..W3 mixes of Sec. 5.5.
+ * per request type, in Application::request_types order, each finite
+ * and >= 0, not all zero; otherwise it throws std::invalid_argument and
+ * leaves @p app unchanged. Used for the W0..W3 mixes of Sec. 5.5.
  */
 void SetRequestMix(Application& app, const std::vector<double>& weights);
 

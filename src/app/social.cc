@@ -1,5 +1,6 @@
 #include "app/apps.h"
 
+#include <cmath>
 #include <stdexcept>
 
 namespace sinan {
@@ -210,11 +211,17 @@ SetRequestMix(Application& app, const std::vector<double>& weights)
 {
     if (weights.size() != app.request_types.size())
         throw std::invalid_argument("SetRequestMix: weight count mismatch");
-    for (size_t i = 0; i < weights.size(); ++i) {
-        if (weights[i] < 0.0)
-            throw std::invalid_argument("SetRequestMix: negative weight");
-        app.request_types[i].weight = weights[i];
+    double total = 0.0;
+    for (const double w : weights) {
+        if (!std::isfinite(w) || w < 0.0)
+            throw std::invalid_argument(
+                "SetRequestMix: weights must be finite and >= 0");
+        total += w;
     }
+    if (total <= 0.0)
+        throw std::invalid_argument("SetRequestMix: all weights are zero");
+    for (size_t i = 0; i < weights.size(); ++i)
+        app.request_types[i].weight = weights[i];
 }
 
 std::vector<std::vector<double>>

@@ -1,14 +1,13 @@
 #include "cli/sim_cli.h"
 
-#include <cctype>
-#include <cerrno>
-#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <stdexcept>
+#include <type_traits>
 
 #include "app/apps.h"
+#include "common/parse.h"
 #include "common/thread_pool.h"
 #include "fleet/fleet_log.h"
 #include "harness/harness.h"
@@ -17,64 +16,27 @@ namespace sinan {
 
 namespace {
 
-/** Strict numeric parsers: the whole argument must be consumed, the
- *  digits must start immediately (strto* skip leading whitespace and
- *  accept a '+' sign, which the strict convention rejects — a quoted
- *  " 5" or a stray '+' is a scripting bug, not a number), and
- *  out-of-range values must not saturate silently. (std::atof-style
- *  parsing turned typos like `--users 2oo` into 2 — or 0 — and
- *  silently ran the wrong experiment.) */
-bool
-LaxNumericPrefix(const std::string& v)
+/** Exits 2: "<flag> expects <what>, got '<v>'". */
+[[noreturn]] void
+BadValue(const std::string& flag, const std::string& what,
+         const std::string& v)
 {
-    return !v.empty() &&
-           (std::isspace(static_cast<unsigned char>(v[0])) ||
-            v[0] == '+');
+    SimUsage((flag + " expects " + what + ", got '" + v + "'").c_str());
 }
 
-double
-ParseDoubleArg(const char* flag, const std::string& v)
+/** One numeric flag value through the strict parser
+ *  (common/parse.h); anything it rejects exits 2 naming the flag. */
+template <typename T>
+T
+ParseArg(const char* flag, const std::string& v)
 {
-    char* end = nullptr;
-    errno = 0;
-    const double out = std::strtod(v.c_str(), &end);
-    if (v.empty() || LaxNumericPrefix(v) ||
-        end != v.c_str() + v.size() || errno == ERANGE)
-        SimUsage((std::string(flag) + " expects a number, got '" + v +
-                  "'")
-                     .c_str());
-    return out;
-}
-
-int
-ParseIntArg(const char* flag, const std::string& v)
-{
-    char* end = nullptr;
-    errno = 0;
-    const long out = std::strtol(v.c_str(), &end, 10);
-    if (v.empty() || LaxNumericPrefix(v) ||
-        end != v.c_str() + v.size() || errno == ERANGE ||
-        out < INT_MIN || out > INT_MAX)
-        SimUsage((std::string(flag) + " expects an integer, got '" + v +
-                  "'")
-                     .c_str());
-    return static_cast<int>(out);
-}
-
-uint64_t
-ParseU64Arg(const char* flag, const std::string& v)
-{
-    char* end = nullptr;
-    errno = 0;
-    const unsigned long long out = std::strtoull(v.c_str(), &end, 10);
-    // strtoull silently wraps negatives and clamps overflow to
-    // ULLONG_MAX (with errno == ERANGE); the strict convention rejects
-    // both, along with the leading whitespace/'+' it would tolerate.
-    if (v.empty() || v[0] == '-' || LaxNumericPrefix(v) ||
-        end != v.c_str() + v.size() || errno == ERANGE)
-        SimUsage((std::string(flag) +
-                  " expects an unsigned integer, got '" + v + "'")
-                     .c_str());
+    T out{};
+    if (ParseNumber(v, &out) != ParseStatus::kOk)
+        BadValue(flag,
+                 std::is_floating_point_v<T> ? "a number"
+                 : std::is_unsigned_v<T>     ? "an unsigned integer"
+                                             : "an integer",
+                 v);
     return out;
 }
 
@@ -83,60 +45,6 @@ ListChaosScenarios()
 {
     std::fputs(FormatChaosCatalog().c_str(), stdout);
     std::exit(0);
-}
-
-/**
- * Strict `--uncertainty` parser: "off" keeps the binary ladder;
- * otherwise a comma-separated `margin=F,floor=F,decay=F` list (any
- * subset, unknown keys rejected) enables the graded policy. Every
- * value must parse as a number in [0, 1] — same exit-2 contract as
- * --faults.
- */
-UncertaintyConfig
-ParseUncertaintyArg(const std::string& v)
-{
-    UncertaintyConfig cfg;
-    if (v == "off")
-        return cfg;
-    if (v.empty())
-        SimUsage("--uncertainty expects 'off' or "
-                 "margin=F,floor=F,decay=F");
-    cfg.enabled = true;
-    size_t pos = 0;
-    for (;;) {
-        const size_t comma = v.find(',', pos);
-        const std::string item =
-            comma == std::string::npos ? v.substr(pos)
-                                       : v.substr(pos, comma - pos);
-        const size_t eq = item.find('=');
-        if (eq == std::string::npos || eq == 0 ||
-            eq + 1 >= item.size())
-            SimUsage(("--uncertainty expects 'off' or "
-                      "margin=F,floor=F,decay=F, got '" +
-                      v + "'")
-                         .c_str());
-        const std::string key = item.substr(0, eq);
-        const std::string val = item.substr(eq + 1);
-        double* field = nullptr;
-        if (key == "margin")
-            field = &cfg.margin_frac;
-        else if (key == "floor")
-            field = &cfg.floor;
-        else if (key == "decay")
-            field = &cfg.decay;
-        else
-            SimUsage(("--uncertainty: unknown key '" + key +
-                      "' (expected margin, floor, or decay)")
-                         .c_str());
-        *field = ParseDoubleArg(("--uncertainty " + key).c_str(), val);
-        if (*field < 0.0 || *field > 1.0)
-            SimUsage(("--uncertainty " + key + " must be in [0, 1]")
-                         .c_str());
-        if (comma == std::string::npos)
-            break;
-        pos = comma + 1;
-    }
-    return cfg;
 }
 
 } // namespace
@@ -192,7 +100,7 @@ SimUsage(const char* msg)
         "                 [--simd on|off|auto] [--quant off|int8]\n"
         "                 [--decision-log FILE] [--metrics FILE]\n"
         "                 [--faults SPEC]\n"
-        "                 [--uncertainty off|margin=F,floor=F,decay=F]\n"
+        "                 [--uncertainty on|off]\n"
         "                 [--fleet N] [--fleet-shard K:key=val[,...]]\n"
         "                 [--fleet-log FILE] [--fleet-report FILE]\n"
         "\n"
@@ -202,11 +110,14 @@ SimUsage(const char* msg)
         "  scenario 'chaos:NAME', or 'list' to print the scenario\n"
         "  catalog and exit.\n"
         "\n"
-        "  --uncertainty grades telemetry confidence per tier and\n"
-        "  scales the sinan scheduler's caution with it (off keeps the\n"
-        "  binary fresh/degraded ladder; any of margin, floor, decay\n"
-        "  may be set, each in [0, 1]). Applies to the sinan manager in\n"
-        "  single-run and fleet mode alike.\n"
+        "  --uncertainty on grades telemetry confidence per tier and\n"
+        "  scales the sinan scheduler's caution with it; off (default)\n"
+        "  keeps the binary fresh/degraded ladder. Applies to the sinan\n"
+        "  manager in single-run and fleet mode alike.\n"
+        "\n"
+        "  Numbers take no '+' sign, no blanks and no nan or inf.\n"
+        "  --warmup must be shorter than --duration; --threads takes\n"
+        "  1 to 256 (so does the SINAN_THREADS variable).\n"
         "\n"
         "  --quant int8 runs the sinan scheduler's model inference on\n"
         "  the calibrated int8 path (faster, separately validated for\n"
@@ -256,44 +167,31 @@ ParseSimArgs(int argc, const char* const* argv)
             opt.manager = need(i++);
             opt.manager_set = true;
         } else if (a == "--users") {
-            opt.users = ParseDoubleArg("--users", need(i++));
+            opt.users = ParseArg<double>("--users", need(i++));
             opt.users_set = true;
         } else if (a == "--diurnal") {
             opt.diurnal = true;
-            const std::string v = need(i++);
-            char lo[64], hi[64], period[64];
-            if (std::sscanf(v.c_str(), "%63[^:]:%63[^:]:%63s", lo, hi,
-                            period) != 3) {
+            const std::vector<std::string> f =
+                SplitFields(need(i++), ':');
+            if (f.size() != 3)
                 SimUsage("--diurnal expects LO:HI:PERIOD");
-            }
-            opt.diurnal_low = ParseDoubleArg("--diurnal LO", lo);
-            opt.diurnal_high = ParseDoubleArg("--diurnal HI", hi);
+            opt.diurnal_low = ParseArg<double>("--diurnal LO", f[0]);
+            opt.diurnal_high = ParseArg<double>("--diurnal HI", f[1]);
             opt.diurnal_period =
-                ParseDoubleArg("--diurnal PERIOD", period);
+                ParseArg<double>("--diurnal PERIOD", f[2]);
         } else if (a == "--duration") {
-            opt.duration_s = ParseDoubleArg("--duration", need(i++));
+            opt.duration_s = ParseArg<double>("--duration", need(i++));
         } else if (a == "--warmup") {
-            opt.warmup_s = ParseDoubleArg("--warmup", need(i++));
+            opt.warmup_s = ParseArg<double>("--warmup", need(i++));
         } else if (a == "--seed") {
-            opt.seed = ParseU64Arg("--seed", need(i++));
+            opt.seed = ParseArg<uint64_t>("--seed", need(i++));
         } else if (a == "--collect") {
-            opt.collect_s = ParseDoubleArg("--collect", need(i++));
+            opt.collect_s = ParseArg<double>("--collect", need(i++));
         } else if (a == "--epochs") {
-            opt.epochs = ParseIntArg("--epochs", need(i++));
+            opt.epochs = ParseArg<int>("--epochs", need(i++));
         } else if (a == "--mix") {
-            const std::string v = need(i++);
-            const char* p = v.c_str();
-            char* end = nullptr;
-            while (*p) {
-                const double w = std::strtod(p, &end);
-                if (end == p)
-                    SimUsage(("--mix expects numbers, got '" + v + "'")
-                                 .c_str());
-                opt.mix_weights.push_back(w);
-                p = *end == ',' ? end + 1 : end;
-            }
-            if (opt.mix_weights.empty())
-                SimUsage("--mix expects at least one weight");
+            for (const std::string& w : SplitFields(need(i++), ','))
+                opt.mix_weights.push_back(ParseArg<double>("--mix", w));
         } else if (a == "--log") {
             opt.log_path = need(i++);
         } else if (a == "--decision-log") {
@@ -301,21 +199,20 @@ ParseSimArgs(int argc, const char* const* argv)
         } else if (a == "--metrics") {
             opt.metrics_path = need(i++);
         } else if (a == "--threads") {
-            opt.threads = ParseIntArg("--threads", need(i++));
-            if (opt.threads < 0)
-                SimUsage("--threads must be >= 0");
+            const std::string v = need(i++);
+            if (!ParseThreadCount(v, &opt.threads))
+                BadValue(a,
+                         "an integer in [1, " +
+                             std::to_string(kMaxThreads) + "]",
+                         v);
         } else if (a == "--simd") {
             const std::string v = need(i++);
             if (!ParseSimdMode(v.c_str(), &opt.simd))
-                SimUsage(("--simd expects on, off, or auto, got '" + v +
-                          "'")
-                             .c_str());
+                BadValue(a, "on, off, or auto", v);
         } else if (a == "--quant") {
             const std::string v = need(i++);
             if (!ParseQuantMode(v.c_str(), &opt.quant))
-                SimUsage(("--quant expects off or int8, got '" + v +
-                          "'")
-                             .c_str());
+                BadValue(a, "off or int8", v);
         } else if (a == "--faults") {
             const std::string spec = need(i++);
             if (spec == "list")
@@ -327,10 +224,12 @@ ParseSimArgs(int argc, const char* const* argv)
                 SimUsage(e.what());
             }
         } else if (a == "--uncertainty") {
-            opt.uncertainty = ParseUncertaintyArg(need(i++));
-            opt.uncertainty_set = true;
+            const std::string v = need(i++);
+            if (v != "on" && v != "off")
+                BadValue(a, "on or off", v);
+            opt.uncertainty.enabled = v == "on";
         } else if (a == "--fleet") {
-            opt.fleet = ParseIntArg("--fleet", need(i++));
+            opt.fleet = ParseArg<int>("--fleet", need(i++));
             if (opt.fleet < 1)
                 SimUsage("--fleet must be >= 1");
         } else if (a == "--fleet-shard") {
@@ -364,6 +263,8 @@ ParseSimArgs(int argc, const char* const* argv)
         SimUsage("--diurnal expects 0 < LO <= HI and PERIOD > 0");
     if (opt.warmup_s < 0)
         SimUsage("--warmup must be >= 0");
+    if (opt.warmup_s >= opt.duration_s)
+        SimUsage("--warmup must be shorter than --duration");
     if (opt.epochs <= 0)
         SimUsage("--epochs must be > 0");
     if (opt.collect_s <= 0)

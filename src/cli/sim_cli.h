@@ -53,7 +53,8 @@ struct SimOptions {
     /** Decision-trace / metrics output (".json" selects JSON). */
     std::string decision_log_path;
     std::string metrics_path;
-    /** 0 = keep the default (SINAN_THREADS or hardware concurrency). */
+    /** 0 = keep the default (SINAN_THREADS or hardware concurrency);
+     *  --threads sets 1..kMaxThreads. */
     int threads = 0;
     /** Microkernel dispatch override (--simd on|off|auto); applied via
      *  SetSimdMode() once the whole argv has validated. */
@@ -66,10 +67,10 @@ struct SimOptions {
     /** Fault-injection schedule (see sim/fault_injector.h). */
     FaultSchedule faults;
     bool faults_set = false;
-    /** Uncertainty-aware scheduling (--uncertainty; default off, which
-     *  reproduces the binary fresh/degraded ladder byte-for-byte). */
+    /** Uncertainty-aware scheduling (--uncertainty on|off; default
+     *  off, which reproduces the binary fresh/degraded ladder
+     *  byte-for-byte). */
     UncertaintyConfig uncertainty;
-    bool uncertainty_set = false;
 
     /** Fleet mode: number of clusters (0 = single-cluster mode). */
     int fleet = 0;

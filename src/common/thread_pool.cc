@@ -7,6 +7,8 @@
 #include <memory>
 #include <stdexcept>
 
+#include "common/parse.h"
+
 namespace sinan {
 
 namespace {
@@ -18,11 +20,10 @@ thread_local int tl_parallel_depth = 0;
 int
 DefaultNumThreads()
 {
-    if (const char* env = std::getenv("SINAN_THREADS")) {
-        const int n = std::atoi(env);
-        if (n > 0)
-            return n;
-    }
+    int n = 0;
+    if (const char* env = std::getenv("SINAN_THREADS");
+        env != nullptr && ParseThreadCount(env, &n))
+        return n;
     const unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? static_cast<int>(hw) : 1;
 }
@@ -31,6 +32,17 @@ std::mutex g_pool_mu;
 std::unique_ptr<ThreadPool> g_pool;
 
 } // namespace
+
+bool
+ParseThreadCount(const std::string& text, int* out)
+{
+    int n = 0;
+    if (ParseNumber(text, &n) != ParseStatus::kOk || n < 1 ||
+        n > kMaxThreads)
+        return false;
+    *out = n;
+    return true;
+}
 
 ThreadPool::ThreadPool(int n_threads) : n_threads_(std::max(1, n_threads))
 {

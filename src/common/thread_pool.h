@@ -20,9 +20,10 @@
  *      the pool coarse blocks, so queue contention is negligible.
  *
  * The global pool size defaults to std::thread::hardware_concurrency(),
- * can be pinned with the SINAN_THREADS environment variable, and can be
- * changed at runtime with SetNumThreads() (e.g. the sinan_sim --threads
- * flag and the thread-sweep benchmarks).
+ * can be pinned with the SINAN_THREADS environment variable (a value
+ * ParseThreadCount rejects is ignored), and can be changed at runtime
+ * with SetNumThreads() (e.g. the sinan_sim --threads flag and the
+ * thread-sweep benchmarks).
  */
 #ifndef SINAN_COMMON_THREAD_POOL_H
 #define SINAN_COMMON_THREAD_POOL_H
@@ -32,6 +33,7 @@
 #include <deque>
 #include <functional>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -69,6 +71,13 @@ class ThreadPool {
     bool stop_ = false;
     std::vector<std::thread> workers_;
 };
+
+/** Largest pool size accepted from text (--threads, SINAN_THREADS). */
+inline constexpr int kMaxThreads = 256;
+
+/** Parses an integer in [1, kMaxThreads] (common/parse.h contract);
+ *  false, leaving @p out untouched, for anything else. */
+bool ParseThreadCount(const std::string& text, int* out);
 
 /** The process-wide pool used by ParallelFor (created on first use). */
 ThreadPool& GlobalPool();

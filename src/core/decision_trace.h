@@ -180,8 +180,8 @@ struct DecisionTraceEntry {
      *  0 on the binary degraded ladder. */
     double confidence = 1.0;
     /** Extra latency margin (ms) the uncertainty policy derived for
-     *  this interval (margin_frac * QoS * (1 - confidence)); 0 outside
-     *  the uncertainty-aware path. */
+     *  this interval (SinanScheduler::kUncertaintyMarginFrac * QoS *
+     *  (1 - confidence)); 0 outside the uncertainty-aware path. */
     double uncertainty_margin_ms = 0.0;
     /** Per-tier confidence vector; empty when no per-tier assessment
      *  ran (fresh path, or uncertainty policy disabled). */

@@ -265,7 +265,7 @@ SinanScheduler::Decide(const IntervalObservation& obs,
     // blind: the degradation ladder on the last-known-good picture.
     TelemetryAssessment assess;
     if (cfg_.uncertainty.enabled) {
-        assess = guard_.Assess(obs, cfg_.uncertainty.decay);
+        assess = guard_.Assess(obs, kStaleDecay);
     } else {
         assess.health = guard_.Classify(obs);
         assess.latency_fresh = assess.health == TelemetryHealth::kFresh;
@@ -273,7 +273,7 @@ SinanScheduler::Decide(const IntervalObservation& obs,
     }
     const bool fresh = assess.health == TelemetryHealth::kFresh;
     const bool graded = !fresh && cfg_.uncertainty.enabled &&
-                        assess.confidence >= cfg_.uncertainty.floor &&
+                        assess.confidence >= kConfidenceFloor &&
                         assess.confidence > 0.0 && guard_.HasLastGood() &&
                         window_.Ready();
     const bool blind = !fresh && !graded;
@@ -304,15 +304,15 @@ SinanScheduler::Decide(const IntervalObservation& obs,
     const bool latency_trusted = !blind && assess.latency_fresh;
     // Consecutive degraded intervals including this one; the guard
     // advances at commit, so a run of graded intervals keeps decaying
-    // stale confidence until the ladder takes over.
+    // stale confidence until the ladder or the watchdog takes over.
     const int silent = fresh ? 0 : guard_.SilentIntervals() + 1;
     // The uncertainty margins widen only the graded filter: the blind
     // ladder keeps the fresh margins and rejects every reclaim instead.
-    const double umargin = graded ? cfg_.uncertainty.margin_frac * qos *
+    const double umargin = graded ? kUncertaintyMarginFrac * qos *
                                         (1.0 - assess.confidence)
                                   : 0.0;
     const double pv_widen =
-        graded ? cfg_.uncertainty.margin_frac * (1.0 - assess.confidence)
+        graded ? kUncertaintyMarginFrac * (1.0 - assess.confidence)
                : 0.0;
 
     // Trust bookkeeping runs on fresh intervals only (predictions made

@@ -34,39 +34,16 @@
 namespace sinan {
 
 /**
- * Graded telemetry-confidence policy (the ROADMAP's
- * telemetry-uncertainty-aware scheduling). Disabled by default: the
- * binary fresh/degraded ladder stays the baseline behaviour, and
- * `--uncertainty=off` maps to enabled=false, so every pre-existing
- * decision sequence is reproduced bit-for-bit unless a run opts in.
- *
- * When enabled, Decide() grades each observation with
- * TelemetryGuard::Assess and, for confidence in [floor, 1):
- *  - widens the latency filter by margin_frac * QoS * (1 - confidence)
- *    and the violation-probability thresholds by
- *    margin_frac * (1 - confidence),
- *  - caps the per-interval CPU reclaim at confidence times the largest
- *    step-down on offer (aggressiveness proportional to confidence),
- *  - repairs zero-confidence tiers from the last-known-good picture.
- * Below the floor (or without a full window or a last-known-good
- * picture) the interval is decided blind, by the degradation ladder.
- * The ladder is a mode of its own, not the zero-confidence limit of
- * the formulas above: it adds no uncertainty margin and no p_V
- * widening, and rejects every scale-down outright. With the policy
- * off every non-fresh interval is blind, so the switch changes
- * decisions (a stale frame at confidence 0.6 is graded only when on).
+ * Switch for the graded telemetry-confidence policy (DESIGN.md §5j;
+ * its numbers are the SinanScheduler::kUncertaintyMarginFrac,
+ * kConfidenceFloor and kStaleDecay constants). Off by default, which
+ * reproduces the binary fresh/degraded ladder bit for bit. The ladder
+ * is not the zero-confidence limit of the graded policy, so the switch
+ * changes decisions: a stale frame at confidence 0.6 is graded only
+ * when on.
  */
 struct UncertaintyConfig {
     bool enabled = false;
-    /** Extra margin at zero confidence, as a fraction of QoS (latency
-     *  filter) and as an absolute probability widening (p_d / p_u). */
-    double margin_frac = 0.15;
-    /** Confidence floor below which the binary ladder handles the
-     *  interval (degraded model / heuristic / hold / watchdog). */
-    double floor = 0.35;
-    /** Per-silent-interval staleness decay: an observation stale by k
-     *  intervals has confidence decay^k. */
-    double decay = 0.6;
 };
 
 /** Per-run options; the policy is the SinanScheduler constants. */
@@ -131,6 +108,22 @@ class SinanScheduler : public ResourceManager {
      *  resort against load shifting under a frozen allocation while
      *  the manager is blind. */
     static constexpr int kWatchdogSilentAfter = 3;
+
+    // ---- graded-confidence policy (UncertaintyConfig::enabled) -------
+    // For confidence c in [kConfidenceFloor, 1) Decide() repairs the
+    // zero-confidence tiers from the last good picture, widens the
+    // latency filter by kUncertaintyMarginFrac * QoS * (1 - c) and the
+    // p_d / p_u thresholds by kUncertaintyMarginFrac * (1 - c), and caps
+    // the reclaim at c times the largest step-down on offer. Below the
+    // floor (or without a full window or a last good picture) the blind
+    // ladder decides: no extra margin, no p_V widening, every
+    // scale-down rejected.
+    static constexpr double kUncertaintyMarginFrac = 0.15;
+    static constexpr double kConfidenceFloor = 0.35;
+    /** A frame stale by k intervals has confidence kStaleDecay^k: a
+     *  stale-only run grades 0.6, then 0.36, and the watchdog takes the
+     *  third silent interval, so decay alone never reaches the ladder. */
+    static constexpr double kStaleDecay = 0.6;
 
     /**
      * @param model trained hybrid model (not owned; must outlive this).

@@ -1,10 +1,8 @@
 #include "fleet/fleet.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 #include <mutex>
 #include <set>
@@ -13,6 +11,7 @@
 #include "baselines/autoscale.h"
 #include "baselines/powerchief.h"
 #include "common/check.h"
+#include "common/parse.h"
 #include "common/thread_pool.h"
 #include "core/scheduler.h"
 
@@ -71,36 +70,20 @@ BadOverride(const std::string& what, const std::string& text)
                                 text + "'");
 }
 
-/** Full-consumption strtod; rejects trailing garbage and values
- *  strtod reports out of range. */
-double
-ParseOverrideDouble(const std::string& value, const std::string& text)
+/** An integer override value through the strict parser
+ *  (common/parse.h), named @p what in the error. */
+template <typename T>
+T
+OverrideInteger(const std::string& value, const std::string& what,
+                const std::string& text)
 {
-    if (value.empty())
-        BadOverride("empty number", text);
-    char* end = nullptr;
-    errno = 0;
-    const double parsed = std::strtod(value.c_str(), &end);
-    if (end != value.c_str() + value.size() || !std::isfinite(parsed) ||
-        errno == ERANGE)
-        BadOverride("bad number '" + value + "'", text);
-    return parsed;
-}
-
-/** Digits-only strtoull; rejects values above 2^64-1, which strtoull
- *  would saturate. */
-uint64_t
-ParseOverrideU64(const std::string& value, const std::string& text)
-{
-    if (value.empty() ||
-        value.find_first_not_of("0123456789") != std::string::npos)
-        BadOverride("bad seed '" + value + "'", text);
-    errno = 0;
-    const unsigned long long parsed =
-        std::strtoull(value.c_str(), nullptr, 10);
-    if (errno == ERANGE)
-        BadOverride("seed '" + value + "' out of range", text);
-    return parsed;
+    T v{};
+    const ParseStatus s = ParseNumber(value, &v);
+    if (s == ParseStatus::kOutOfRange)
+        BadOverride(what + " '" + value + "' out of range", text);
+    if (s != ParseStatus::kOk)
+        BadOverride("bad " + what + " '" + value + "'", text);
+    return v;
 }
 
 /** Nearest-rank percentile of an unsorted sample (q in [0,1]). */
@@ -139,12 +122,9 @@ ParseShardOverride(const std::string& text)
     if (colon == std::string::npos)
         BadOverride("expected 'INDEX:key=val[,...]'", text);
     const std::string idx = text.substr(0, colon);
-    if (idx.empty() ||
-        idx.find_first_not_of("0123456789") != std::string::npos)
-        BadOverride("bad shard index '" + idx + "'", text);
-    errno = 0;
-    const long long index = std::strtoll(idx.c_str(), nullptr, 10);
-    if (errno == ERANGE || index > std::numeric_limits<int>::max())
+    const uint64_t index =
+        OverrideInteger<uint64_t>(idx, "shard index", text);
+    if (index > static_cast<uint64_t>(std::numeric_limits<int>::max()))
         BadOverride("shard index '" + idx + "' out of range", text);
     ov.index = static_cast<int>(index);
 
@@ -177,11 +157,12 @@ ParseShardOverride(const std::string& text)
                 BadOverride("unknown manager '" + value + "'", text);
             ov.manager = value;
         } else if (key == "users") {
-            ov.users = ParseOverrideDouble(value, text);
+            if (ParseNumber(value, &ov.users) != ParseStatus::kOk)
+                BadOverride("bad number '" + value + "'", text);
             if (ov.users <= 0.0)
                 BadOverride("users must be > 0", text);
         } else if (key == "seed") {
-            ov.seed = ParseOverrideU64(value, text);
+            ov.seed = OverrideInteger<uint64_t>(value, "seed", text);
             if (ov.seed == 0)
                 BadOverride("seed must be > 0", text);
         } else {

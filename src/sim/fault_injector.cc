@@ -1,12 +1,14 @@
 #include "sim/fault_injector.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
 #include <stdexcept>
+#include <type_traits>
+
+#include "common/parse.h"
 
 namespace sinan {
 
@@ -29,38 +31,31 @@ Bad(const std::string& what, const std::string& text)
                                 text + "'");
 }
 
-/** Full-consumption strtoll; rejects empty cells, trailing junk and
- *  values outside long long (which strtoll would saturate). */
-int64_t
-ParseInt(const std::string& s, const std::string& ctx)
+/**
+ * One numeric cell through the strict parser (common/parse.h). The
+ * grammar allows blanks around its tokens, so the cell is trimmed
+ * first. @p field names a double cell in the non-finite error.
+ */
+template <typename T>
+T
+Number(const std::string& cell, const std::string& ctx,
+       const char* field = "number")
 {
-    const std::string t = Trim(s);
-    if (t.empty())
-        Bad("empty number", ctx);
-    char* end = nullptr;
-    errno = 0;
-    const long long v = std::strtoll(t.c_str(), &end, 10);
-    if (end != t.c_str() + t.size())
-        Bad("bad integer '" + t + "'", ctx);
-    if (errno == ERANGE)
-        Bad("integer '" + t + "' out of range", ctx);
-    return static_cast<int64_t>(v);
-}
-
-double
-ParseDouble(const std::string& s, const std::string& ctx)
-{
-    const std::string t = Trim(s);
-    if (t.empty())
-        Bad("empty number", ctx);
-    char* end = nullptr;
-    errno = 0;
-    const double v = std::strtod(t.c_str(), &end);
-    if (end != t.c_str() + t.size())
-        Bad("bad number '" + t + "'", ctx);
-    if (errno == ERANGE)
-        Bad("number '" + t + "' out of range", ctx);
-    return v;
+    const std::string t = Trim(cell);
+    const std::string noun =
+        std::is_integral_v<T> ? "integer" : "number";
+    T v{};
+    switch (ParseNumber(t, &v)) {
+    case ParseStatus::kOk:
+        return v;
+    case ParseStatus::kOutOfRange:
+        Bad(noun + " '" + t + "' out of range", ctx);
+    case ParseStatus::kNonFinite:
+        Bad(std::string(field) + " must be finite", ctx);
+    case ParseStatus::kMalformed:
+        break;
+    }
+    Bad(t.empty() ? "empty number" : "bad " + noun + " '" + t + "'", ctx);
 }
 
 FaultKind
@@ -121,23 +116,18 @@ ParseEvent(const std::string& text)
     }
     const size_t plus = rest.find('+');
     if (plus != std::string::npos) {
-        ev.start = ParseInt(rest.substr(0, plus), t);
-        ev.duration = ParseInt(rest.substr(plus + 1), t);
+        ev.start = Number<int64_t>(rest.substr(0, plus), t);
+        ev.duration = Number<int64_t>(rest.substr(plus + 1), t);
     } else {
-        ev.start = ParseInt(rest, t);
+        ev.start = Number<int64_t>(rest, t);
     }
     if (ev.start < 0)
         Bad("start must be >= 0", t);
     if (ev.duration < 1)
         Bad("duration must be >= 1", t);
 
-    size_t pos = 0;
-    while (pos < params.size()) {
-        size_t comma = params.find(',', pos);
-        if (comma == std::string::npos)
-            comma = params.size();
-        const std::string p = Trim(params.substr(pos, comma - pos));
-        pos = comma + 1;
+    for (const std::string& field : SplitFields(params, ',')) {
+        const std::string p = Trim(field);
         if (p.empty())
             continue;
         const size_t eq = p.find('=');
@@ -146,7 +136,7 @@ ParseEvent(const std::string& text)
         const std::string key = Trim(p.substr(0, eq));
         const std::string val = p.substr(eq + 1);
         if (key == "tier") {
-            const int64_t tier = ParseInt(val, t);
+            const int64_t tier = Number<int64_t>(val, t);
             if (tier < -1 ||
                 tier > std::numeric_limits<int>::max())
                 Bad("tier out of range", t);
@@ -157,22 +147,20 @@ ParseEvent(const std::string& text)
             const size_t dash = range.find('-');
             if (dash == std::string::npos || dash == 0)
                 Bad("tiers needs a 'lo-hi' range", t);
-            const int64_t lo = ParseInt(range.substr(0, dash), t);
-            const int64_t hi = ParseInt(range.substr(dash + 1), t);
+            const int64_t lo = Number<int64_t>(range.substr(0, dash), t);
+            const int64_t hi = Number<int64_t>(range.substr(dash + 1), t);
             if (lo < 0 || hi < lo ||
                 hi > std::numeric_limits<int>::max())
                 Bad("tiers range must satisfy 0 <= lo <= hi", t);
             ev.tier = static_cast<int>(lo);
             ev.tier_hi = static_cast<int>(hi);
         } else if (key == "jitter") {
-            const int64_t jit = ParseInt(val, t);
+            const int64_t jit = Number<int64_t>(val, t);
             if (jit < 0)
                 Bad("jitter must be >= 0", t);
             ev.jitter = jit;
         } else if (key == "mag") {
-            ev.magnitude = ParseDouble(val, t);
-            if (!std::isfinite(ev.magnitude))
-                Bad("mag must be finite", t);
+            ev.magnitude = Number<double>(val, t, "mag");
         } else {
             Bad("unknown parameter '" + key + "'", t);
         }
@@ -322,19 +310,14 @@ ParseFaultSpec(const std::string& spec)
         }
         return ParseFaultSpec(sc->spec);
     }
-    size_t pos = 0;
-    while (pos <= t.size()) {
-        size_t semi = t.find(';', pos);
-        if (semi == std::string::npos)
-            semi = t.size();
-        const std::string ev = Trim(t.substr(pos, semi - pos));
+    for (const std::string& field : SplitFields(t, ';')) {
+        const std::string ev = Trim(field);
         // An empty segment (";;", trailing ";") is a typo, not an
         // empty event — reject it rather than silently run fewer
         // faults than the user wrote.
         if (ev.empty())
             Bad("empty event", t);
         schedule.events.push_back(ParseEvent(ev));
-        pos = semi + 1;
     }
     return schedule;
 }

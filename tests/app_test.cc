@@ -6,6 +6,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 
 #include "app/apps.h"
@@ -118,6 +119,20 @@ TEST(SetRequestMix, ValidatesAndApplies)
     EXPECT_THROW(SetRequestMix(app, {1.0}), std::invalid_argument);
     EXPECT_THROW(SetRequestMix(app, {-1.0, 2.0, 3.0}),
                  std::invalid_argument);
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    EXPECT_THROW(SetRequestMix(app, {nan, 1.0, 1.0}),
+                 std::invalid_argument);
+    EXPECT_THROW(SetRequestMix(app, {1.0, inf, 1.0}),
+                 std::invalid_argument);
+    // An all-zero mix has no request to draw (WorkloadGenerator would
+    // throw later, mid-run).
+    EXPECT_THROW(SetRequestMix(app, {0.0, 0.0, 0.0}),
+                 std::invalid_argument);
+    // A rejected mix leaves the previous one in place.
+    EXPECT_DOUBLE_EQ(app.request_types[0].weight, 10.0);
+    SetRequestMix(app, {0.0, 1.0, 0.0});
+    EXPECT_DOUBLE_EQ(app.request_types[1].weight, 1.0);
 }
 
 TEST(SocialNetworkMixes, MatchesSection55)

@@ -12,11 +12,13 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/check.h"
 #include "common/metrics.h"
+#include "common/parse.h"
 #include "common/percentile_row.h"
 #include "common/rng.h"
 #include "common/stats.h"
@@ -829,6 +831,58 @@ TEST(MetricsRegistry, BatchedUpdatesRenderLikePerValueUpdates)
 
     EXPECT_EQ(batched.ToCsv(), one_by_one.ToCsv());
     EXPECT_EQ(batched.ToJson(), one_by_one.ToJson());
+}
+
+TEST(ParseNumber, AcceptsOnlyWholeFiniteInRangeTokens)
+{
+    double d = -1.0;
+    EXPECT_EQ(ParseNumber("2.5e3", &d), ParseStatus::kOk);
+    EXPECT_DOUBLE_EQ(d, 2500.0);
+    EXPECT_EQ(ParseNumber("-0.25", &d), ParseStatus::kOk);
+    EXPECT_DOUBLE_EQ(d, -0.25);
+    for (const char* t : {"", " 5", "\t5", "+5", "5x", "5 ", "x", "-"})
+        EXPECT_EQ(ParseNumber(t, &d), ParseStatus::kMalformed) << t;
+    for (const char* t : {"nan", "inf", "-inf", "NAN", "infinity"})
+        EXPECT_EQ(ParseNumber(t, &d), ParseStatus::kNonFinite) << t;
+    for (const char* t : {"1e999", "-1e999", "1e-310", "1e-999"})
+        EXPECT_EQ(ParseNumber(t, &d), ParseStatus::kOutOfRange) << t;
+    EXPECT_DOUBLE_EQ(d, -0.25); // failures leave the output untouched
+
+    int i = 0;
+    EXPECT_EQ(ParseNumber("-2147483648", &i), ParseStatus::kOk);
+    EXPECT_EQ(i, INT32_MIN);
+    EXPECT_EQ(ParseNumber("2147483648", &i), ParseStatus::kOutOfRange);
+    EXPECT_EQ(ParseNumber("99999999999999999999", &i),
+              ParseStatus::kOutOfRange);
+    EXPECT_EQ(ParseNumber("1.0", &i), ParseStatus::kMalformed);
+    EXPECT_EQ(ParseNumber("1e3", &i), ParseStatus::kMalformed);
+    EXPECT_EQ(i, INT32_MIN);
+
+    int64_t l = 0;
+    EXPECT_EQ(ParseNumber("-9223372036854775808", &l), ParseStatus::kOk);
+    EXPECT_EQ(l, INT64_MIN);
+    EXPECT_EQ(ParseNumber("9223372036854775808", &l),
+              ParseStatus::kOutOfRange);
+
+    uint64_t u = 0;
+    EXPECT_EQ(ParseNumber("18446744073709551615", &u), ParseStatus::kOk);
+    EXPECT_EQ(u, UINT64_MAX);
+    EXPECT_EQ(ParseNumber("18446744073709551616", &u),
+              ParseStatus::kOutOfRange);
+    // strtoull would wrap these to 2^64 - 1 and 2^64 - 3.
+    EXPECT_EQ(ParseNumber("-1", &u), ParseStatus::kMalformed);
+    EXPECT_EQ(ParseNumber("-0", &u), ParseStatus::kMalformed);
+    EXPECT_EQ(ParseNumber("+3", &u), ParseStatus::kMalformed);
+    EXPECT_EQ(u, UINT64_MAX);
+}
+
+TEST(SplitFields, KeepsEmptyFieldsForTheCallerToReject)
+{
+    using V = std::vector<std::string>;
+    EXPECT_EQ(SplitFields("5,80,15", ','), (V{"5", "80", "15"}));
+    EXPECT_EQ(SplitFields("5,80,15,", ','), (V{"5", "80", "15", ""}));
+    EXPECT_EQ(SplitFields("a::b", ':'), (V{"a", "", "b"}));
+    EXPECT_EQ(SplitFields("", ','), (V{""}));
 }
 
 } // namespace

@@ -21,6 +21,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "app/apps.h"
 #include "bundled_model.h"
@@ -325,6 +326,7 @@ TEST(FleetOverride, RejectsMalformedOverrides)
 {
     ExpectOverrideError("nocolon", "expected 'INDEX:key=val");
     ExpectOverrideError("x:app=hotel", "bad shard index");
+    ExpectOverrideError("-0:app=hotel", "bad shard index '-0'");
     ExpectOverrideError("3:", "expected at least one key=val");
     ExpectOverrideError("3:color=red", "unknown key 'color'");
     ExpectOverrideError("3:app=bank", "unknown app 'bank'");
@@ -344,6 +346,22 @@ TEST(FleetOverride, RejectsMalformedOverrides)
     EXPECT_EQ(ParseShardOverride("2147483647:users=7").index, 2147483647);
     EXPECT_EQ(ParseShardOverride("3:seed=18446744073709551615").seed,
               18446744073709551615ULL);
+}
+
+TEST(FleetOverride, EveryNumericKeyRejectsTheSameBadTokens)
+{
+    // The shard index, users and seed share the one number contract
+    // (common/parse.h); each rejection quotes the offending token.
+    const std::vector<std::string> bad = {"nan", "inf", "-inf", "+5",
+                                          " 5",  "5x",  "1e999", ""};
+    for (const char* tmpl : {"#:users=100", "1:users=#", "1:seed=#"}) {
+        for (const std::string& token : bad) {
+            std::string text = tmpl;
+            text.replace(text.find('#'), 1, token);
+            SCOPED_TRACE(text);
+            ExpectOverrideError(text, "'" + token + "'");
+        }
+    }
 }
 
 TEST(FleetResolve, ValidatesFleetShape)

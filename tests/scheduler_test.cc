@@ -727,7 +727,8 @@ TEST_F(SchedulerFixture, PartialNanRoutesThroughUncertainModel)
     ASSERT_EQ(e.tier_confidence.size(), app_->tiers.size());
     EXPECT_DOUBLE_EQ(e.tier_confidence[1], 0.0);
     EXPECT_DOUBLE_EQ(e.uncertainty_margin_ms,
-                     cfg.uncertainty.margin_frac * app_->qos_ms * 0.2);
+                     SinanScheduler::kUncertaintyMarginFrac * app_->qos_ms *
+                         0.2);
     EXPECT_EQ(metrics.Counter("sinan.scheduler.uncertain"), 1u);
     // The graded path is still a degraded interval for the guard.
     EXPECT_EQ(sched.SilentIntervals(), 1);
@@ -823,16 +824,19 @@ TEST_F(SchedulerFixture, ConfidenceGaugeFollowsEveryInterval)
     off.AttachTelemetry(nullptr, nullptr);
 }
 
-TEST_F(SchedulerFixture, StaleDecaySinksBelowFloorIntoLadder)
+TEST_F(SchedulerFixture, StaleDecayStaysGradedUntilWatchdog)
 {
-    // Redelivered telemetry decays geometrically: with decay 0.5 and
-    // floor 0.35 the first stale interval rides the graded path (0.5)
-    // and the second (0.25) drops into the ladder — before the silence
-    // reaches the watchdog, which then takes the third.
+    // Redelivered telemetry decays geometrically: at kStaleDecay 0.6
+    // both the first (0.6) and the second (0.36) stale interval stay
+    // above kConfidenceFloor 0.35 and ride the graded path; the third
+    // silent interval is the watchdog's (0.216), so a stale-only run
+    // never reaches the ladder by decay. The below-floor ladder rule
+    // is ZeroConfidenceFallsBackToLadder's.
+    static_assert(SinanScheduler::kStaleDecay == 0.6);
+    static_assert(SinanScheduler::kConfidenceFloor == 0.35);
     static_assert(SinanScheduler::kWatchdogSilentAfter == 3);
     SchedulerConfig cfg;
     cfg.uncertainty.enabled = true;
-    cfg.uncertainty.decay = 0.5;
     SinanScheduler sched(*model_, cfg);
     DecisionTrace trace;
     sched.AttachTelemetry(&trace, nullptr);
@@ -848,15 +852,15 @@ TEST_F(SchedulerFixture, StaleDecaySinksBelowFloorIntoLadder)
     alloc = sched.Decide(stale, alloc, *app_);
     EXPECT_EQ(trace.intervals.back().kind,
               DecisionKind::kUncertainModel);
-    EXPECT_NEAR(trace.intervals.back().confidence, 0.5, 1e-12);
+    EXPECT_NEAR(trace.intervals.back().confidence, 0.6, 1e-12);
     alloc = sched.Decide(stale, alloc, *app_);
     EXPECT_EQ(trace.intervals.back().kind,
-              DecisionKind::kDegradedModel);
-    EXPECT_NEAR(trace.intervals.back().confidence, 0.25, 1e-12);
+              DecisionKind::kUncertainModel);
+    EXPECT_NEAR(trace.intervals.back().confidence, 0.36, 1e-12);
     alloc = sched.Decide(stale, alloc, *app_);
     EXPECT_EQ(trace.intervals.back().kind,
               DecisionKind::kWatchdogUpscale);
-    EXPECT_NEAR(trace.intervals.back().confidence, 0.125, 1e-12);
+    EXPECT_NEAR(trace.intervals.back().confidence, 0.216, 1e-12);
     sched.AttachTelemetry(nullptr, nullptr);
 }
 

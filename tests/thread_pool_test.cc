@@ -9,6 +9,7 @@
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -220,6 +221,20 @@ TEST(ThreadPoolTest, OnWorkerThreadFlag)
     std::unique_lock<std::mutex> lock(mu);
     cv.wait(lock, [&] { return seen.load() >= 0; });
     EXPECT_EQ(seen.load(), 1);
+}
+
+TEST(ThreadPoolTest, ThreadCountParsesOnlyOneToMax)
+{
+    // Parse level only: no pool is built from a rejected value.
+    int n = 7;
+    EXPECT_TRUE(ParseThreadCount("1", &n));
+    EXPECT_EQ(n, 1);
+    EXPECT_TRUE(ParseThreadCount(std::to_string(kMaxThreads), &n));
+    EXPECT_EQ(n, kMaxThreads);
+    for (const std::string t :
+         {"0", "-1", "257", "100000", "8x", " 8", "+8", "", "nan", "4.0"})
+        EXPECT_FALSE(ParseThreadCount(t, &n)) << t;
+    EXPECT_EQ(n, kMaxThreads);
 }
 
 } // namespace
