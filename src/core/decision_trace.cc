@@ -1,5 +1,7 @@
 #include "core/decision_trace.h"
 
+#include <cstring>
+
 namespace sinan {
 
 const char*
@@ -88,6 +90,73 @@ ToString(TelemetryHealth health)
         return "absent";
     }
     return "unknown";
+}
+
+namespace {
+
+/** Word-wise 64-bit FNV-1a. Each step is a bijection of the running
+ *  value, so any single changed word changes the digest. */
+struct Fnv {
+    uint64_t h;
+
+    void Word(uint64_t w) { h = (h ^ w) * 0x100000001b3ULL; }
+    void Int(int64_t v) { Word(static_cast<uint64_t>(v)); }
+    void
+    Real(double v)
+    {
+        uint64_t bits;
+        std::memcpy(&bits, &v, sizeof(bits));
+        Word(bits);
+    }
+};
+
+} // namespace
+
+uint64_t
+FoldDecision(uint64_t h, const DecisionTraceEntry& e)
+{
+    Fnv f{h};
+    f.Real(e.time_s);
+    f.Int(e.interval);
+    f.Word(static_cast<uint64_t>(e.kind));
+    f.Real(e.observed_p99_ms);
+    f.Word(e.violated);
+    f.Word(static_cast<uint64_t>(e.telemetry));
+    f.Int(e.silent_intervals);
+    f.Word(e.trust_reduced);
+    f.Int(e.mispredictions);
+    f.Int(e.healthy_streak);
+    f.Int(e.consecutive_violations);
+    f.Word(e.trust_lost);
+    f.Word(e.trust_restored);
+    f.Real(e.margin_ms);
+    f.Word(e.may_reclaim);
+    f.Real(e.confidence);
+    f.Real(e.uncertainty_margin_ms);
+    f.Word(e.tier_confidence.size());
+    for (const double c : e.tier_confidence)
+        f.Real(c);
+    f.Int(e.chosen);
+    f.Word(e.candidates.size());
+    for (const CandidateTrace& c : e.candidates) {
+        f.Word(c.latency_ms.size());
+        for (const double v : c.latency_ms)
+            f.Real(v);
+        f.Word(static_cast<uint64_t>(c.kind));
+        f.Word(static_cast<uint64_t>(c.outcome));
+        f.Real(c.total_cpu);
+        f.Real(c.p_violation);
+    }
+    return f.h;
+}
+
+uint64_t
+DecisionTraceDigest(const DecisionTrace& trace)
+{
+    uint64_t h = kEmptyDecisionDigest;
+    for (const DecisionTraceEntry& e : trace.intervals)
+        h = FoldDecision(h, e);
+    return h;
 }
 
 } // namespace sinan

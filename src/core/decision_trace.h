@@ -8,9 +8,12 @@
  * The trace is what makes the scheduler's behaviour inspectable — the
  * paper's fallback/trust mechanics are otherwise invisible in a run log
  * that only records the final allocation. A ResourceManager fills the
- * trace through the AttachTelemetry() hook; the harness owns the
- * buffers, stamps wall-clock interval times, and serializes them next
- * to the run log (see harness/telemetry_log.h).
+ * trace through the AttachTelemetry() hook. Each ManagedRun attaches
+ * a one-interval scratch trace, stamps the simulation time on the
+ * interval's entries and folds them into a 64-bit digest
+ * (FoldDecision). Only RunManaged keeps the entries themselves, which
+ * sinan_sim serializes next to the run log (harness/telemetry_log.h);
+ * a fleet shard keeps the digest alone.
  *
  * Determinism: entries are appended only from Decide(), which the
  * harness calls serially per run, and every recorded value is derived
@@ -198,6 +201,22 @@ struct DecisionTrace {
 
     void Clear() { intervals.clear(); }
 };
+
+/** Digest of an empty trace (the 64-bit FNV-1a offset basis). */
+inline constexpr uint64_t kEmptyDecisionDigest = 0xcbf29ce484222325ULL;
+
+/**
+ * Folds @p entry into the running digest @p h: word-wise FNV-1a over
+ * every field in declaration order. Doubles enter by bit pattern,
+ * integers, enums and bools widened to 64 bits, and each vector as its
+ * length followed by its elements (a candidate as its row count, row
+ * values, kind, outcome, total_cpu and p_violation). Padding and text
+ * never enter, so the digest is as strict as the values themselves.
+ */
+uint64_t FoldDecision(uint64_t h, const DecisionTraceEntry& entry);
+
+/** Every entry of @p trace folded in order, from kEmptyDecisionDigest. */
+uint64_t DecisionTraceDigest(const DecisionTrace& trace);
 
 } // namespace sinan
 

@@ -51,9 +51,10 @@ class ResourceManager {
 
     /**
      * Attaches decision telemetry sinks owned by the caller (the
-     * harness attaches per-run buffers and detaches them before the
-     * run result is returned). Either pointer may be null; managers
-     * without an introspectable decision process ignore the hook.
+     * harness attaches a per-interval trace and a per-run registry,
+     * and detaches both before the run result is returned). Either
+     * pointer may be null; managers without an introspectable
+     * decision process ignore the hook.
      * Sinks must outlive every subsequent Decide() call.
      */
     virtual void

@@ -572,8 +572,8 @@ SinanScheduler::Decide(const IntervalObservation& obs,
             recent_victims_.pop_front();
     }
 
-    // Metrics before the trace: the trace takes each prediction's
-    // latency vector by move.
+    // Metrics, then the trace. Both only read this interval's
+    // predictions; the trace copies each PercentileRow inline.
     if (metrics_) {
         MetricsRegistry& m = *metrics_;
         m.Inc("sinan.scheduler.decisions");

@@ -25,9 +25,11 @@
  * stepping is exactly RunManaged's operation sequence — so the fleet
  * trace is byte-identical at any thread count and under any shard
  * scheduling order, and each cluster's telemetry is byte-identical to
- * the same configuration run solo. Wall-clock measurements (decision
- * latency, throughput) are collected alongside but never enter the
- * deterministic serializations (see fleet/fleet_log.h).
+ * the same configuration run solo. A shard keeps its decision trace
+ * only as RunResult::decision_digest, not entry by entry. Wall-clock
+ * measurements (decision latency, throughput) are collected alongside
+ * but never enter the deterministic serializations (see
+ * fleet/fleet_log.h).
  */
 #ifndef SINAN_FLEET_FLEET_H
 #define SINAN_FLEET_FLEET_H
@@ -148,7 +150,9 @@ struct FleetClusterResult {
     /** Display name of the application and its QoS target. */
     std::string app_name;
     double qos_ms = 0.0;
-    /** Identical to a solo RunManaged of the same configuration. */
+    /** Identical to a solo RunManaged of the same configuration,
+     *  except that decision_trace is empty (decision_digest stands
+     *  for it). */
     RunResult result;
     /** RecoveryIntervals() after the shard's last fault; meaningful
      *  only when the shard has faults (-2 = no faults scheduled). */

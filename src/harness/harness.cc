@@ -25,8 +25,7 @@ ManagedRun::ManagedRun(const Application& app, ResourceManager& manager,
         ticks_per_interval, 1);
 
     manager_.Reset();
-    manager_.AttachTelemetry(&result_.decision_trace,
-                             &result_.metrics);
+    manager_.AttachTelemetry(&last_decisions_, &result_.metrics);
 
     // Deterministic fault injection (see sim/fault_injector.h). The
     // injector perturbs the cluster before each interval starts and
@@ -109,7 +108,7 @@ ManagedRun::DecideAndApply()
     const double now = pending_now_;
     const int64_t interval = intervals_done_;
 
-    const size_t traced = result_.decision_trace.intervals.size();
+    last_decisions_.Clear();
     const std::vector<double> next =
         manager_.Decide(pending_managed_, pending_rec_.alloc, app_);
     cluster_.SetAllocation(next);
@@ -121,10 +120,13 @@ ManagedRun::DecideAndApply()
             injector_->RateMultiplierAt(interval + 1));
     }
     // Stamp the simulation time onto whatever the manager traced
-    // for this decision (the scheduler has no notion of time).
-    for (size_t i = traced;
-         i < result_.decision_trace.intervals.size(); ++i)
-        result_.decision_trace.intervals[i].time_s = now;
+    // for this decision (the scheduler has no notion of time), then
+    // fold it into the run's digest.
+    for (DecisionTraceEntry& e : last_decisions_.intervals) {
+        e.time_s = now;
+        result_.decision_digest =
+            FoldDecision(result_.decision_digest, e);
+    }
     pending_rec_.predicted_p99_ms = manager_.LastPredictedP99();
     pending_rec_.predicted_violation = manager_.LastViolationProb();
     result_.timeline.push_back(std::move(pending_rec_));
@@ -178,11 +180,18 @@ RunManaged(const Application& app, ResourceManager& manager,
            const LoadShape& load, const RunConfig& cfg)
 {
     ManagedRun run(app, manager, load, cfg);
+    DecisionTrace trace;
     while (!run.Done()) {
         run.AdvanceInterval();
         run.DecideAndApply();
+        const std::vector<DecisionTraceEntry>& last =
+            run.LastDecisions().intervals;
+        trace.intervals.insert(trace.intervals.end(), last.begin(),
+                               last.end());
     }
-    return run.Finish();
+    RunResult result = run.Finish();
+    result.decision_trace = std::move(trace);
+    return result;
 }
 
 int

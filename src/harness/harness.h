@@ -74,16 +74,25 @@ struct RunResult {
     std::vector<IntervalRecord> timeline;
     /**
      * Per-decision telemetry, filled by managers that implement the
-     * AttachTelemetry() hook (SinanScheduler): the structured decision
-     * trace with interval times stamped by the harness, and the
-     * `sinan.scheduler.*` metric registry. Empty for managers without
-     * telemetry. Serializers live in harness/telemetry_log.h.
+     * AttachTelemetry() hook (SinanScheduler); empty for managers
+     * without telemetry. Serializers live in harness/telemetry_log.h.
+     *
+     * decision_trace holds every entry, with interval times stamped
+     * by the harness, only for a run driven by RunManaged(). A
+     * ManagedRun stepped by other callers (a fleet shard) keeps no
+     * entries: decision_digest, every entry folded in order by
+     * FoldDecision() (core/decision_trace.h), is all that remains of
+     * them there. When decision_trace is filled,
+     * DecisionTraceDigest(decision_trace) == decision_digest.
      */
     DecisionTrace decision_trace;
+    uint64_t decision_digest = kEmptyDecisionDigest;
+    /** The `sinan.scheduler.*` (and fault) metric registry. */
     MetricsRegistry metrics;
 };
 
-/** Runs @p manager on @p app under @p load. */
+/** Runs @p manager on @p app under @p load, keeping the full decision
+ *  trace (see RunResult::decision_trace). */
 RunResult RunManaged(const Application& app, ResourceManager& manager,
                      const LoadShape& load, const RunConfig& cfg);
 
@@ -102,7 +111,8 @@ RunResult RunManaged(const Application& app, ResourceManager& manager,
  * batches phase B under the centralized FleetManager. The per-interval
  * operation sequence on the run's own state is exactly RunManaged's,
  * so a cluster stepped inside a fleet produces byte-identical
- * telemetry to the same configuration run solo.
+ * telemetry to the same configuration run solo (its decisions as the
+ * same RunResult::decision_digest; only RunManaged keeps the entries).
  *
  * Instances are pinned to their construction address (the simulator's
  * tick callbacks capture member references): neither copyable nor
@@ -138,6 +148,11 @@ class ManagedRun {
     /** Newest timeline record (valid once an interval completed). */
     const IntervalRecord& LastRecord() const;
 
+    /** The decision-trace entries of the newest DecideAndApply(),
+     *  time-stamped; replaced by the next one. The run folds them into
+     *  RunResult::decision_digest and keeps no other copy. */
+    const DecisionTrace& LastDecisions() const { return last_decisions_; }
+
     /**
      * Detaches the telemetry sinks, aggregates the post-warmup
      * metrics, and surrenders the result. The run is spent afterwards
@@ -155,6 +170,8 @@ class ManagedRun {
     std::unique_ptr<FaultInjector> injector_;
 
     RunResult result_;
+    /** The manager's trace sink: one interval's entries at a time. */
+    DecisionTrace last_decisions_;
     int64_t total_intervals_ = 0;
     int64_t intervals_done_ = 0;
     bool pending_ = false;

@@ -108,10 +108,10 @@ ParseEvent(const std::string& text)
     ev.magnitude = DefaultMagnitude(ev.kind);
 
     std::string rest = t.substr(at + 1);
-    std::string params;
+    std::vector<std::string> params;
     const size_t colon = rest.find(':');
     if (colon != std::string::npos) {
-        params = rest.substr(colon + 1);
+        params = SplitFields(rest.substr(colon + 1), ',');
         rest = rest.substr(0, colon);
     }
     const size_t plus = rest.find('+');
@@ -126,10 +126,12 @@ ParseEvent(const std::string& text)
     if (ev.duration < 1)
         Bad("duration must be >= 1", t);
 
-    for (const std::string& field : SplitFields(params, ',')) {
+    for (const std::string& field : params) {
         const std::string p = Trim(field);
+        // Like an empty event: ",,", a trailing ',' or a bare ':' is a
+        // typo, not a parameter.
         if (p.empty())
-            continue;
+            Bad("empty parameter", t);
         const size_t eq = p.find('=');
         if (eq == std::string::npos)
             Bad("parameter '" + p + "' needs key=value", t);

@@ -150,7 +150,8 @@ struct FaultSchedule {
  * (jitter requires a tiers= group). `chaos:<name>` expands to the
  * named scenario from ChaosScenarios(). Throws std::invalid_argument
  * with the offending event text on any malformed input, including
- * out-of-range integers, a non-finite `mag`, and an event whose
+ * an empty event or parameter (";;", ",,", a trailing ',' or a bare
+ * ':'), out-of-range integers, a non-finite `mag`, and an event whose
  * start + GroupSpan() + duration would overflow int64.
  */
 FaultSchedule ParseFaultSpec(const std::string& spec);

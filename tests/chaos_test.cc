@@ -86,6 +86,12 @@ TEST(FaultSpecTest, RejectsMalformedSpecs)
                  std::invalid_argument);
     EXPECT_THROW(ParseFaultSpec("drop@3;;drop@4"),
                  std::invalid_argument);
+    // An empty parameter is a typo the same way an empty event is.
+    ExpectSpecError("stall@1:tier=1,,mag=2", "empty parameter");
+    ExpectSpecError("stall@1:tier=1,", "empty parameter");
+    ExpectSpecError("stall@1:", "empty parameter");
+    ExpectSpecError("stall@1+2: ", "empty parameter");
+    ExpectSpecError("drop@3;stall@1:,tier=1", "empty parameter");
     // Numbers strtoll/strtod would saturate are rejected: a saturated
     // start would overflow start + duration in EndInterval().
     ExpectSpecError("stall@99999999999999999999+5:tier=2",

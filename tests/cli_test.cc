@@ -184,6 +184,10 @@ TEST(CliDeathTest, MalformedFaultSpecsExitTwo)
                     "mag must be in");
     ExpectUsageExit({"--faults", "chaos:nope"},
                     "unknown chaos scenario");
+    ExpectUsageExit({"--faults", "stall@1:tier=1,,mag=2"},
+                    "empty parameter");
+    ExpectUsageExit({"--faults", "stall@1:"}, "empty parameter");
+    ExpectUsageExit({"--faults", "drop@3;;drop@4"}, "empty event");
     // An infinite flash multiplier must fail in the grammar, not abort
     // the run in WorkloadGenerator::SetRateMultiplier.
     ExpectUsageExit({"--faults", "flash@1+2:mag=inf"},

@@ -6,11 +6,13 @@
  *    hotel/social fleets, with and without chaos — the fleet
  *    determinism contract (any thread count, any shard-scheduling
  *    order);
- *  - shard-count independence: a cluster's full telemetry (run log +
- *    decision trace + metrics) is byte-identical whether the cluster
- *    runs solo under RunManaged or inside a 32-shard fleet;
+ *  - shard-count independence: a cluster's full telemetry (run log,
+ *    decision digest, metrics) is identical whether the cluster runs
+ *    solo under RunManaged or inside a 32-shard fleet;
  *  - model-clone isolation: a chaotic neighbour sharing the clone pool
  *    must not perturb a clean shard's decisions;
+ *  - trace retention: a shard keeps its decision digest and no
+ *    decision-trace entries;
  *  - the --fleet-shard override grammar (parse + resolve validation).
  *
  * Sinan shards load the bundled bench_cache models (no training), so
@@ -29,7 +31,6 @@
 #include "fleet/fleet.h"
 #include "fleet/fleet_log.h"
 #include "harness/runlog.h"
-#include "harness/telemetry_log.h"
 
 namespace sinan {
 namespace {
@@ -253,8 +254,11 @@ TEST_F(FleetFixture, ClusterTraceIndependentOfFleetSize)
             fleet.clusters[static_cast<size_t>(k)].result;
         EXPECT_EQ(RunLogToCsv(solo, app), RunLogToCsv(in_fleet, app))
             << "run log diverged for cluster " << k;
-        EXPECT_EQ(DecisionTraceToCsv(solo.decision_trace),
-                  DecisionTraceToCsv(in_fleet.decision_trace))
+        // The digest folds every field bit for bit, so this is
+        // stricter than comparing the 4-decimal CSV.
+        EXPECT_EQ(DecisionTraceDigest(solo.decision_trace),
+                  solo.decision_digest);
+        EXPECT_EQ(solo.decision_digest, in_fleet.decision_digest)
             << "decision trace diverged for cluster " << k;
         EXPECT_EQ(solo.metrics.ToCsv(), in_fleet.metrics.ToCsv())
             << "metrics diverged for cluster " << k;
@@ -288,11 +292,41 @@ TEST_F(FleetFixture, CleanShardUnaffectedByChaoticPoolNeighbour)
     const RunResult& quiet = solo.clusters[0].result;
     EXPECT_EQ(RunLogToCsv(quiet, *social_app_),
               RunLogToCsv(noisy, *social_app_));
-    EXPECT_EQ(DecisionTraceToCsv(quiet.decision_trace),
-              DecisionTraceToCsv(noisy.decision_trace));
+    EXPECT_EQ(quiet.decision_digest, noisy.decision_digest);
     EXPECT_EQ(quiet.metrics.ToCsv(), noisy.metrics.ToCsv());
     // Sanity: the chaotic neighbour actually had a rough ride.
     EXPECT_GT(with_neighbour.clusters[1].spec.faults.size(), 0u);
+}
+
+TEST_F(FleetFixture, ShardsKeepDigestNotDecisionEntries)
+{
+    if (!HaveModels())
+        GTEST_SKIP() << "bundled bench_cache models not present";
+    FleetConfig cfg = BaseConfig(32, 19);
+    cfg.overrides.push_back(Override("5:faults=chaos:tier-stall"));
+    cfg.overrides.push_back(Override("9:manager=cons"));
+
+    SetNumThreads(1);
+    const FleetResult serial = RunFleet(cfg, Models(), Apps());
+    SetNumThreads(8);
+    const FleetResult parallel = RunFleet(cfg, Models(), Apps());
+    SetNumThreads(0);
+
+    ASSERT_EQ(serial.clusters.size(), 32u);
+    ASSERT_EQ(parallel.clusters.size(), serial.clusters.size());
+    for (size_t k = 0; k < serial.clusters.size(); ++k) {
+        SCOPED_TRACE(k);
+        const FleetClusterResult& one = serial.clusters[k];
+        EXPECT_TRUE(one.result.decision_trace.intervals.empty());
+        EXPECT_TRUE(
+            parallel.clusters[k].result.decision_trace.intervals.empty());
+        if (one.spec.manager == "sinan") {
+            EXPECT_NE(one.result.decision_digest, 0u);
+            EXPECT_NE(one.result.decision_digest, kEmptyDecisionDigest);
+        }
+        EXPECT_EQ(one.result.decision_digest,
+                  parallel.clusters[k].result.decision_digest);
+    }
 }
 
 TEST(FleetOverride, ParsesEveryKeyAndSwallowsFaultCommas)

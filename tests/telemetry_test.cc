@@ -2,12 +2,15 @@
  * @file
  * Tests for the decision-telemetry subsystem: the scheduler's decision
  * trace (candidate outcomes, safety-path events, trust transitions),
- * the `sinan.scheduler.*` metric registry, serialization, and
- * bit-identical 1-vs-N-thread parity of the full telemetry output.
+ * the `sinan.scheduler.*` metric registry, serialization, the 64-bit
+ * decision digest, and bit-identical 1-vs-N-thread parity of the full
+ * telemetry output.
  */
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <utility>
+#include <vector>
 
 #include "app/apps.h"
 #include "common/thread_pool.h"
@@ -357,6 +360,125 @@ TEST_F(TelemetryFixture, TelemetryBitIdenticalAcrossThreadCounts)
     EXPECT_EQ(serial, parallel);
 }
 
+/** A model-path entry with every field set off its default. */
+DecisionTraceEntry
+SampleEntry(double time_s, int interval)
+{
+    DecisionTraceEntry e;
+    e.time_s = time_s;
+    e.interval = interval;
+    e.kind = DecisionKind::kUncertainModel;
+    e.observed_p99_ms = 187.25;
+    e.telemetry = TelemetryHealth::kStale;
+    e.silent_intervals = 2;
+    e.mispredictions = 1;
+    e.healthy_streak = 4;
+    e.consecutive_violations = 1;
+    e.margin_ms = 12.5;
+    e.may_reclaim = true;
+    e.confidence = 0.75;
+    e.uncertainty_margin_ms = 6.25;
+    e.tier_confidence = {1.0, 0.5, 0.75};
+    e.chosen = 1;
+    for (int i = 0; i < 3; ++i) {
+        CandidateTrace& c = e.candidates.emplace_back();
+        c.latency_ms = {150.0 + i, 160.0 + i, 170.0 + i, 180.0 + i,
+                        190.0 + i};
+        c.kind = ActionKind::kScaleDown;
+        c.outcome = i == 1 ? CandidateOutcome::kChosen
+                           : CandidateOutcome::kNotCheapest;
+        c.total_cpu = 20.0 - i;
+        c.p_violation = 0.01 * (i + 1);
+    }
+    return e;
+}
+
+TEST(DecisionDigestTest, EveryFieldAndTheOrderEnterTheDigest)
+{
+    DecisionTrace base;
+    base.intervals = {SampleEntry(7.0, 6), SampleEntry(8.0, 7)};
+    const uint64_t digest = DecisionTraceDigest(base);
+    EXPECT_NE(digest, kEmptyDecisionDigest);
+    EXPECT_EQ(DecisionTraceDigest(DecisionTrace{}), kEmptyDecisionDigest);
+
+    using Mutation = void (*)(DecisionTraceEntry&);
+    const std::vector<std::pair<const char*, Mutation>> mutations = {
+        {"time_s", [](DecisionTraceEntry& e) { e.time_s += 1.0; }},
+        {"interval", [](DecisionTraceEntry& e) { ++e.interval; }},
+        {"kind",
+         [](DecisionTraceEntry& e) { e.kind = DecisionKind::kModel; }},
+        {"observed_p99_ms",
+         [](DecisionTraceEntry& e) { e.observed_p99_ms = -1.0; }},
+        {"violated", [](DecisionTraceEntry& e) { e.violated = true; }},
+        {"telemetry",
+         [](DecisionTraceEntry& e) {
+             e.telemetry = TelemetryHealth::kAbsent;
+         }},
+        {"silent_intervals",
+         [](DecisionTraceEntry& e) { ++e.silent_intervals; }},
+        {"trust_reduced",
+         [](DecisionTraceEntry& e) { e.trust_reduced = true; }},
+        {"mispredictions",
+         [](DecisionTraceEntry& e) { ++e.mispredictions; }},
+        {"healthy_streak",
+         [](DecisionTraceEntry& e) { ++e.healthy_streak; }},
+        {"consecutive_violations",
+         [](DecisionTraceEntry& e) { ++e.consecutive_violations; }},
+        {"trust_lost", [](DecisionTraceEntry& e) { e.trust_lost = true; }},
+        {"trust_restored",
+         [](DecisionTraceEntry& e) { e.trust_restored = true; }},
+        {"margin_ms", [](DecisionTraceEntry& e) { e.margin_ms = -12.5; }},
+        {"may_reclaim",
+         [](DecisionTraceEntry& e) { e.may_reclaim = false; }},
+        {"confidence", [](DecisionTraceEntry& e) { e.confidence = 0.5; }},
+        {"uncertainty_margin_ms",
+         [](DecisionTraceEntry& e) { e.uncertainty_margin_ms = 0.0; }},
+        {"tier_confidence element",
+         [](DecisionTraceEntry& e) { e.tier_confidence[1] = 0.25; }},
+        {"tier_confidence length",
+         [](DecisionTraceEntry& e) { e.tier_confidence.pop_back(); }},
+        {"chosen", [](DecisionTraceEntry& e) { e.chosen = -1; }},
+        {"candidates length",
+         [](DecisionTraceEntry& e) { e.candidates.pop_back(); }},
+        {"candidate row count",
+         [](DecisionTraceEntry& e) { e.candidates[1].latency_ms.resize(4); }},
+        {"candidate row value",
+         [](DecisionTraceEntry& e) { e.candidates[1].latency_ms[2] += 0.5; }},
+        {"candidate kind",
+         [](DecisionTraceEntry& e) {
+             e.candidates[1].kind = ActionKind::kScaleUp;
+         }},
+        {"candidate outcome",
+         [](DecisionTraceEntry& e) {
+             e.candidates[1].outcome =
+                 CandidateOutcome::kRejectedLatencyMargin;
+         }},
+        {"candidate total_cpu",
+         [](DecisionTraceEntry& e) { e.candidates[1].total_cpu = 0.0; }},
+        {"candidate p_violation",
+         [](DecisionTraceEntry& e) { e.candidates[1].p_violation = 0.9; }},
+    };
+    for (const auto& [field, mutate] : mutations) {
+        SCOPED_TRACE(field);
+        for (size_t k = 0; k < base.intervals.size(); ++k) {
+            DecisionTrace changed = base;
+            mutate(changed.intervals[k]);
+            EXPECT_NE(DecisionTraceDigest(changed), digest);
+        }
+    }
+
+    // Order matters: swapping two entries changes the digest.
+    DecisionTrace swapped = base;
+    std::swap(swapped.intervals[0], swapped.intervals[1]);
+    EXPECT_NE(DecisionTraceDigest(swapped), digest);
+
+    // The digest folds entry by entry.
+    EXPECT_EQ(FoldDecision(FoldDecision(kEmptyDecisionDigest,
+                                        base.intervals[0]),
+                           base.intervals[1]),
+              digest);
+}
+
 TEST_F(TelemetryFixture, HarnessStampsTimesAndExportsTelemetry)
 {
     // End-to-end: a managed run fills RunResult::decision_trace with
@@ -381,6 +503,9 @@ TEST_F(TelemetryFixture, HarnessStampsTimesAndExportsTelemetry)
         EXPECT_EQ(r.decision_trace.intervals[i].interval,
                   static_cast<int>(i));
     }
+    // The run's digest is the fold of exactly the entries it kept.
+    EXPECT_EQ(DecisionTraceDigest(r.decision_trace), r.decision_digest);
+    EXPECT_NE(r.decision_digest, kEmptyDecisionDigest);
     EXPECT_EQ(r.metrics.Counter("sinan.scheduler.decisions"),
               r.timeline.size());
     const TelemetrySummary tel = SummarizeTelemetry(r.metrics);
