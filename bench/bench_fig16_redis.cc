@@ -25,7 +25,7 @@ RunTrace(bool sync_enabled, double duration_s)
     opts.redis_log_sync = true; // tier configured for sync...
     Application app = BuildSocialNetwork(opts);
     ClusterConfig ccfg;
-    ccfg.enable_log_sync = sync_enabled; // ...switchable at runtime
+    ccfg.enable_log_sync = sync_enabled; // ...switched per run
     Cluster cluster(app, ccfg, 9);
     // Fixed generous allocation at low load, as in the paper's figure
     // (the spikes are unrelated to resource pressure).
@@ -35,14 +35,13 @@ RunTrace(bool sync_enabled, double duration_s)
     cluster.SetAllocation(alloc);
     ConstantLoad load(150.0);
     WorkloadGenerator gen(cluster, load, 77);
-    Simulator sim;
+    Simulator sim(SimConfig(), gen, cluster);
     std::vector<std::pair<double, double>> series;
-    sim.AddTickable([&](double now, double dt) { gen.Tick(now, dt); });
-    sim.AddTickable([&](double now, double dt) { cluster.Tick(now, dt); });
-    sim.AddIntervalListener([&](int64_t, double now) {
-        series.emplace_back(now, cluster.Harvest(now, 1.0).P99());
-    });
-    sim.RunFor(duration_s);
+    const int64_t intervals = sim.IntervalsIn(duration_s);
+    for (int64_t i = 0; i < intervals; ++i) {
+        const double p99 = sim.RunInterval().P99();
+        series.emplace_back(sim.Now(), p99);
+    }
     return series;
 }
 

@@ -52,17 +52,16 @@ Run(bool eager)
     // the delayed queueing effect.
     StepLoad load({{0.0, 120.0}, {20.0, 280.0}});
     WorkloadGenerator gen(cluster, load, 5);
-    Simulator sim;
+    Simulator sim(SimConfig(), gen, cluster);
     std::vector<std::pair<double, double>> series;
     bool upscaled = false;
     int bad_streak = 0;
-    sim.AddTickable([&](double now, double dt) { gen.Tick(now, dt); });
-    sim.AddTickable([&](double now, double dt) { cluster.Tick(now, dt); });
-    sim.AddIntervalListener([&](int64_t, double now) {
-        const IntervalObservation obs = cluster.Harvest(now, 1.0);
+    for (int i = 0; i < 90; ++i) {
+        const IntervalObservation obs = sim.RunInterval();
+        const double now = sim.Now();
         series.emplace_back(now, obs.P99());
         if (upscaled)
-            return;
+            continue;
         // The eager policy reacts to the input-load signal itself (the
         // paper's blue line: act before the queue builds). The late one
         // is a conventional alarm: it requires the QoS violation to be
@@ -77,8 +76,7 @@ Run(bool eager)
             std::printf("  %s upscale at t=%.0f s (p99=%.0f ms)\n",
                         eager ? "eager" : "late", now, obs.P99());
         }
-    });
-    sim.RunFor(90.0);
+    }
     return series;
 }
 

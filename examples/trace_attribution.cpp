@@ -34,18 +34,15 @@ main()
 
     ConstantLoad load(250.0);
     WorkloadGenerator gen(cluster, load, 13);
-    Simulator sim;
+    Simulator sim(SimConfig(), gen, cluster);
     std::vector<Trace> traces;
-    sim.AddTickable([&](double now, double dt) { gen.Tick(now, dt); });
-    sim.AddTickable([&](double now, double dt) { cluster.Tick(now, dt); });
-    sim.AddIntervalListener([&](int64_t, double now) {
-        cluster.Harvest(now, 1.0);
+    for (int i = 0; i < 60; ++i) {
+        sim.RunInterval();
         std::vector<Trace> batch = cluster.TakeTraces();
         traces.insert(traces.end(),
                       std::make_move_iterator(batch.begin()),
                       std::make_move_iterator(batch.end()));
-    });
-    sim.RunFor(60.0);
+    }
 
     std::printf("collected %zu traces at 250 users (10%% sampling)\n\n",
                 traces.size());

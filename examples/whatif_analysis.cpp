@@ -34,14 +34,10 @@ main()
     Cluster cluster(app, ClusterConfig{}, 3);
     ConstantLoad load(250.0);
     WorkloadGenerator gen(cluster, load, 7);
-    Simulator sim;
+    Simulator sim(SimConfig(), gen, cluster);
     MetricWindow window(trained.features);
-    sim.AddTickable([&](double now, double dt) { gen.Tick(now, dt); });
-    sim.AddTickable([&](double now, double dt) { cluster.Tick(now, dt); });
-    sim.AddIntervalListener([&](int64_t, double now) {
-        window.Push(cluster.Harvest(now, 1.0));
-    });
-    sim.RunFor(30.0);
+    for (int i = 0; i < 30; ++i)
+        window.Push(sim.RunInterval());
 
     const std::vector<double> alloc = cluster.Allocation();
     std::printf("frozen state: 250 users, %.1f total cores\n\n",

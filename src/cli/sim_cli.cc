@@ -97,7 +97,7 @@ SimUsage(const char* msg)
         "                 [--duration S] [--warmup S] [--seed N]\n"
         "                 [--collect S] [--epochs N] [--mix W,W,...]\n"
         "                 [--log FILE] [--threads N]\n"
-        "                 [--simd on|off|auto] [--quant off|int8]\n"
+        "                 [--quant off|int8]\n"
         "                 [--decision-log FILE] [--metrics FILE]\n"
         "                 [--faults SPEC]\n"
         "                 [--uncertainty on|off]\n"
@@ -131,7 +131,7 @@ SimUsage(const char* msg)
         "  the end of the override). Single-run flags (--diurnal, --mix,\n"
         "  --log, --decision-log, --metrics, --faults) are rejected in\n"
         "  fleet mode; use --fleet-log (per-interval trace CSV) and\n"
-        "  --fleet-report (summary, '.json' selects JSON) instead.\n");
+        "  --fleet-report (JSON summary) instead.\n");
     std::exit(2);
 }
 
@@ -205,10 +205,6 @@ ParseSimArgs(int argc, const char* const* argv)
                          "an integer in [1, " +
                              std::to_string(kMaxThreads) + "]",
                          v);
-        } else if (a == "--simd") {
-            const std::string v = need(i++);
-            if (!ParseSimdMode(v.c_str(), &opt.simd))
-                BadValue(a, "on, off, or auto", v);
         } else if (a == "--quant") {
             const std::string v = need(i++);
             if (!ParseQuantMode(v.c_str(), &opt.quant))
@@ -316,9 +312,6 @@ ParseSimArgs(int argc, const char* const* argv)
             SimUsage(e.what());
         }
     }
-    // Apply the dispatch override once the whole argv validated, so a
-    // later bad flag never leaves a half-applied mode behind.
-    SetSimdMode(opt.simd);
     return opt;
 }
 

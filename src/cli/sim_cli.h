@@ -23,7 +23,6 @@
 #include <string>
 #include <vector>
 
-#include "common/cpu_features.h"
 #include "fleet/fleet.h"
 #include "nn/quant.h"
 #include "sim/fault_injector.h"
@@ -50,15 +49,12 @@ struct SimOptions {
     /** Request-mix weights (--mix), empty = the app's default mix. */
     std::vector<double> mix_weights;
     std::string log_path;
-    /** Decision-trace / metrics output (".json" selects JSON). */
+    /** Decision-trace / metrics CSV output. */
     std::string decision_log_path;
     std::string metrics_path;
     /** 0 = keep the default (SINAN_THREADS or hardware concurrency);
      *  --threads sets 1..kMaxThreads. */
     int threads = 0;
-    /** Microkernel dispatch override (--simd on|off|auto); applied via
-     *  SetSimdMode() once the whole argv has validated. */
-    SimdMode simd = SimdMode::kAuto;
     /** Inference precision (--quant off|int8) of every sinan-managed
      *  scheduler, single-run and fleet alike. int8 evaluates the CNN
      *  on the calibrated quantized path (separately validated; see
@@ -78,7 +74,7 @@ struct SimOptions {
     std::vector<ShardOverride> fleet_shards;
     /** Deterministic per-interval fleet trace CSV (--fleet-log). */
     std::string fleet_log_path;
-    /** Fleet report (--fleet-report; ".json" selects JSON). */
+    /** JSON fleet report (--fleet-report). */
     std::string fleet_report_path;
 };
 

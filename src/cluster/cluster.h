@@ -126,9 +126,6 @@ class Cluster {
     /** Current allocation vector. */
     std::vector<double> Allocation() const;
 
-    /** Enables/disables the log-sync stall model at runtime. */
-    void SetLogSyncEnabled(bool enabled) { cfg_.enable_log_sync = enabled; }
-
     /**
      * Fault hook: multiplies one tier's effective CPU capacity by
      * @p factor (clamped to [0, 1]) until changed again. Telemetry

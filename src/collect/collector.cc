@@ -38,30 +38,25 @@ Dataset
 Collect(const Application& app, ResourceManager& policy,
         const CollectionConfig& cfg)
 {
-    Simulator sim(cfg.sim);
     Cluster cluster(app, cfg.cluster, cfg.seed);
     const StepLoad load =
         RandomSteps(cfg.users_min, cfg.users_max, cfg.dwell_min_s,
                     cfg.dwell_max_s, cfg.duration_s, cfg.seed ^ 0x5a5a);
     WorkloadGenerator gen(cluster, load, cfg.seed ^ 0xc0ffee, 1.0,
                           cfg.bursts);
+    Simulator sim(cfg.sim, gen, cluster);
 
     std::vector<IntervalObservation> log;
     std::vector<std::vector<double>> allocs;
-
-    sim.AddTickable([&](double now, double dt) { gen.Tick(now, dt); });
-    sim.AddTickable([&](double now, double dt) { cluster.Tick(now, dt); });
-    sim.AddIntervalListener([&](int64_t, double now) {
+    const int64_t intervals = sim.IntervalsIn(cfg.duration_s);
+    for (int64_t i = 0; i < intervals; ++i) {
         allocs.push_back(cluster.Allocation());
-        IntervalObservation obs =
-            cluster.Harvest(now, cfg.sim.interval_s);
+        IntervalObservation obs = sim.RunInterval();
         const std::vector<double> next =
             policy.Decide(obs, cluster.Allocation(), app);
         cluster.SetAllocation(next);
         log.push_back(std::move(obs));
-    });
-
-    sim.RunFor(cfg.duration_s);
+    }
     return BuildDataset(log, allocs, cfg.features);
 }
 

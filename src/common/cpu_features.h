@@ -13,8 +13,8 @@
  *                       build the AVX2 translation unit;
  *   runtime detection   the host CPU must actually report AVX2;
  *   override            SINAN_SIMD=off|on|auto (environment) or
- *                       SetSimdMode() (tests, the sinan_sim --simd
- *                       flag) forces a path so CI can exercise both.
+ *                       SetSimdMode() (tests) forces a path so CI can
+ *                       exercise both.
  *
  * Every model evaluation can be stamped with ActiveKernelId() so traces
  * and bench dumps record which kernel produced the bytes. Kernels that

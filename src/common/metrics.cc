@@ -135,43 +135,6 @@ MetricsRegistry::ToCsv() const
     return out.str();
 }
 
-std::string
-MetricsRegistry::ToJson() const
-{
-    std::ostringstream out;
-    out << "{\n  \"counters\": {";
-    bool first = true;
-    for (const auto& [name, v] : counters_) {
-        out << (first ? "" : ",") << "\n    \"" << name << "\": " << v;
-        first = false;
-    }
-    out << (first ? "" : "\n  ") << "},\n  \"gauges\": {";
-    first = true;
-    for (const auto& [name, v] : gauges_) {
-        out << (first ? "" : ",") << "\n    \"" << name
-            << "\": " << FormatValue(v);
-        first = false;
-    }
-    out << (first ? "" : "\n  ") << "},\n  \"histograms\": {";
-    first = true;
-    for (const auto& [name, h] : histograms_) {
-        out << (first ? "" : ",") << "\n    \"" << name
-            << "\": {\"count\": " << h.Count()
-            << ", \"sum\": " << FormatValue(h.Sum())
-            << ", \"min\": " << FormatValue(h.Min())
-            << ", \"max\": " << FormatValue(h.Max()) << ", \"bounds\": [";
-        for (size_t b = 0; b < h.Bounds().size(); ++b)
-            out << (b ? ", " : "") << FormatValue(h.Bounds()[b]);
-        out << "], \"counts\": [";
-        for (size_t b = 0; b < h.Counts().size(); ++b)
-            out << (b ? ", " : "") << h.Counts()[b];
-        out << "]}";
-        first = false;
-    }
-    out << (first ? "" : "\n  ") << "}\n}\n";
-    return out.str();
-}
-
 void
 MetricsRegistry::Clear()
 {

@@ -117,9 +117,6 @@ class MetricsRegistry {
      */
     std::string ToCsv() const;
 
-    /** Serializes the registry as a JSON object (same ordering). */
-    std::string ToJson() const;
-
     /** Drops every metric. */
     void Clear();
 

@@ -9,14 +9,6 @@ namespace sinan {
 
 namespace {
 
-bool
-EndsWith(const std::string& s, const std::string& suffix)
-{
-    return s.size() >= suffix.size() &&
-           s.compare(s.size() - suffix.size(), suffix.size(), suffix) ==
-               0;
-}
-
 /** Minimal JSON string escaping (fault specs are plain ASCII, but a
  *  quote or backslash must not corrupt the document). */
 std::string
@@ -82,29 +74,6 @@ FleetTraceToCsv(const FleetResult& result)
 }
 
 std::string
-FleetSummaryToCsv(const FleetResult& result)
-{
-    std::ostringstream out;
-    out << "cluster,app,manager,users,seed,faults,qos_ms,"
-           "qos_meet_prob,mean_cpu,max_cpu,mean_p99_ms,"
-           "recovery_intervals\n";
-    out.setf(std::ios::fixed);
-    out.precision(4);
-    for (const FleetClusterResult& c : result.clusters) {
-        out << c.spec.index << ',' << c.spec.app << ',' << c.spec.manager
-            << ',' << c.spec.users << ',' << c.spec.seed << ",\""
-            << c.spec.faults << "\"," << c.qos_ms << ','
-            << c.result.qos_meet_prob << ',' << c.result.mean_cpu << ','
-            << c.result.max_cpu << ',' << c.result.mean_p99_ms << ','
-            << c.recovery_intervals << '\n';
-    }
-    out << "fleet,,,,,," << ',' << result.qos_meet_prob << ','
-        << result.mean_total_cpu << ',' << result.max_total_cpu << ","
-        << ",\n";
-    return out.str();
-}
-
-std::string
 FleetSummaryToJson(const FleetResult& result, bool include_timing)
 {
     std::ostringstream out;
@@ -149,10 +118,7 @@ WriteFleetTrace(const std::string& path, const FleetResult& result)
 void
 WriteFleetReport(const std::string& path, const FleetResult& result)
 {
-    if (EndsWith(path, ".json"))
-        WriteFile(path, FleetSummaryToJson(result));
-    else
-        WriteFile(path, FleetSummaryToCsv(result));
+    WriteFile(path, FleetSummaryToJson(result));
 }
 
 } // namespace sinan

@@ -7,9 +7,9 @@
  *    is the byte-identity surface of the fleet determinism contract —
  *    it contains no wall-clock measurement and must be identical at any
  *    thread count.
- *  - FleetSummaryToCsv / FleetSummaryToJson: per-cluster and fleet-wide
- *    aggregates. The JSON form optionally appends the wall-clock timing
- *    section (decision-latency percentiles, throughput), which is
+ *  - FleetSummaryToJson: the fleet report of per-cluster and fleet-wide
+ *    aggregates, optionally followed by the wall-clock timing section
+ *    (decision-latency percentiles, throughput), which is
  *    machine-dependent and therefore excluded when comparing bytes.
  */
 #ifndef SINAN_FLEET_FLEET_LOG_H
@@ -24,9 +24,6 @@ namespace sinan {
 /** Deterministic per-cluster, per-interval fleet trace as CSV. */
 std::string FleetTraceToCsv(const FleetResult& result);
 
-/** Per-cluster summary rows + a fleet-wide footer row as CSV. */
-std::string FleetSummaryToCsv(const FleetResult& result);
-
 /**
  * Fleet report as JSON: per-cluster aggregates, fleet-wide aggregates,
  * and — when @p include_timing — the wall-clock section (threads,
@@ -39,8 +36,8 @@ std::string FleetSummaryToJson(const FleetResult& result,
 /** Writes the deterministic fleet trace CSV (parents created). */
 void WriteFleetTrace(const std::string& path, const FleetResult& result);
 
-/** Writes the fleet report: ".json" suffix selects JSON (with timing),
- *  anything else the summary CSV. */
+/** Writes the fleet report: FleetSummaryToJson with timing (parents
+ *  created). */
 void WriteFleetReport(const std::string& path,
                       const FleetResult& result);
 

@@ -114,9 +114,9 @@ RunResult RunManaged(const Application& app, ResourceManager& manager,
  * telemetry to the same configuration run solo (its decisions as the
  * same RunResult::decision_digest; only RunManaged keeps the entries).
  *
- * Instances are pinned to their construction address (the simulator's
- * tick callbacks capture member references): neither copyable nor
- * movable. The application, manager, and load must outlive the run.
+ * Instances are pinned to their construction address (the simulator
+ * holds references to the run's generator and cluster): neither
+ * copyable nor movable. The application, manager, and load must outlive the run.
  */
 class ManagedRun {
   public:
@@ -164,9 +164,9 @@ class ManagedRun {
     const Application& app_;
     ResourceManager& manager_;
     RunConfig cfg_;
-    Simulator sim_;
     Cluster cluster_;
     WorkloadGenerator gen_;
+    Simulator sim_;
     std::unique_ptr<FaultInjector> injector_;
 
     RunResult result_;

@@ -33,14 +33,6 @@ AppendEntryPrefix(std::ostringstream& out, const DecisionTraceEntry& e)
     }
 }
 
-bool
-EndsWith(const std::string& s, const std::string& suffix)
-{
-    return s.size() >= suffix.size() &&
-           s.compare(s.size() - suffix.size(), suffix.size(), suffix) ==
-               0;
-}
-
 } // namespace
 
 std::string
@@ -86,71 +78,16 @@ DecisionTraceToCsv(const DecisionTrace& trace)
     return out.str();
 }
 
-std::string
-DecisionTraceToJson(const DecisionTrace& trace)
-{
-    std::ostringstream out;
-    out.setf(std::ios::fixed);
-    out.precision(4);
-    out << "[\n";
-    for (size_t i = 0; i < trace.intervals.size(); ++i) {
-        const DecisionTraceEntry& e = trace.intervals[i];
-        out << "  {\"time_s\": " << e.time_s
-            << ", \"interval\": " << e.interval << ", \"decision\": \""
-            << ToString(e.kind)
-            << "\", \"observed_p99_ms\": " << e.observed_p99_ms
-            << ", \"violated\": " << (e.violated ? "true" : "false")
-            << ", \"trust_reduced\": "
-            << (e.trust_reduced ? "true" : "false")
-            << ", \"mispredictions\": " << e.mispredictions
-            << ", \"healthy_streak\": " << e.healthy_streak
-            << ", \"consecutive_violations\": "
-            << e.consecutive_violations << ", \"trust_lost\": "
-            << (e.trust_lost ? "true" : "false")
-            << ", \"trust_restored\": "
-            << (e.trust_restored ? "true" : "false")
-            << ", \"telemetry\": \"" << ToString(e.telemetry)
-            << "\", \"silent_intervals\": " << e.silent_intervals
-            << ", \"margin_ms\": " << e.margin_ms
-            << ", \"may_reclaim\": "
-            << (e.may_reclaim ? "true" : "false")
-            << ", \"confidence\": " << e.confidence
-            << ", \"uncertainty_margin_ms\": " << e.uncertainty_margin_ms
-            << ", \"tier_confidence\": [";
-        for (size_t t = 0; t < e.tier_confidence.size(); ++t)
-            out << (t ? ", " : "") << e.tier_confidence[t];
-        out << "], \"chosen\": " << e.chosen << ",\n   \"candidates\": [";
-        for (size_t c = 0; c < e.candidates.size(); ++c) {
-            const CandidateTrace& ct = e.candidates[c];
-            out << (c ? ",\n     " : "\n     ") << "{\"action\": \""
-                << ToString(ct.kind)
-                << "\", \"total_cpu\": " << ct.total_cpu
-                << ", \"latency_ms\": [";
-            for (size_t p = 0; p < ct.latency_ms.size(); ++p)
-                out << (p ? ", " : "") << ct.latency_ms[p];
-            out << "], \"p_violation\": " << ct.p_violation
-                << ", \"outcome\": \"" << ToString(ct.outcome) << "\"}";
-        }
-        out << (e.candidates.empty() ? "]}" : "\n   ]}")
-            << (i + 1 < trace.intervals.size() ? ",\n" : "\n");
-    }
-    out << "]\n";
-    return out.str();
-}
-
 void
 WriteDecisionTrace(const std::string& path, const DecisionTrace& trace)
 {
-    WriteFile(path, EndsWith(path, ".json")
-                        ? DecisionTraceToJson(trace)
-                        : DecisionTraceToCsv(trace));
+    WriteFile(path, DecisionTraceToCsv(trace));
 }
 
 void
 WriteMetrics(const std::string& path, const MetricsRegistry& reg)
 {
-    WriteFile(path,
-              EndsWith(path, ".json") ? reg.ToJson() : reg.ToCsv());
+    WriteFile(path, reg.ToCsv());
 }
 
 double

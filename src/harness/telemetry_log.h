@@ -2,11 +2,10 @@
  * @file
  * Serialization of the scheduler's decision telemetry (see
  * core/decision_trace.h and common/metrics.h), emitted next to the run
- * log: a flat CSV with one row per candidate per decision interval (the
- * format the acceptance tooling and the figure post-processing consume)
- * and a nested JSON form for ad-hoc inspection. Both renderings are
- * deterministic: equal traces produce byte-identical output, which is
- * what the 1-vs-N-thread parity tests compare.
+ * log as a flat CSV with one row per candidate per decision interval
+ * (the format the acceptance tooling and the figure post-processing
+ * consume). The rendering is deterministic: equal traces produce
+ * byte-identical output.
  */
 #ifndef SINAN_HARNESS_TELEMETRY_LOG_H
 #define SINAN_HARNESS_TELEMETRY_LOG_H
@@ -32,17 +31,11 @@ namespace sinan {
  */
 std::string DecisionTraceToCsv(const DecisionTrace& trace);
 
-/** Nested JSON: an array of interval objects with their candidates. */
-std::string DecisionTraceToJson(const DecisionTrace& trace);
-
-/**
- * Writes the trace to @p path (creating parent directories); a path
- * ending in ".json" selects the JSON rendering, anything else CSV.
- */
+/** Writes DecisionTraceToCsv to @p path (creating parent directories). */
 void WriteDecisionTrace(const std::string& path,
                         const DecisionTrace& trace);
 
-/** Writes a metrics registry to @p path (".json" selects JSON). */
+/** Writes MetricsRegistry::ToCsv to @p path (parents created). */
 void WriteMetrics(const std::string& path, const MetricsRegistry& reg);
 
 /** Summary counters derived from a run's metric registry. */

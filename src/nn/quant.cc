@@ -197,13 +197,6 @@ QuantizedLinear::SetActivationScale(float max_abs)
 }
 
 void
-QuantizeActivationsU8(const float* x, int64_t count, float inv_scale,
-                      uint8_t* out)
-{
-    ActiveQuantizeU8()(x, count, inv_scale, out);
-}
-
-void
 QuantizeImageChannelLast(const float* x, int in_c, int64_t hw,
                          float inv_scale, uint8_t* xq)
 {

@@ -134,12 +134,6 @@ struct QuantizedLinear {
     void SetActivationScale(float max_abs);
 };
 
-/** Quantizes @p count activations to u8 with zero point 128 via the
- *  dispatched bulk quantizer (QuantizeU8One semantics — see
- *  tensor/gemm_int8_kernels.h; scalar and AVX2 are byte-identical). */
-void QuantizeActivationsU8(const float* x, int64_t count, float inv_scale,
-                           uint8_t* out);
-
 /**
  * Quantizes a channel-major fp32 image ([C, HW] planes, the Tensor
  * conv layout) into a channel-LAST u8 image xq[p * in_c + c]. The

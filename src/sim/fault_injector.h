@@ -241,8 +241,6 @@ class FaultInjector {
      */
     double RateMultiplierAt(int64_t interval) const;
 
-    const FaultSchedule& Schedule() const { return schedule_; }
-
   private:
     void Count(FaultKind kind);
 

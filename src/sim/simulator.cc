@@ -5,8 +5,9 @@
 
 namespace sinan {
 
-Simulator::Simulator(const SimConfig& cfg)
-    : cfg_(cfg)
+Simulator::Simulator(const SimConfig& cfg, WorkloadGenerator& gen,
+                     Cluster& cluster)
+    : cfg_(cfg), gen_(gen), cluster_(cluster)
 {
     if (cfg.tick_s <= 0.0 || cfg.interval_s <= 0.0)
         throw std::invalid_argument("Simulator: non-positive step sizes");
@@ -17,34 +18,23 @@ Simulator::Simulator(const SimConfig& cfg)
             "Simulator: interval must be at least one tick");
 }
 
-void
-Simulator::AddTickable(TickFn fn)
+IntervalObservation
+Simulator::RunInterval()
 {
-    tickables_.push_back(std::move(fn));
-}
-
-void
-Simulator::AddIntervalListener(IntervalFn fn)
-{
-    interval_listeners_.push_back(std::move(fn));
-}
-
-void
-Simulator::RunFor(double seconds)
-{
-    const int64_t n_ticks =
-        static_cast<int64_t>(std::llround(seconds / cfg_.tick_s));
-    for (int64_t i = 0; i < n_ticks; ++i) {
+    for (int64_t i = 0; i < ticks_per_interval_; ++i) {
         const double now = Now();
-        for (auto& t : tickables_)
-            t(now, cfg_.tick_s);
+        gen_.Tick(now, cfg_.tick_s);
+        cluster_.Tick(now, cfg_.tick_s);
         ++tick_;
-        if (tick_ % ticks_per_interval_ == 0) {
-            for (auto& l : interval_listeners_)
-                l(interval_, Now());
-            ++interval_;
-        }
     }
+    return cluster_.Harvest(Now(), cfg_.interval_s);
+}
+
+int64_t
+Simulator::IntervalsIn(double seconds) const
+{
+    return static_cast<int64_t>(std::llround(seconds / cfg_.tick_s)) /
+           ticks_per_interval_;
 }
 
 } // namespace sinan

@@ -1,20 +1,21 @@
 /**
  * @file
- * Discrete-time simulation engine.
+ * Discrete-time simulation loop.
  *
  * The cluster substrate advances in small fixed ticks (default 10 ms); a
  * coarser "decision interval" (default 1 s, matching the paper's scheduler
  * cadence and QoS definition granularity) groups ticks for metric roll-up
- * and resource-management decisions. The engine owns the clock and calls
- * registered tickables every tick and interval listeners at every interval
- * boundary.
+ * and resource-management decisions. The loop owns the clock, ticks the
+ * workload generator and then the cluster every tick, and harvests the
+ * cluster's observation at every interval boundary.
  */
 #ifndef SINAN_SIM_SIMULATOR_H
 #define SINAN_SIM_SIMULATOR_H
 
 #include <cstdint>
-#include <functional>
-#include <vector>
+
+#include "cluster/cluster.h"
+#include "workload/workload.h"
 
 namespace sinan {
 
@@ -27,44 +28,34 @@ struct SimConfig {
 };
 
 /**
- * Fixed-step simulation driver.
- *
- * Tickables run in registration order each tick; interval listeners run in
- * registration order whenever an interval boundary is crossed (after the
- * tick that completes the interval). Determinism therefore only depends on
- * registration order and the RNG seeds of the components themselves.
+ * Fixed-step simulation loop over one workload generator and the
+ * cluster it feeds. Each tick runs the generator before the cluster, so
+ * arrivals of a tick are served in that same tick; determinism depends
+ * only on that order and the components' own RNG seeds. The generator
+ * and the cluster must outlive the simulator.
  */
 class Simulator {
   public:
-    using TickFn = std::function<void(double now, double dt)>;
-    using IntervalFn = std::function<void(int64_t interval_idx, double now)>;
+    Simulator(const SimConfig& cfg, WorkloadGenerator& gen,
+              Cluster& cluster);
 
-    explicit Simulator(const SimConfig& cfg = SimConfig());
+    /** Ticks one decision interval and returns the cluster's
+     *  observation harvested at its end. */
+    IntervalObservation RunInterval();
 
-    /** Registers a per-tick callback (e.g., workload source, cluster). */
-    void AddTickable(TickFn fn);
-
-    /** Registers an interval-boundary callback (e.g., resource manager). */
-    void AddIntervalListener(IntervalFn fn);
-
-    /** Runs for @p seconds of simulated time from the current clock. */
-    void RunFor(double seconds);
+    /** Whole decision intervals in @p seconds of simulated time; a
+     *  trailing partial interval is dropped. */
+    int64_t IntervalsIn(double seconds) const;
 
     /** Current simulated time in seconds. */
     double Now() const { return static_cast<double>(tick_) * cfg_.tick_s; }
 
-    /** Number of elapsed decision intervals. */
-    int64_t IntervalIndex() const { return interval_; }
-
-    const SimConfig& Config() const { return cfg_; }
-
   private:
     SimConfig cfg_;
+    WorkloadGenerator& gen_;
+    Cluster& cluster_;
     int64_t tick_ = 0;
-    int64_t interval_ = 0;
     int64_t ticks_per_interval_ = 0;
-    std::vector<TickFn> tickables_;
-    std::vector<IntervalFn> interval_listeners_;
 };
 
 } // namespace sinan

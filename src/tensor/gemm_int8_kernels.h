@@ -96,8 +96,8 @@ void GemmInt8RowsAvx2(const uint8_t* a, int64_t lda, const int8_t* bpack,
 #endif
 
 /** The kernel the current dispatch decision selects — the same
- *  SINAN_SIMD / SetSimdMode switch as the fp32 kernels, so --simd=off
- *  exercises the int8 scalar reference. */
+ *  SINAN_SIMD / SetSimdMode switch as the fp32 kernels, so
+ *  SINAN_SIMD=off exercises the int8 scalar reference. */
 GemmInt8RowsFn ActiveGemmInt8Rows();
 
 /**

@@ -157,19 +157,17 @@ SteadyP99(const Application& app, double users, double alloc_mult,
     cluster.SetAllocation(alloc);
     ConstantLoad load(users);
     WorkloadGenerator gen(cluster, load, 17);
-    Simulator sim;
+    Simulator sim(SimConfig(), gen, cluster);
     double p99_acc = 0.0;
     int cnt = 0;
-    sim.AddTickable([&](double now, double dt) { gen.Tick(now, dt); });
-    sim.AddTickable([&](double now, double dt) { cluster.Tick(now, dt); });
-    sim.AddIntervalListener([&](int64_t, double now) {
-        const IntervalObservation obs = cluster.Harvest(now, 1.0);
-        if (now > duration / 3.0) {
+    const int64_t intervals = sim.IntervalsIn(duration);
+    for (int64_t i = 0; i < intervals; ++i) {
+        const IntervalObservation obs = sim.RunInterval();
+        if (sim.Now() > duration / 3.0) {
             p99_acc += obs.P99();
             ++cnt;
         }
-    });
-    sim.RunFor(duration);
+    }
     return p99_acc / cnt;
 }
 
@@ -212,22 +210,17 @@ TEST(Calibration, ComposeHeavyMixNeedsMoreCpu)
         cluster.SetAllocation(alloc);
         ConstantLoad load(300.0);
         WorkloadGenerator gen(cluster, load, 29);
-        Simulator sim;
+        Simulator sim(SimConfig(), gen, cluster);
         double used = 0.0;
         int cnt = 0;
-        sim.AddTickable(
-            [&](double now, double dt) { gen.Tick(now, dt); });
-        sim.AddTickable(
-            [&](double now, double dt) { cluster.Tick(now, dt); });
-        sim.AddIntervalListener([&](int64_t, double now) {
-            const IntervalObservation obs = cluster.Harvest(now, 1.0);
-            if (now > 10.0) {
+        for (int i = 0; i < 30; ++i) {
+            const IntervalObservation obs = sim.RunInterval();
+            if (sim.Now() > 10.0) {
                 for (const TierMetrics& m : obs.tiers)
                     used += m.cpu_used;
                 ++cnt;
             }
-        });
-        sim.RunFor(30.0);
+        }
         return used / cnt;
     };
     const auto mixes = SocialNetworkMixes();

@@ -16,6 +16,7 @@
 
 #include "app/apps.h"
 #include "cli/sim_cli.h"
+#include "common/cpu_features.h"
 #include "golden_util.h"
 
 namespace sinan {
@@ -58,7 +59,7 @@ TEST(CliTest, ParsesSingleRunFlagsBothSpellings)
         Parse({"--app", "hotel", "--manager=sinan", "--users=2500",
                "--duration", "30", "--warmup=5", "--seed", "42",
                "--threads=4", "--faults", "stall@3+2:tier=1",
-               "--decision-log", "trace.json"});
+               "--decision-log", "trace.csv"});
     EXPECT_EQ(opt.app, "hotel");
     EXPECT_TRUE(opt.app_set);
     EXPECT_EQ(opt.manager, "sinan");
@@ -71,7 +72,7 @@ TEST(CliTest, ParsesSingleRunFlagsBothSpellings)
     ASSERT_EQ(opt.faults.events.size(), 1u);
     EXPECT_EQ(opt.faults.events[0].start, 3);
     EXPECT_EQ(opt.faults.events[0].tier, 1);
-    EXPECT_EQ(opt.decision_log_path, "trace.json");
+    EXPECT_EQ(opt.decision_log_path, "trace.csv");
 }
 
 TEST(CliTest, ParsesFleetFlagsAndOverrides)
@@ -104,9 +105,22 @@ TEST(CliTest, ParsesFleetFlagsAndOverrides)
     EXPECT_EQ(shards[12].faults, "stall@2+3:tier=1;drop@6");
 }
 
+TEST(CliTest, ParsingLeavesSimdDispatchModeAlone)
+{
+    // SINAN_SIMD (read at startup into the dispatch mode) must survive
+    // argument parsing; no flag may reset it to auto.
+    const SimdMode entry = CurrentSimdMode();
+    SetSimdMode(SimdMode::kOff);
+    (void)Parse({"--app", "hotel"});
+    EXPECT_EQ(CurrentSimdMode(), SimdMode::kOff);
+    SetSimdMode(entry);
+}
+
 TEST(CliDeathTest, MalformedFlagsExitTwo)
 {
     ExpectUsageExit({"--bogus"}, "unknown flag --bogus");
+    // Dispatch is overridden by the SINAN_SIMD variable, not a flag.
+    ExpectUsageExit({"--simd", "on"}, "unknown flag --simd");
     ExpectUsageExit({"--users"}, "missing value for --users");
     ExpectUsageExit({"--users", "abc"}, "expects a number");
     ExpectUsageExit({"--users", "12x"}, "expects a number");
@@ -275,31 +289,6 @@ TEST(CliTest, ChaosCatalogMatchesGoldenListing)
     // The two PR-9 scenarios must be part of the catalog.
     EXPECT_NE(rendered.find("correlated-outage"), std::string::npos);
     EXPECT_NE(rendered.find("flash-crowd"), std::string::npos);
-}
-
-TEST(CliTest, ParsesSimdFlagAndAppliesDispatchMode)
-{
-    const SimdMode entry = CurrentSimdMode();
-    const SimOptions off = Parse({"--simd", "off"});
-    EXPECT_EQ(off.simd, SimdMode::kOff);
-    EXPECT_EQ(CurrentSimdMode(), SimdMode::kOff);
-    EXPECT_STREQ(ActiveKernelId(), "scalar-v1");
-
-    const SimOptions on = Parse({"--simd=on"});
-    EXPECT_EQ(on.simd, SimdMode::kOn);
-    EXPECT_EQ(CurrentSimdMode(), SimdMode::kOn);
-
-    const SimOptions aut = Parse({"--simd", "auto"});
-    EXPECT_EQ(aut.simd, SimdMode::kAuto);
-    SetSimdMode(entry);
-}
-
-TEST(CliDeathTest, SimdFlagRejectsUnknownMode)
-{
-    ExpectUsageExit({"--simd", "fast"},
-                    "--simd expects on, off, or auto");
-    ExpectUsageExit({"--simd", ""},
-                    "--simd expects on, off, or auto");
 }
 
 } // namespace

@@ -13,7 +13,7 @@
  *   sinan_sim --app social --manager cons --users 250 --duration 120
  *   sinan_sim --app hotel --manager sinan --users 2500 --collect 800 \
  *             --epochs 8 --log hotel_sinan.csv \
- *             --decision-log decisions.csv --metrics metrics.json
+ *             --decision-log decisions.csv --metrics metrics.csv
  *   sinan_sim --manager sinan --faults chaos:telemetry-blackout
  *   sinan_sim --faults 'stall@10+5:tier=2;drop@12+3'
  *   sinan_sim --faults list
