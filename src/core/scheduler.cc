@@ -4,6 +4,7 @@
 #include <array>
 #include <cmath>
 #include <numeric>
+#include <string>
 
 #include "common/check.h"
 
@@ -60,6 +61,68 @@ KindCounter(DecisionKind kind)
 /** Number of CandidateOutcome values (kNotCheapest is the last). */
 constexpr size_t kOutcomeKinds =
     static_cast<size_t>(CandidateOutcome::kNotCheapest) + 1;
+/** Number of DecisionKind values (kUncertainModel is the last). */
+constexpr size_t kDecisionKinds =
+    static_cast<size_t>(DecisionKind::kUncertainModel) + 1;
+/** Number of ActionKind values (kScaleUpVictims is the last). */
+constexpr size_t kActionKinds =
+    static_cast<size_t>(ActionKind::kScaleUpVictims) + 1;
+/** Number of TelemetryHealth values (kAbsent is the last). */
+constexpr size_t kHealthKinds =
+    static_cast<size_t>(TelemetryHealth::kAbsent) + 1;
+
+/** Every registry name Decide() updates, built once per process so
+ *  the per-decision metrics block builds no std::string. */
+struct MetricNames {
+    const std::string decisions = "sinan.scheduler.decisions";
+    const std::string predictions = "sinan.scheduler.predictions";
+    const std::string mispredictions = "sinan.scheduler.mispredictions";
+    const std::string trust_lost = "sinan.scheduler.trust_lost";
+    const std::string trust_restored = "sinan.scheduler.trust_restored";
+    const std::string degraded = "sinan.scheduler.degraded";
+    const std::string uncertain = "sinan.scheduler.uncertain";
+    const std::string escalations = "sinan.scheduler.escalations";
+    const std::string observed_p99 = "sinan.scheduler.observed_p99_ms";
+    const std::string trust_reduced = "sinan.scheduler.trust_reduced";
+    const std::string mispredictions_current =
+        "sinan.scheduler.mispredictions_current";
+    const std::string silent_intervals = "sinan.scheduler.silent_intervals";
+    const std::string healthy_streak = "sinan.scheduler.healthy_streak";
+    const std::string confidence = "sinan.scheduler.confidence";
+    const std::string candidates = "sinan.scheduler.candidates";
+    const std::string pred_p99 = "sinan.scheduler.pred_p99_ms";
+    const std::string pred_pv = "sinan.scheduler.pred_p_violation";
+    const std::string no_feasible = "sinan.scheduler.no_feasible";
+    /** KindCounter's name per DecisionKind ("" for none). */
+    std::array<std::string, kDecisionKinds> kind;
+    std::array<std::string, kHealthKinds> telemetry;
+    std::array<std::string, kOutcomeKinds> outcome;
+    std::array<std::string, kActionKinds> chosen;
+
+    MetricNames()
+    {
+        for (size_t k = 0; k < kDecisionKinds; ++k) {
+            const char* name = KindCounter(static_cast<DecisionKind>(k));
+            kind[k] = name ? name : "";
+        }
+        for (size_t k = 0; k < kHealthKinds; ++k)
+            telemetry[k] = std::string("sinan.scheduler.telemetry.") +
+                           ToString(static_cast<TelemetryHealth>(k));
+        for (size_t k = 0; k < kOutcomeKinds; ++k)
+            outcome[k] = std::string("sinan.scheduler.outcome.") +
+                         ToString(static_cast<CandidateOutcome>(k));
+        for (size_t k = 0; k < kActionKinds; ++k)
+            chosen[k] = std::string("sinan.scheduler.chosen.") +
+                        ToString(static_cast<ActionKind>(k));
+    }
+};
+
+const MetricNames&
+Names()
+{
+    static const MetricNames names;
+    return names;
+}
 
 /** Scale-up-all (AWS step-scaling inspired), clamped to the maxima. */
 std::vector<double>
@@ -89,7 +152,8 @@ SinanScheduler::Reset()
 {
     window_.Clear();
     guard_.Reset();
-    recent_victims_.clear();
+    for (std::vector<int>& v : recent_victims_)
+        v.clear();
     last_pred_p99_ = -1.0;
     last_pred_pv_ = -1.0;
     pending_pred_p99_ = -1.0;
@@ -100,52 +164,84 @@ SinanScheduler::Reset()
     interval_idx_ = 0;
 }
 
-std::vector<SinanScheduler::Candidate>
+void
 SinanScheduler::BuildCandidates(const IntervalObservation& obs,
                                 const std::vector<double>& alloc,
-                                const Application& app) const
+                                const Application& app,
+                                std::vector<Candidate>& cands)
 {
     const int n = static_cast<int>(alloc.size());
-    std::vector<Candidate> cands;
+    cands.clear();
     // Hold, single-tier downs and ups, four batch downs, up-all and
     // up-victims: an upper bound, since phantoms are dropped.
     cands.reserve(2 * static_cast<size_t>(n) * kCpuSteps.size() + 7);
 
-    auto clamp_alloc = [&](std::vector<double> a) {
-        for (int i = 0; i < n; ++i)
-            a[i] = std::clamp(a[i], app.tiers[i].min_cpu,
-                              app.tiers[i].max_cpu);
+    // The current allocation clamped to the tier bounds, and its
+    // running sums. A candidate row holds the current allocation up to
+    // its first edited tier, so add() takes the clamped values and the
+    // running sum there and clamps and adds only the rest, in the order
+    // of a full std::accumulate (so total_cpu keeps its bytes).
+    std::vector<double> base(n), prefix(n + 1, 0.0);
+    for (int i = 0; i < n; ++i) {
+        base[i] = std::clamp(alloc[i], app.tiers[i].min_cpu,
+                             app.tiers[i].max_cpu);
+        prefix[i + 1] = prefix[i] + base[i];
+    }
+    std::vector<double> util(n);
+    for (int i = 0; i < n; ++i)
+        util[i] = obs.tiers[i].Utilization();
+
+    // Each candidate starts as a copy of the current allocation in the
+    // next free row, is edited in place, and is kept by add(), which
+    // clamps it; a dropped candidate leaves its row to the next one.
+    auto start = [&]() -> std::vector<double>& {
+        if (eval_allocs_.size() == cands.size()) {
+            if (spare_rows_.empty()) {
+                eval_allocs_.emplace_back();
+            } else {
+                eval_allocs_.push_back(std::move(spare_rows_.back()));
+                spare_rows_.pop_back();
+            }
+        }
+        std::vector<double>& a = eval_allocs_[cands.size()];
+        a.assign(alloc.begin(), alloc.end());
         return a;
     };
-    auto add = [&](std::vector<double> a, ActionKind kind) {
-        Candidate c;
-        c.alloc = clamp_alloc(std::move(a));
-        c.kind = kind;
+    auto add = [&](ActionKind kind) {
+        std::vector<double>& a = eval_allocs_[cands.size()];
+        const int first = static_cast<int>(
+            std::mismatch(a.begin(), a.end(), alloc.begin()).first -
+            a.begin());
+        std::copy(base.begin(), base.begin() + first, a.begin());
+        double total = prefix[first];
+        for (int i = first; i < n; ++i) {
+            a[i] = std::clamp(a[i], app.tiers[i].min_cpu,
+                              app.tiers[i].max_cpu);
+            total += a[i];
+        }
         // A non-hold candidate whose clamped allocation equals the
         // current one is a phantom: it would duplicate Hold, waste an
         // Evaluate slot, and — flagged as a down action — let a no-op
         // masquerade as a reclaim (e.g. a batch down where every
         // selected tier sits above kUtilCap).
-        if (kind != ActionKind::kHold && c.alloc == alloc)
+        if (kind != ActionKind::kHold && a == alloc)
             return;
-        c.total_cpu =
-            std::accumulate(c.alloc.begin(), c.alloc.end(), 0.0);
-        cands.push_back(std::move(c));
+        cands.push_back({kind, total});
     };
 
     // Hold.
-    add(alloc, ActionKind::kHold);
+    start();
+    add(ActionKind::kHold);
 
     // Scale Down: single tiers (skipping saturated ones).
     for (int i = 0; i < n; ++i) {
-        if (obs.tiers[i].Utilization() > kUtilCap)
+        if (util[i] > kUtilCap)
             continue;
         for (double step : kCpuSteps) {
             if (alloc[i] - step < app.tiers[i].min_cpu - 1e-9)
                 continue;
-            std::vector<double> a = alloc;
-            a[i] -= step;
-            add(std::move(a), ActionKind::kScaleDown);
+            start()[i] -= step;
+            add(ActionKind::kScaleDown);
         }
     }
 
@@ -153,72 +249,71 @@ SinanScheduler::BuildCandidates(const IntervalObservation& obs,
     {
         std::vector<int> order(n);
         std::iota(order.begin(), order.end(), 0);
-        std::sort(order.begin(), order.end(), [&](int x, int y) {
-            return obs.tiers[x].Utilization() < obs.tiers[y].Utilization();
-        });
+        std::sort(order.begin(), order.end(),
+                  [&](int x, int y) { return util[x] < util[y]; });
         for (int k : {2, n / 4, n / 2, n}) {
             if (k < 2 || k > n)
                 continue;
-            std::vector<double> a = alloc;
+            std::vector<double>& a = start();
             for (int j = 0; j < k; ++j) {
                 const int tier = order[j];
-                if (obs.tiers[tier].Utilization() > kUtilCap)
+                if (util[tier] > kUtilCap)
                     continue;
                 a[tier] *= 1.0 - kBatchDownRatio;
             }
-            add(std::move(a), ActionKind::kScaleDownBatch);
+            add(ActionKind::kScaleDownBatch);
         }
     }
 
     // Scale Up: single tiers.
     for (int i = 0; i < n; ++i) {
         for (double step : kCpuSteps) {
-            std::vector<double> a = alloc;
-            a[i] += step;
-            add(std::move(a), ActionKind::kScaleUp);
+            start()[i] += step;
+            add(ActionKind::kScaleUp);
         }
     }
 
     // Scale Up All.
     {
-        std::vector<double> a = alloc;
+        std::vector<double>& a = start();
         for (int i = 0; i < n; ++i)
             a[i] = a[i] * (1.0 + kUpAllRatio) + 0.2;
-        add(std::move(a), ActionKind::kScaleUpAll);
+        add(ActionKind::kScaleUpAll);
     }
 
     // Scale Up Victims: tiers scaled down within the look-back window.
-    if (!recent_victims_.empty()) {
-        std::vector<bool> victim(n, false);
+    {
+        std::vector<double>& a = start();
         bool any = false;
-        for (const auto& tiers : recent_victims_) {
+        for (const std::vector<int>& tiers : recent_victims_) {
             for (int t : tiers) {
-                victim[t] = true;
+                // Assigned, not added: a tier in several intervals'
+                // lists grows once.
+                a[t] = alloc[t] + kCpuSteps.back();
                 any = true;
             }
         }
-        if (any) {
-            std::vector<double> a = alloc;
-            for (int i = 0; i < n; ++i) {
-                if (victim[i])
-                    a[i] += kCpuSteps.back();
-            }
-            add(std::move(a), ActionKind::kScaleUpVictims);
-        }
+        if (any)
+            add(ActionKind::kScaleUpVictims);
+    }
+
+    // Rows past the last candidate wait for a longer candidate set.
+    while (eval_allocs_.size() > cands.size()) {
+        spare_rows_.push_back(std::move(eval_allocs_.back()));
+        eval_allocs_.pop_back();
     }
 #ifndef SINAN_DISABLE_DCHECKS
     // Postcondition: every candidate stays within the per-tier action
-    // bounds of Table 1 — clamp_alloc guarantees it, and the contract
-    // keeps any future candidate generator honest.
-    for (const Candidate& c : cands) {
-        SINAN_DCHECK_EQ(c.alloc.size(), alloc.size());
+    // bounds of Table 1 — add() guarantees it, and the contract keeps
+    // any future candidate generator honest.
+    for (const std::vector<double>& a : eval_allocs_) {
+        SINAN_DCHECK_EQ(a.size(), alloc.size());
         for (int i = 0; i < n; ++i) {
-            SINAN_DCHECK_BOUNDS(c.alloc[i], app.tiers[i].min_cpu - 1e-9,
+            SINAN_DCHECK_BOUNDS(a[i], app.tiers[i].min_cpu - 1e-9,
                                 app.tiers[i].max_cpu + 1e-9);
         }
     }
 #endif
-    return cands;
 }
 
 std::vector<double>
@@ -360,7 +455,6 @@ SinanScheduler::Decide(const IntervalObservation& obs,
     // Safety upscales forget the victims; every other exit records
     // this interval's (only the model path can scale down).
     bool clear_victims = false;
-    std::vector<int> victims;
     double pred_p99 = -1.0;
     double pred_pv = -1.0;
 
@@ -424,10 +518,7 @@ SinanScheduler::Decide(const IntervalObservation& obs,
     } else {
         // ---- 4. candidates and predictions ---------------------------
         model_path = true;
-        cands = BuildCandidates(*ref, alloc, app);
-        eval_allocs_.resize(cands.size());
-        for (size_t i = 0; i < cands.size(); ++i)
-            eval_allocs_[i] = cands[i].alloc;
+        BuildCandidates(*ref, alloc, app, cands);
         preds = model_->Evaluate(window, eval_allocs_);
         SINAN_CHECK_EQ(preds.size(), cands.size());
         for (const Prediction& p : preds) {
@@ -488,8 +579,7 @@ SinanScheduler::Decide(const IntervalObservation& obs,
                 bool saturates = false;
                 for (int j = 0; j < n && !saturates; ++j) {
                     saturates = ref->tiers[j].cpu_used >
-                                kPostDownUtilCap *
-                                    cands[i].alloc[j];
+                                kPostDownUtilCap * eval_allocs_[i][j];
                 }
                 if (saturates) {
                     outcomes[i] =
@@ -519,7 +609,7 @@ SinanScheduler::Decide(const IntervalObservation& obs,
             kind = fresh  ? DecisionKind::kModel
                    : blind ? DecisionKind::kDegradedModel
                            : DecisionKind::kUncertainModel;
-            chosen = cands[best].alloc;
+            chosen = eval_allocs_[best];
             pred_p99 = preds[best].P99();
             pred_pv = preds[best].p_violation;
         } else {
@@ -531,12 +621,6 @@ SinanScheduler::Decide(const IntervalObservation& obs,
             if (fresh && hold_idx >= 0) {
                 pred_p99 = preds[hold_idx].P99();
                 pred_pv = preds[hold_idx].p_violation;
-            }
-        }
-        if (!blind) {
-            for (int i = 0; i < n; ++i) {
-                if (chosen[i] < alloc[i] - 1e-9)
-                    victims.push_back(i);
             }
         }
     }
@@ -564,82 +648,83 @@ SinanScheduler::Decide(const IntervalObservation& obs,
         guard_.CommitDegraded();
     }
     if (clear_victims) {
-        recent_victims_.clear();
+        for (std::vector<int>& v : recent_victims_)
+            v.clear();
     } else {
-        recent_victims_.push_back(std::move(victims));
-        while (static_cast<int>(recent_victims_.size()) >
-               kVictimWindow)
-            recent_victims_.pop_front();
+        // This interval's victims replace the oldest interval's: the
+        // tiers a non-blind model decision scaled down.
+        std::vector<int>& victims = recent_victims_[victims_next_];
+        victims_next_ = (victims_next_ + 1) % recent_victims_.size();
+        victims.clear();
+        if (model_path && !blind) {
+            for (int i = 0; i < n; ++i) {
+                if (chosen[i] < alloc[i] - 1e-9)
+                    victims.push_back(i);
+            }
+        }
     }
 
     // Metrics, then the trace. Both only read this interval's
     // predictions; the trace copies each PercentileRow inline.
     if (metrics_) {
         MetricsRegistry& m = *metrics_;
-        m.Inc("sinan.scheduler.decisions");
+        const MetricNames& names = Names();
+        m.Inc(names.decisions);
         if (scored)
-            m.Inc("sinan.scheduler.predictions");
+            m.Inc(names.predictions);
         if (mispredicted)
-            m.Inc("sinan.scheduler.mispredictions");
+            m.Inc(names.mispredictions);
         if (trust_lost)
-            m.Inc("sinan.scheduler.trust_lost");
+            m.Inc(names.trust_lost);
         if (trust_restored)
-            m.Inc("sinan.scheduler.trust_restored");
+            m.Inc(names.trust_restored);
         if (!fresh) {
-            m.Inc(blind ? "sinan.scheduler.degraded"
-                        : "sinan.scheduler.uncertain");
-            m.Inc(std::string("sinan.scheduler.telemetry.") +
-                  ToString(assess.health));
+            m.Inc(blind ? names.degraded : names.uncertain);
+            m.Inc(names.telemetry[static_cast<size_t>(assess.health)]);
         }
-        if (const char* name = KindCounter(kind))
+        if (const std::string& name =
+                names.kind[static_cast<size_t>(kind)];
+            !name.empty())
             m.Inc(name);
         if (kind == DecisionKind::kEscalatedFallback)
-            m.Inc("sinan.scheduler.escalations");
-        if (latency_trusted) {
-            m.Observe("sinan.scheduler.observed_p99_ms", ref->P99(),
-                      LatencyBounds());
-        }
+            m.Inc(names.escalations);
+        if (latency_trusted)
+            m.Observe(names.observed_p99, ref->P99(), LatencyBounds());
         if (fresh) {
-            m.Set("sinan.scheduler.trust_reduced",
-                  trust_reduced_ ? 1.0 : 0.0);
-            m.Set("sinan.scheduler.mispredictions_current",
-                  mispredictions_);
+            m.Set(names.trust_reduced, trust_reduced_ ? 1.0 : 0.0);
+            m.Set(names.mispredictions_current, mispredictions_);
         }
-        m.Set("sinan.scheduler.silent_intervals", silent);
-        m.Set("sinan.scheduler.healthy_streak", healthy_streak_);
+        m.Set(names.silent_intervals, silent);
+        m.Set(names.healthy_streak, healthy_streak_);
         // The confidence the interval was decided at (the trace's
         // column), on every interval once the graded policy is on.
         if (cfg_.uncertainty.enabled)
-            m.Set("sinan.scheduler.confidence", assess.confidence);
+            m.Set(names.confidence, assess.confidence);
         if (model_path) {
-            m.Inc("sinan.scheduler.candidates", cands.size());
+            m.Inc(names.candidates, cands.size());
             std::array<uint64_t, kOutcomeKinds> counts{};
             for (const CandidateOutcome o : outcomes)
                 ++counts[static_cast<size_t>(o)];
             for (size_t k = 0; k < kOutcomeKinds; ++k) {
                 if (counts[k] > 0)
-                    m.Inc(std::string("sinan.scheduler.outcome.") +
-                              ToString(static_cast<CandidateOutcome>(k)),
-                          counts[k]);
+                    m.Inc(names.outcome[k], counts[k]);
             }
             // Predictions on the blind ladder's frozen picture stay out
             // of the prediction histograms.
             if (!blind) {
-                FixedHistogram& p99_hist = m.HistogramFor(
-                    "sinan.scheduler.pred_p99_ms", LatencyBounds());
-                FixedHistogram& pv_hist = m.HistogramFor(
-                    "sinan.scheduler.pred_p_violation",
-                    ProbabilityBounds());
+                FixedHistogram& p99_hist =
+                    m.HistogramFor(names.pred_p99, LatencyBounds());
+                FixedHistogram& pv_hist =
+                    m.HistogramFor(names.pred_pv, ProbabilityBounds());
                 for (const Prediction& p : preds) {
                     p99_hist.Observe(p.P99());
                     pv_hist.Observe(p.p_violation);
                 }
             }
             if (best >= 0) {
-                m.Inc(std::string("sinan.scheduler.chosen.") +
-                      ToString(cands[best].kind));
+                m.Inc(names.chosen[static_cast<size_t>(cands[best].kind)]);
             } else {
-                m.Inc("sinan.scheduler.no_feasible");
+                m.Inc(names.no_feasible);
             }
         }
     }

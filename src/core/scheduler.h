@@ -25,7 +25,6 @@
 #define SINAN_CORE_SCHEDULER_H
 
 #include <array>
-#include <deque>
 
 #include "core/manager.h"
 #include "core/telemetry_guard.h"
@@ -184,8 +183,9 @@ class SinanScheduler : public ResourceManager {
     }
 
   private:
+    /** One Table-1 action; its clamped allocation is the row of
+     *  eval_allocs_ with the same index. */
     struct Candidate {
-        std::vector<double> alloc;
         ActionKind kind = ActionKind::kHold;
         double total_cpu = 0.0;
 
@@ -198,11 +198,13 @@ class SinanScheduler : public ResourceManager {
         bool IsHold() const { return kind == ActionKind::kHold; }
     };
 
-    /** Builds the Table-1 candidate action set. */
-    std::vector<Candidate>
-    BuildCandidates(const IntervalObservation& obs,
-                    const std::vector<double>& alloc,
-                    const Application& app) const;
+    /** Builds the Table-1 candidate action set into @p cands, writing
+     *  each candidate's clamped allocation straight into the matching
+     *  row of eval_allocs_ (which ends with one row per candidate). */
+    void BuildCandidates(const IntervalObservation& obs,
+                         const std::vector<double>& alloc,
+                         const Application& app,
+                         std::vector<Candidate>& cands);
 
     /** AutoScaleCons-style utilization stepping (warm-up and the
      *  degraded heuristic); @p aggressive grows every tier. */
@@ -217,14 +219,18 @@ class SinanScheduler : public ResourceManager {
     MetricWindow window_;
     TelemetryGuard guard_;
 
-    /** Scratch for the per-interval Evaluate call: reused across
-     *  intervals so the candidate allocation list does not rebuild
-     *  its inner vectors every decision (the model side is
-     *  allocation-free in steady state; see CnnEvalWorkspace). */
+    /** The candidate allocations of the interval's Evaluate call,
+     *  one row per candidate. Rows are reused across intervals, and a
+     *  row a shorter candidate set does not need waits in spare_rows_,
+     *  so steady-state decisions allocate no row whatever the count
+     *  (the model reuses its tensors too; see CnnEvalWorkspace). */
     std::vector<std::vector<double>> eval_allocs_;
+    std::vector<std::vector<double>> spare_rows_;
 
-    /** Tiers scaled down in the last kVictimWindow intervals. */
-    std::deque<std::vector<int>> recent_victims_;
+    /** Tiers scaled down in each of the last kVictimWindow intervals,
+     *  a ring whose oldest slot the next interval overwrites. */
+    std::array<std::vector<int>, kVictimWindow> recent_victims_;
+    size_t victims_next_ = 0;
 
     double last_pred_p99_ = -1.0;
     double last_pred_pv_ = -1.0;

@@ -249,9 +249,15 @@ HybridModel::EvaluateTimed(const MetricWindow& window,
     const int n = window.Config().n_tiers;
     const int n_cands = static_cast<int>(allocations.size());
 
+    // Stage boundaries are read only when they are reported, so an
+    // untimed Evaluate makes no clock reads.
+    auto stamp = [stages] {
+        return stages ? Clock::now() : Clock::time_point{};
+    };
+
     // Feature build: the shared window row once, one allocation row
     // per candidate — no Sample materialization, no stacking copy.
-    auto t0 = Clock::now();
+    const auto t0 = stamp();
     ws_.xrh.EnsureShape(
         {1, FeatureConfig::kChannels, n, fcfg_.history});
     ws_.xlh.EnsureShape({1, fcfg_.LatFeatures()});
@@ -263,7 +269,7 @@ HybridModel::EvaluateTimed(const MetricWindow& window,
         BuildAllocRow(window.Config(), allocations[static_cast<size_t>(i)],
                       ws_.xrc, i);
     }
-    auto t1 = Clock::now();
+    const auto t1 = stamp();
 
     // Trunk once per interval, head once per candidate batch.
     const bool int8 = quant_ == QuantMode::kInt8;
@@ -271,13 +277,13 @@ HybridModel::EvaluateTimed(const MetricWindow& window,
         cnn_.ForwardTrunkInt8(ws_);
     else
         cnn_.ForwardTrunk(ws_);
-    auto t2 = Clock::now();
+    const auto t2 = stamp();
     // The head runs fp32 in both modes: quantizing it perturbs the
     // latent rows the tree ensemble thresholds on and flips decisions
     // (see SinanCnn::ForwardTrunkInt8), while the trunk carries the
     // fixed per-interval cost int8 is after.
     cnn_.ForwardHead(ws_);
-    auto t3 = Clock::now();
+    const auto t3 = stamp();
     SINAN_CHECK_EQ(ws_.pred.Dim(0), n_cands);
 
     float cur_p99 = 0.0f, util = 0.0f, traffic = 0.0f;
@@ -285,7 +291,7 @@ HybridModel::EvaluateTimed(const MetricWindow& window,
     std::vector<Prediction> out;
     ScoreCandidates(ws_.latent, ws_.xrc, ws_.pred, cur_p99, util, traffic,
                     out);
-    auto t4 = Clock::now();
+    const auto t4 = stamp();
 
     if (stages) {
         stages->feature_build_s = Seconds(t0, t1);

@@ -114,9 +114,9 @@ SinanCnn::ForwardTrunk(CnnEvalWorkspace& ws) const
     SINAN_CHECK_EQ(ws.xrh.Dim(0), 1);
     SINAN_CHECK_EQ(ws.xlh.Rank(), 2);
     SINAN_CHECK_EQ(ws.xlh.Dim(0), 1);
-    conv1_.ForwardInto(ws.xrh, ws.conv1_out, ws.col);
+    conv1_.ForwardInto(ws.xrh, ws.conv1_out);
     ReluInPlace(ws.conv1_out);
-    conv2_.ForwardInto(ws.conv1_out, ws.conv2_out, ws.col);
+    conv2_.ForwardInto(ws.conv1_out, ws.conv2_out);
     ReluInPlace(ws.conv2_out);
     // Flatten is a pure view change on a batch of 1.
     SINAN_CHECK_MSG(
@@ -143,11 +143,8 @@ SinanCnn::AddPersistence(CnnEvalWorkspace& ws) const
     SINAN_CHECK_SHAPE(ws.pred, batch, m);
     SINAN_CHECK_SHAPE(ws.xlh, 1, base + m);
     const float* last = ws.xlh.Data() + base;
-    for (int i = 0; i < batch; ++i) {
-        float* row = ws.pred.Data() + static_cast<size_t>(i) * m;
-        for (int p = 0; p < m; ++p)
-            row[p] += last[p];
-    }
+    for (int i = 0; i < batch; ++i)
+        AddInPlace(ws.pred.Data() + static_cast<size_t>(i) * m, last, m);
 }
 
 void
@@ -188,11 +185,8 @@ SinanCnn::ForwardHead(CnnEvalWorkspace& ws) const
         for (int64_t i = lo; i < hi; ++i)
             std::copy(prefix, prefix + lat, out + i * lat);
         kern(ws.rc_embed.Data(), nc, rc_w, lat, out, lat, lo, hi, nc, lat);
-        for (int64_t i = lo; i < hi; ++i) {
-            float* row = out + i * lat;
-            for (int j = 0; j < lat; ++j)
-                row[j] += bias[j];
-        }
+        for (int64_t i = lo; i < hi; ++i)
+            AddInPlace(out + i * lat, bias, lat);
     });
     ReluInPlace(ws.latent);
     fc_out_.ForwardInto(ws.latent, ws.pred);

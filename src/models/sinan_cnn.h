@@ -65,7 +65,6 @@ struct CnnEvalWorkspace {
     // Trunk intermediates and cached embeddings.
     Tensor conv1_out; // [1, C1, N, T]
     Tensor conv2_out; // [1, C2, N, T] (viewed as [1, C2*N*T])
-    Tensor col;       // conv im2col scratch
     Tensor rh_embed;  // [1, rh_embed]
     Tensor lh_embed;  // [1, lh_embed]
     // Head intermediates.

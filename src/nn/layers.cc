@@ -21,10 +21,10 @@ namespace {
  *  Conv2D::Backward reduce in the same order at any parallelism. */
 constexpr int64_t kConvBatchGrain = 4;
 
-/** Output channels per forward-matmul block. Fixed so the block
+/** Output channels per forward-conv block. Fixed so the block
  *  structure — and therefore the bytes — never depends on the thread
- *  count; 8 rows also lets the AVX2 kernel reuse each loaded im2col
- *  row across two 4-row register panels. */
+ *  count; 8 channels fill one AVX2 register panel, so each loaded
+ *  input row feeds 8 accumulators. */
 constexpr int64_t kConvOcBlock = 8;
 
 /** Loads one tensor into @p p, rejecting a shape other than the one
@@ -40,6 +40,16 @@ LoadParam(std::istream& in, Param& p, const char* layer)
             " does not match the layer's " +
             check_detail::FormatShape(p.value.Shape()));
     p = Param(std::move(t));
+}
+
+/** The bits of `x > 0 ? x : 0` for the float with bits @p u: keeps
+ *  exactly the patterns of floats > 0 — 0x00000001 (the least
+ *  denormal) through 0x7f800000 (+inf) — and clears the rest
+ *  (negatives, -0 and NaN) to +0, without a data-dependent branch. */
+inline uint32_t
+ReluBits(uint32_t u)
+{
+    return u & (0u - static_cast<uint32_t>(u - 1u < 0x7f800000u));
 }
 
 } // namespace
@@ -73,11 +83,8 @@ Dense::ForwardInto(const Tensor& x, Tensor& y) const
     MatMul(x, w_.value, y);
     const int out = b_.value.Dim(0);
     ParallelFor(0, x.Dim(0), 256, [&](int64_t lo, int64_t hi) {
-        for (int64_t i = lo; i < hi; ++i) {
-            float* row = y.Data() + static_cast<size_t>(i) * out;
-            for (int j = 0; j < out; ++j)
-                row[j] += b_.value[j];
-        }
+        for (int64_t i = lo; i < hi; ++i)
+            AddInPlace(y.Data() + i * out, b_.value.Data(), out);
     });
 }
 
@@ -121,16 +128,24 @@ Dense::Load(std::istream& in)
 void
 ReluInPlace(Tensor& t)
 {
-    // Keeps exactly the bit patterns of floats > 0 — 0x00000001 (the
-    // least denormal) through 0x7f800000 (+inf) — and clears the rest
-    // (negatives, -0 and NaN) to +0: the bytes of `x > 0 ? x : 0`
-    // without a data-dependent branch, so the loop vectorizes.
+    // Fixed 8-element blocks: GCC's -O2 loop vectorizer (cost model
+    // "very cheap") skips a loop whose trip count is unknown, so the
+    // branch-free body alone stays scalar; its SLP vectorizer packs
+    // each constant-trip block into SSE compares and masks.
     float* p = t.Data();
     const size_t n = t.Size();
-    for (size_t i = 0; i < n; ++i) {
+    size_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+        uint32_t u[8];
+        std::memcpy(u, p + i, sizeof(u));
+        for (int l = 0; l < 8; ++l)
+            u[l] = ReluBits(u[l]);
+        std::memcpy(p + i, u, sizeof(u));
+    }
+    for (; i < n; ++i) {
         uint32_t u = 0;
         std::memcpy(&u, p + i, sizeof(u));
-        u &= 0u - static_cast<uint32_t>(u - 1u < 0x7f800000u);
+        u = ReluBits(u);
         std::memcpy(p + i, &u, sizeof(u));
     }
 }
@@ -175,104 +190,31 @@ Conv2D::Forward(const Tensor& x)
 {
     x_cache_ = x;
     Tensor y;
-    ForwardInto(x, y, col_);
+    ForwardInto(x, y);
     return y;
 }
 
 void
-Conv2D::ForwardInto(const Tensor& x, Tensor& y, Tensor& col) const
+Conv2D::ForwardInto(const Tensor& x, Tensor& y) const
 {
     SINAN_CHECK_EQ(x.Rank(), 4);
     SINAN_CHECK_SHAPE(x, x.Dim(0), w_.value.Dim(1), x.Dim(2), x.Dim(3));
     const int batch = x.Dim(0), in_c = x.Dim(1), h = x.Dim(2),
               w = x.Dim(3);
     const int out_c = w_.value.Dim(0);
-    const int pad = kernel_ / 2;
-    // Widen before multiplying: on large h*w (many tiers x long
-    // histories) the products overflow int before the old code's
-    // implicit widening to size_t could help.
-    const int64_t hw64 = static_cast<int64_t>(h) * w;
-    const int64_t ckk64 = static_cast<int64_t>(in_c) * kernel_ * kernel_;
-    SINAN_CHECK_MSG(hw64 <= std::numeric_limits<int>::max() &&
-                        ckk64 <= std::numeric_limits<int>::max(),
-                    "Conv2D: per-sample plane too large (" << h << "x"
-                        << w << ", " << in_c << " channels)");
-    const int hw = static_cast<int>(hw64);
-    const int ckk = static_cast<int>(ckk64);
+    // Widened: on large h*w (many tiers x long histories) the int
+    // products would overflow.
+    const int64_t hw = static_cast<int64_t>(h) * w;
     y.EnsureShape({batch, out_c, h, w});
-    col.EnsureShape({batch, ckk, hw});
 
-    // Phase 1 — im2col, laid out patch-major so the matmul's innermost
-    // loop runs over contiguous output positions:
-    //   col[b, (c, ki, kj), i*w + j] = x[b, c, i + ki - pad, j + kj - pad]
-    // with zeros outside the image. A padding zero contributes exactly
-    // 0.0f to the accumulation, so including it (instead of the old
-    // bounds-check skip) leaves every sum bit-identical.
-    //
-    // Each patch row is the input plane shifted by d = (ki - pad) * w +
-    // (kj - pad) positions: one contiguous copy over the rows whose
-    // source row is in the image, zeros around it, then zeros over the
-    // columns whose source column is outside the image (the copy
-    // wrapped those in from the neighbouring row).
-    ParallelFor(0, batch, 1, [&](int64_t lo, int64_t hi) {
-        for (int64_t bi = lo; bi < hi; ++bi) {
-            const float* xb =
-                x.Data() + static_cast<size_t>(bi) * in_c * hw;
-            float* cb = col.Data() + static_cast<size_t>(bi) * ckk * hw;
-            for (int c = 0; c < in_c; ++c) {
-                const float* xc = xb + static_cast<size_t>(c) * hw;
-                for (int ki = 0; ki < kernel_; ++ki) {
-                    // Rows i whose source row i + ki - pad is in range.
-                    const int i0 = std::clamp(pad - ki, 0, h);
-                    const int i1 = std::clamp(h + pad - ki, i0, h);
-                    for (int kj = 0; kj < kernel_; ++kj) {
-                        float* crow =
-                            cb + (static_cast<size_t>(c) * kernel_ *
-                                      kernel_ +
-                                  static_cast<size_t>(ki) * kernel_ +
-                                  static_cast<size_t>(kj)) *
-                                     hw;
-                        // Columns j whose source column j + kj - pad
-                        // is in range.
-                        const int j0 = std::clamp(pad - kj, 0, w);
-                        const int j1 = std::clamp(w + pad - kj, j0, w);
-                        // Positions [q0, q1) lie in the in-range rows
-                        // and have their shifted source q + d inside
-                        // the plane.
-                        const int64_t d =
-                            static_cast<int64_t>(ki - pad) * w +
-                            (kj - pad);
-                        const int64_t q0 = std::min<int64_t>(
-                            hw, std::max<int64_t>(int64_t{i0} * w, -d));
-                        const int64_t q1 = std::max<int64_t>(
-                            q0, std::min<int64_t>(int64_t{i1} * w, hw - d));
-                        std::fill(crow, crow + q0, 0.0f);
-                        if (q0 < q1)
-                            std::copy(xc + q0 + d, xc + q1 + d, crow + q0);
-                        std::fill(crow + q1, crow + hw, 0.0f);
-                        if (j0 == 0 && j1 == w)
-                            continue;
-                        for (int i = i0; i < i1; ++i) {
-                            float* dst = crow + static_cast<size_t>(i) * w;
-                            std::fill(dst, dst + j0, 0.0f);
-                            std::fill(dst + j1, dst + w, 0.0f);
-                        }
-                    }
-                }
-            }
-        }
-    });
-
-    // Phase 2 — dispatched row-panel matmul: y[b, oc, :] = bias[oc] +
-    // sum_p w[oc, p] * col[b, p, :]. Each (sample, oc-block) panel is
-    // written by exactly one ParallelFor block (structure fixed by
-    // kConvOcBlock), and per output element the terms accumulate in
-    // ascending p = (c, ki, kj) — the naive kernel's order — with one
-    // rounded mul-then-add per term in both the scalar and the AVX2
-    // kernel, so results are bit-identical across kernels and thread
-    // counts.
+    // Dispatched direct convolution: y[b, oc, :] = bias[oc], then the
+    // (c, ki, kj) taps in ascending order, padding taps included, one
+    // rounded mul-then-add each, in both the scalar and the AVX2
+    // kernel. Each (sample, oc-block) panel is written by exactly one
+    // ParallelFor block (structure fixed by kConvOcBlock), so results
+    // are bit-identical across kernels and thread counts.
     const float* wp = w_.value.Data();
-    const GemmRowsFn kern = ActiveGemmRows();
+    const ConvRowsFn kern = ActiveConvRows();
     const int64_t oc_blocks =
         (out_c + kConvOcBlock - 1) / kConvOcBlock;
     ParallelFor(0, batch * oc_blocks, 1, [&](int64_t lo, int64_t hi) {
@@ -281,16 +223,14 @@ Conv2D::ForwardInto(const Tensor& x, Tensor& y, Tensor& col) const
             const int64_t oc0 = (idx % oc_blocks) * kConvOcBlock;
             const int64_t oc1 =
                 std::min<int64_t>(out_c, oc0 + kConvOcBlock);
-            const float* cb =
-                col.Data() + static_cast<size_t>(bi) * ckk * hw;
-            float* yb =
-                y.Data() + static_cast<size_t>(bi) * out_c * hw;
+            const float* xb = x.Data() + bi * in_c * hw;
+            float* yb = y.Data() + bi * out_c * hw;
             for (int64_t oc = oc0; oc < oc1; ++oc) {
                 float* yrow = yb + oc * hw;
                 std::fill(yrow, yrow + hw,
                           b_.value[static_cast<size_t>(oc)]);
             }
-            kern(wp, ckk, cb, hw, yb, hw, oc0, oc1, ckk, hw);
+            kern(xb, in_c, h, w, wp, kernel_, yb, oc0, oc1);
         }
     });
 }

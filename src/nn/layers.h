@@ -74,15 +74,16 @@ class Conv2D : public Layer {
     void Load(std::istream& in) override;
 
     /**
-     * Inference-only forward into a caller-owned output, with @p col
-     * as the caller-owned im2col scratch; both are resized via
-     * EnsureShape and reused across calls. Does not touch the backward
-     * cache. The per-output-element accumulation order is bias first,
-     * then (c, ki, kj) ascending — the same order as the pre-im2col
-     * naive kernel, so results are bit-identical to it and independent
-     * of the thread count.
+     * Inference-only forward into a caller-owned output (resized via
+     * EnsureShape, so steady-state reuse allocates nothing), through
+     * the dispatched direct kernel (tensor/gemm_kernels.h ConvRowsFn).
+     * Does not touch the backward cache. The per-output-element
+     * accumulation order is bias first, then (c, ki, kj) ascending,
+     * padding taps included — so results are bit-identical to the
+     * naive 7-deep loop (for a bias other than -0.0f) and independent
+     * of the thread count and the dispatch mode.
      */
-    void ForwardInto(const Tensor& x, Tensor& y, Tensor& col) const;
+    void ForwardInto(const Tensor& x, Tensor& y) const;
 
     /** Read-only weight/bias views (int8 post-training quantization
      *  reads them; never used to mutate). */
@@ -95,7 +96,6 @@ class Conv2D : public Layer {
     Param b_; // [OC]
     int kernel_ = 0;
     Tensor x_cache_;
-    Tensor col_; // im2col scratch reused by the training-path Forward
 };
 
 /** In-place ReLU used by the allocation-free inference fast path. */

@@ -18,12 +18,22 @@
  * six passes of one chain. The n % 8 column tail is one more vector
  * with masked loads and stores (masked-off lanes read 0.0f and are
  * never stored), so no column ever takes a scalar path.
+ *
+ * The direct convolution (ConvRowsAvx2) vectorizes along each output
+ * row: one panel is up to 8 output channels x 8 columns of one row, 8
+ * register-resident add chains across the whole (c, ki, kj) loop. Each
+ * tap is one masked load of the shifted input row — lanes whose source
+ * column is outside the image read 0.0f, so padding taps add w * 0.0f
+ * exactly as the scalar kernel does — and one broadcast weight per
+ * output channel.
  */
 #include "tensor/gemm_kernels.h"
 
 #ifdef SINAN_HAVE_AVX2
 
 #include <immintrin.h>
+
+#include <algorithm>
 
 namespace sinan {
 
@@ -52,7 +62,7 @@ Store8(float* p, __m256 v, __m256i mask)
         _mm256_storeu_ps(p, v);
 }
 
-/** Mask of the first @p w lanes (0 <= w < 8) for the column tail. */
+/** Mask of the first @p w lanes (0 <= w <= 8) for the column tail. */
 inline __m256i
 TailMask(int64_t w)
 {
@@ -201,7 +211,108 @@ Panel4x8(const float* a, int64_t lda, const float* b, int64_t ldb,
     Store8<kMasked>(c3, acc3, mask);
 }
 
+/** Mask of lanes [lo, hi) (0 <= lo, hi <= 8; empty when hi <= lo). */
+inline __m256i
+LaneRange(int64_t lo, int64_t hi)
+{
+    return _mm256_andnot_si256(TailMask(lo), TailMask(hi));
+}
+
+/**
+ * kOc output channels (the planes at @p y, @p hw floats apart, weights
+ * @p ckk floats apart from @p wt) x the 8 flat output positions
+ * [q0, q0 + 8) of the h x w plane (positions past hw are neither read
+ * nor stored).
+ */
+template <int kOc>
+void
+ConvPanel(const float* x, int64_t in_c, int64_t h, int64_t w,
+          const float* wt, int64_t ckk, int64_t kernel, float* y,
+          int64_t q0)
+{
+    static_assert(kOc >= 1 && kOc <= 8);
+    const int64_t pad = kernel / 2;
+    const int64_t hw = h * w;
+    const __m256i out_mask = TailMask(std::min<int64_t>(8, hw - q0));
+    // Lane l's output column minus pad, biased by 2^31 so that one
+    // signed compare against w + 2^31 tests 0 <= column < w.
+    alignas(32) int32_t col[8];
+    for (int64_t l = 0, j = q0 % w; l < 8; ++l) {
+        col[l] = static_cast<int32_t>(
+            static_cast<uint32_t>(j - pad) ^ 0x80000000u);
+        if (++j == w)
+            j = 0;
+    }
+    const __m256i col0 =
+        _mm256_load_si256(reinterpret_cast<const __m256i*>(col));
+    const __m256i w_biased = _mm256_set1_epi32(
+        static_cast<int32_t>(static_cast<uint32_t>(w) ^ 0x80000000u));
+    const __m256i one = _mm256_set1_epi32(1);
+
+    __m256 acc[kOc];
+#pragma GCC unroll 8
+    for (int o = 0; o < kOc; ++o)
+        acc[o] = _mm256_maskload_ps(y + o * hw + q0, out_mask);
+    const float* wp = wt;
+    for (int64_t c = 0; c < in_c; ++c) {
+        const float* xc = x + c * hw;
+        for (int64_t ki = 0; ki < kernel; ++ki) {
+            // Row shift of this kernel row in flat positions: lane q's
+            // source row is inside the image iff q + dr is in [0, hw).
+            const int64_t dr = (ki - pad) * w;
+            const __m256i row_ok = LaneRange(
+                std::clamp<int64_t>(std::max<int64_t>(0, -dr) - q0, 0, 8),
+                std::clamp<int64_t>(std::min(hw, hw - dr) - q0, 0, 8));
+            const float* xs = xc + q0 + dr - pad;
+            __m256i cv = col0;
+            for (int64_t kj = 0; kj < kernel; ++kj, ++wp) {
+                // Lanes outside the image are padding taps: masked off,
+                // they read 0.0f.
+                const __m256i m = _mm256_and_si256(
+                    row_ok, _mm256_cmpgt_epi32(w_biased, cv));
+                const __m256 xv = _mm256_maskload_ps(xs + kj, m);
+#pragma GCC unroll 8
+                for (int o = 0; o < kOc; ++o)
+                    acc[o] = _mm256_add_ps(
+                        acc[o],
+                        _mm256_mul_ps(_mm256_broadcast_ss(wp + o * ckk),
+                                      xv));
+                cv = _mm256_add_epi32(cv, one);
+            }
+        }
+    }
+#pragma GCC unroll 8
+    for (int o = 0; o < kOc; ++o)
+        _mm256_maskstore_ps(y + o * hw + q0, out_mask, acc[o]);
+}
+
+using ConvPanelFn = void (*)(const float*, int64_t, int64_t, int64_t,
+                             const float*, int64_t, int64_t, float*,
+                             int64_t);
+
+/** ConvPanel by output-channel count; [0] covers no channels. */
+constexpr ConvPanelFn kConvPanels[9] = {
+    nullptr,       ConvPanel<1>, ConvPanel<2>, ConvPanel<3>, ConvPanel<4>,
+    ConvPanel<5>,  ConvPanel<6>, ConvPanel<7>, ConvPanel<8>,
+};
+
 } // namespace
+
+void
+ConvRowsAvx2(const float* x, int64_t in_c, int64_t h, int64_t w,
+             const float* wt, int64_t kernel, float* y, int64_t oc0,
+             int64_t oc1)
+{
+    const int64_t ckk = in_c * kernel * kernel;
+    const int64_t hw = h * w;
+    for (int64_t oc = oc0; oc < oc1; oc += 8) {
+        const ConvPanelFn panel =
+            kConvPanels[std::min<int64_t>(8, oc1 - oc)];
+        for (int64_t q0 = 0; q0 < hw; q0 += 8)
+            panel(x, in_c, h, w, wt + oc * ckk, ckk, kernel, y + oc * hw,
+                  q0);
+    }
+}
 
 void
 GemmRowsAvx2(const float* a, int64_t lda, const float* b, int64_t ldb,

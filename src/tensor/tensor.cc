@@ -172,8 +172,8 @@ void
 Tensor::Add(const Tensor& other)
 {
     SINAN_CHECK_EQ(other.Size(), Size());
-    for (size_t i = 0; i < data_.size(); ++i)
-        data_[i] += other.data_[i];
+    AddInPlace(data_.data(), other.data_.data(),
+               static_cast<int64_t>(data_.size()));
 }
 
 void

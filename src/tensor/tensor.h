@@ -135,6 +135,38 @@ class Tensor {
 };
 
 /**
+ * y[0, n) += b[0, n), element by element (so the bytes are the plain
+ * loop's): Tensor::Add and the bias and residual epilogues of the
+ * inference path. The
+ * loop runs in fixed 8- and 4-element blocks because GCC's -O2 loop
+ * vectorizer (cost model "very cheap") skips a loop whose trip count
+ * is unknown, while its SLP vectorizer packs each constant-trip block
+ * into SSE adds. @p y and @p b must not overlap partially.
+ */
+inline void
+AddInPlace(float* y, const float* b, int64_t n)
+{
+    int64_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+        float t[8];
+        for (int l = 0; l < 8; ++l)
+            t[l] = y[i + l] + b[i + l];
+        for (int l = 0; l < 8; ++l)
+            y[i + l] = t[l];
+    }
+    if (i + 4 <= n) {
+        float t[4];
+        for (int l = 0; l < 4; ++l)
+            t[l] = y[i + l] + b[i + l];
+        for (int l = 0; l < 4; ++l)
+            y[i + l] = t[l];
+        i += 4;
+    }
+    for (; i < n; ++i)
+        y[i] += b[i];
+}
+
+/**
  * C[m,n] = sum_k A[m,k] * B[k,n] (+= when accumulate).
  * Shapes are validated; plain loop ordering (m,k,n) for vectorizable
  * innermost stride-1 access.

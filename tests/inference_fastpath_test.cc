@@ -5,7 +5,7 @@
  * legacy full-batch reference on trained models (synthetic and the
  * bundled bench_cache models) at every thread count, the AVX2 and
  * scalar microkernels must agree bitwise in every dispatch mode (with
- * SINAN_SIMD=off pinning the scalar path to golden bytes), the im2col
+ * SINAN_SIMD=off pinning the scalar path to golden bytes), the direct
  * conv kernel must match a naive reference convolution bitwise, Clone()'s
  * direct deep copy must agree with a serialization round trip, and the
  * model-owned workspace must make steady-state Evaluate calls
@@ -27,12 +27,14 @@
 #include "harness/harness.h"
 #include "models/hybrid.h"
 #include "nn/layers.h"
+#include "conv_reference.h"
 #include "test_util.h"
 
 namespace sinan {
 namespace {
 
 using testutil::MakeCandidates;
+using testutil::NaiveConvForward;
 using testutil::MakeObs;
 using testutil::MakeWindow;
 using testutil::SmallFeatures;
@@ -198,46 +200,6 @@ TEST(InferenceFastPath, CloneDirectCopyMatchesSerializedRoundTrip)
                                   "serialized round trip");
 }
 
-/** The pre-im2col Conv2D forward: direct 7-deep loop with bias-first
- *  accumulation and skipped out-of-bounds taps. */
-Tensor
-NaiveConvForward(const Tensor& x, const Tensor& w, const Tensor& b,
-                 int kernel)
-{
-    const int batch = x.Dim(0);
-    const int in_c = x.Dim(1);
-    const int h = x.Dim(2);
-    const int wdim = x.Dim(3);
-    const int out_c = w.Dim(0);
-    const int pad = kernel / 2;
-    Tensor y({batch, out_c, h, wdim});
-    for (int bi = 0; bi < batch; ++bi) {
-        for (int o = 0; o < out_c; ++o) {
-            for (int i = 0; i < h; ++i) {
-                for (int j = 0; j < wdim; ++j) {
-                    float acc = b.Data()[o];
-                    for (int c = 0; c < in_c; ++c) {
-                        for (int ki = 0; ki < kernel; ++ki) {
-                            const int si = i + ki - pad;
-                            if (si < 0 || si >= h)
-                                continue;
-                            for (int kj = 0; kj < kernel; ++kj) {
-                                const int sj = j + kj - pad;
-                                if (sj < 0 || sj >= wdim)
-                                    continue;
-                                acc += w.At(o, c, ki, kj) *
-                                       x.At(bi, c, si, sj);
-                            }
-                        }
-                    }
-                    y.At(bi, o, i, j) = acc;
-                }
-            }
-        }
-    }
-    return y;
-}
-
 /** Restores the entry SIMD dispatch mode on scope exit. */
 class SimdModeGuard {
   public:
@@ -345,15 +307,14 @@ TEST(InferenceFastPath, EnvOverrideForcesScalarKernelWithGoldenBytes)
     ReloadSimdModeFromEnv();
 }
 
-TEST(InferenceFastPath, Im2colConvMatchesNaiveReferenceBitwise)
+TEST(InferenceFastPath, DirectConvMatchesNaiveReferenceBitwise)
 {
-    // Zero-padding contributions in the im2col formulation add +-0.0f,
-    // which leaves every partial sum bitwise unchanged, so the two
-    // kernels must agree exactly — not just approximately — under
-    // either dispatch mode. The shapes cover the edges of the
-    // plane-shift im2col: images narrower or shorter than the kernel
-    // (every shifted copy clipped, some entirely), single rows and
-    // columns, and the bundled models' conv1/conv2 inputs.
+    // The direct kernel's padding taps add +-0.0f, which leaves every
+    // partial sum that is not -0.0f bitwise unchanged, so it must agree
+    // with the naive loop exactly — not just approximately — under
+    // either dispatch mode. The shapes cover images narrower or shorter
+    // than the kernel (some taps never inside the image), single rows
+    // and columns, and the bundled models' conv1/conv2 inputs.
     SimdModeGuard mode_guard;
     const int history = FeatureConfig{}.history;
     std::vector<std::vector<int>> shapes = {

@@ -12,7 +12,11 @@
 #include <functional>
 #include <iterator>
 #include <sstream>
+#include <utility>
+#include <vector>
 
+#include "common/cpu_features.h"
+#include "conv_reference.h"
 #include "nn/layers.h"
 #include "nn/loss.h"
 #include "nn/lstm.h"
@@ -225,6 +229,52 @@ TEST(Conv2D, GradientsMatchNumerics)
     Conv2D conv(2, 3, 3, rng);
     const Tensor x = Tensor::Randn({2, 2, 5, 4}, rng);
     CheckGradients(conv, x);
+}
+
+TEST(Conv2D, ForwardMatchesNaiveReferenceBitwise)
+{
+    // The layer's direct kernel against the naive 7-deep loop, byte for
+    // byte, in both dispatch modes: batch 1 and 5, every channel-count
+    // tier of the AVX2 panels (one partial panel, one full, a full one
+    // plus a partial), single rows and columns, negative weights, and
+    // inputs holding +-0.0f and denormals.
+    const SimdMode saved = CurrentSimdMode();
+    Rng rng(41);
+    const std::vector<std::pair<int, int>> planes = {
+        {1, 1}, {1, 6}, {7, 1}, {4, 5}, {9, 13}};
+    for (const int kernel : {1, 3, 5}) {
+        for (const int in_c : {1, 6, 8}) {
+            for (const int out_c : {1, 8, 11}) {
+                Conv2D conv(in_c, out_c, kernel, rng);
+                Tensor& b = conv.Params()[1]->value;
+                b = Tensor::Randn({out_c}, rng, 0.3f);
+                const Tensor& w = conv.Params()[0]->value;
+                for (const auto& [h, wd] : planes) {
+                    for (const int batch : {1, 5}) {
+                        const Tensor x = testutil::MixedConvInput(
+                            {batch, in_c, h, wd}, rng);
+                        const Tensor ref =
+                            testutil::NaiveConvForward(x, w, b, kernel);
+                        for (const SimdMode mode :
+                             {SimdMode::kOn, SimdMode::kOff}) {
+                            SetSimdMode(mode);
+                            Tensor y;
+                            conv.ForwardInto(x, y);
+                            ASSERT_EQ(y.Shape(), ref.Shape());
+                            ASSERT_EQ(std::memcmp(y.Data(), ref.Data(),
+                                                  y.Size() * sizeof(float)),
+                                      0)
+                                << "k=" << kernel << " in_c=" << in_c
+                                << " out_c=" << out_c << " " << h << "x"
+                                << wd << " batch=" << batch << " kernel "
+                                << ActiveKernelId();
+                        }
+                    }
+                }
+            }
+        }
+    }
+    SetSimdMode(saved);
 }
 
 TEST(Conv2D, RejectsEvenKernel)

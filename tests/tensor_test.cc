@@ -5,13 +5,19 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <new>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "common/cpu_features.h"
 #include "common/thread_pool.h"
+#include "conv_reference.h"
+#include "tensor/gemm_kernels.h"
 #include "tensor/tensor.h"
 
 namespace sinan {
@@ -317,7 +323,7 @@ TEST(MatMulParity, SimdBitIdenticalToScalar)
         {96, 28, 24},   // rc_fc over a full candidate batch
         {96, 96, 32},   // fc_latent
         {96, 32, 5},    // fc_out: the whole product is the masked tail
-        {8, 54, 140},   // conv im2col (oc x ckk x hw): a 4-column tail
+        {8, 54, 140},   // 4x16 panels, then a 4-column tail
         {8, 72, 140},
         {67, 33, 41},   // odd everything
         {4, 16, 64},    // exact 4x16 panels, then exact 1x64
@@ -341,6 +347,58 @@ TEST(MatMulParity, SimdBitIdenticalAcrossThreadCounts)
     for (int threads : {2, 8}) {
         ExpectThreadParity(
             threads, [&](Tensor& c) { MatMul(a, b, c); }, {67, 41});
+    }
+    SetSimdMode(saved);
+}
+
+TEST(ConvRows, BothKernelsMatchNaiveReferenceBitwise)
+{
+    // The dispatched conv kernel, scalar and AVX2, against the naive
+    // 7-deep loop byte for byte: every channel-count tier of the AVX2
+    // panels, oc ranges starting mid-tensor, planes whose last 8-lane
+    // vector is partial or spans rows, single rows and columns,
+    // negative weights and inputs holding +-0.0f and denormals.
+    const SimdMode saved = CurrentSimdMode();
+    Rng rng(43);
+    const std::vector<std::pair<int, int>> planes = {
+        {1, 1}, {1, 9}, {6, 1}, {28, 5}, {3, 9}, {17, 13}};
+    for (const int kernel : {1, 3, 5}) {
+        for (const int in_c : {1, 6, 8}) {
+            for (const int out_c : {1, 8, 11}) {
+                const Tensor w = Tensor::Randn(
+                    {out_c, in_c, kernel, kernel}, rng, 0.4f);
+                const Tensor b = Tensor::Randn({out_c}, rng, 0.3f);
+                for (const auto& [h, wd] : planes) {
+                    const Tensor x =
+                        testutil::MixedConvInput({1, in_c, h, wd}, rng);
+                    const Tensor ref =
+                        testutil::NaiveConvForward(x, w, b, kernel);
+                    const int64_t hw = static_cast<int64_t>(h) * wd;
+                    for (const SimdMode mode :
+                         {SimdMode::kOn, SimdMode::kOff}) {
+                        SetSimdMode(mode);
+                        Tensor y({1, out_c, h, wd});
+                        for (int oc = 0; oc < out_c; ++oc)
+                            std::fill(y.Data() + oc * hw,
+                                      y.Data() + (oc + 1) * hw, b[oc]);
+                        // Two calls split at oc 3: the second covers
+                        // the channels a panel offset starts mid-way.
+                        const int split = std::min(out_c, 3);
+                        const ConvRowsFn kern = ActiveConvRows();
+                        kern(x.Data(), in_c, h, wd, w.Data(), kernel,
+                             y.Data(), 0, split);
+                        kern(x.Data(), in_c, h, wd, w.Data(), kernel,
+                             y.Data(), split, out_c);
+                        ASSERT_EQ(std::memcmp(y.Data(), ref.Data(),
+                                              y.Size() * sizeof(float)),
+                                  0)
+                            << "k=" << kernel << " in_c=" << in_c
+                            << " out_c=" << out_c << " " << h << "x" << wd
+                            << " kernel " << ActiveKernelId();
+                    }
+                }
+            }
+        }
     }
     SetSimdMode(saved);
 }
