@@ -90,24 +90,6 @@ MakeCandidates(const FeatureConfig& f, int n)
  * present (run from the repo root), otherwise a freshly-initialized
  * model of the same architecture. Lives for the whole process.
  */
-/** A tiny synthetic calibration set matching @p f (deterministic);
- *  gives the untrained fallback model int8 scales so the quantized
- *  sweep always runs. */
-Dataset
-SyntheticCalibrationSet(const FeatureConfig& f, int n)
-{
-    Rng rng(29);
-    Dataset d;
-    d.samples.resize(static_cast<size_t>(n));
-    for (Sample& s : d.samples) {
-        s.xrh = Tensor::Randn(
-            {FeatureConfig::kChannels, f.n_tiers, f.history}, rng, 0.2f);
-        s.xlh = Tensor::Randn({f.LatFeatures()}, rng, 0.2f);
-        s.xrc = Tensor::Randn({f.n_tiers}, rng, 0.2f);
-    }
-    return d;
-}
-
 HybridModel&
 SweepModel(std::string* name_out = nullptr)
 {
@@ -122,11 +104,7 @@ SweepModel(std::string* name_out = nullptr)
         name = "social-untrained";
         HybridConfig cfg;
         cfg.train.epochs = 1;
-        auto model =
-            std::make_unique<HybridModel>(SocialFeatures(), cfg, 3);
-        model->CalibrateInt8(
-            SyntheticCalibrationSet(SocialFeatures(), 32));
-        return model;
+        return std::make_unique<HybridModel>(SocialFeatures(), cfg, 3);
     }();
     if (name_out != nullptr)
         *name_out = name;
@@ -415,9 +393,8 @@ RunInferenceSweep(const std::string& json_path)
     std::printf("\nLegacy vs cached-trunk Evaluate (%s, %d tiers, "
                 "kernel %s)\n",
                 model_name.c_str(), f.n_tiers, ActiveKernelId());
-    std::printf("%10s %12s %12s %9s %10s %13s %10s\n", "cands",
-                "legacy_ms", "cached_ms", "speedup", "trunk_us",
-                "scalar_trunk", "int8_us");
+    std::printf("%10s %12s %12s %9s %10s %13s\n", "cands", "legacy_ms",
+                "cached_ms", "speedup", "trunk_us", "scalar_trunk");
     for (const int n : {1, 8, 32, 128}) {
         const auto cands = MakeCandidates(f, n);
         bench::InferenceBenchRow row;
@@ -488,65 +465,15 @@ RunInferenceSweep(const std::string& json_path)
             row.scalar_trunk_ms = row.trunk_ms;
         }
 
-        // Quantized fast path (same stage plumbing, int8 kernels).
-        if (model.Int8Calibrated()) {
-            model.SetQuantMode(QuantMode::kInt8);
-            (void)model.Evaluate(window, cands);
-            double best_cached_i8 = 0.0;
-            double best_trunk_i8 = 0.0;
-            for (int rep = 0; rep < kReps; ++rep) {
-                bench::Stopwatch watch;
-                EvalStageTimes acc{};
-                for (int k = 0; k < kInner; ++k) {
-                    EvalStageTimes stages{};
-                    benchmark::DoNotOptimize(
-                        model.EvaluateTimed(window, cands, &stages));
-                    acc.trunk_s += stages.trunk_s;
-                }
-                const double cached_ms = watch.Millis() / kInner;
-                if (rep == 0 || cached_ms < best_cached_i8) {
-                    best_cached_i8 = cached_ms;
-                    best_trunk_i8 = acc.trunk_s * 1e3 / kInner;
-                }
-            }
-            row.int8_cached_ms = best_cached_i8;
-            row.int8_trunk_ms = best_trunk_i8;
-            if (SimdActive()) {
-                const SimdMode saved = CurrentSimdMode();
-                SetSimdMode(SimdMode::kOff);
-                (void)model.Evaluate(window, cands);
-                double best_scalar_i8 = 0.0;
-                for (int rep = 0; rep < kReps; ++rep) {
-                    EvalStageTimes acc{};
-                    for (int k = 0; k < kInner; ++k) {
-                        EvalStageTimes stages{};
-                        benchmark::DoNotOptimize(
-                            model.EvaluateTimed(window, cands, &stages));
-                        acc.trunk_s += stages.trunk_s;
-                    }
-                    const double trunk_ms = acc.trunk_s * 1e3 / kInner;
-                    if (rep == 0 || trunk_ms < best_scalar_i8)
-                        best_scalar_i8 = trunk_ms;
-                }
-                SetSimdMode(saved);
-                row.int8_scalar_trunk_ms = best_scalar_i8;
-            } else {
-                row.int8_scalar_trunk_ms = row.int8_trunk_ms;
-            }
-            model.SetQuantMode(QuantMode::kOff);
-        }
-
-        std::printf("%10d %12.4f %12.4f %8.2fx %10.1f %12.1fus %10.1f\n",
-                    n, row.legacy_ms, row.cached_ms,
+        std::printf("%10d %12.4f %12.4f %8.2fx %10.1f %12.1fus\n", n,
+                    row.legacy_ms, row.cached_ms,
                     row.cached_ms > 0.0 ? row.legacy_ms / row.cached_ms
                                         : 0.0,
-                    row.trunk_ms * 1e3, row.scalar_trunk_ms * 1e3,
-                    row.int8_trunk_ms * 1e3);
+                    row.trunk_ms * 1e3, row.scalar_trunk_ms * 1e3);
         rows.push_back(row);
     }
     bench::WriteInferenceJson(json_path, model_name, ActiveKernelId(),
-                              ActiveInt8KernelId(),
-                              model.Int8Calibrated(), 1000.0, rows);
+                              1000.0, rows);
     std::printf("\nWrote %s\n", json_path.c_str());
     return rows;
 }
@@ -558,18 +485,14 @@ RunInferenceSweep(const std::string& json_path)
  * 1.5x so shared-runner noise cannot flake the job. With the AVX2
  * kernels active the trunk stage must additionally stay under 80 us
  * (local acceptance bar: 50 us on an AVX2 host; the measured number is
- * ~47 us scalar-free, so the CI margin is ~1.7x). When the model
- * carries int8 calibration the quantized trunk must additionally stay
- * under 15 us with AVX2 — the quantized path's acceptance bar.
+ * ~47 us scalar-free, so the CI margin is ~1.7x).
  */
 bool
 CheckSweep(const std::vector<bench::InferenceBenchRow>& rows)
 {
     constexpr double kMinSpeedup = 1.5;
     constexpr double kMaxSimdTrunkMs = 0.080;
-    constexpr double kMaxInt8TrunkMs = 0.015;
     bool ok = true;
-    bool int8_checked = false;
     for (const bench::InferenceBenchRow& row : rows) {
         if (row.candidates < 8)
             continue;
@@ -588,16 +511,6 @@ CheckSweep(const std::vector<bench::InferenceBenchRow>& rows)
                         ActiveKernelId(), kMaxSimdTrunkMs * 1e3);
             ok = false;
         }
-        if (SimdActive() && row.int8_trunk_ms > 0.0) {
-            int8_checked = true;
-            if (row.int8_trunk_ms > kMaxInt8TrunkMs) {
-                std::printf("FAIL: %d candidates: int8 trunk %.1f us "
-                            "with the %s kernel (need <= %.0f us)\n",
-                            row.candidates, row.int8_trunk_ms * 1e3,
-                            ActiveInt8KernelId(), kMaxInt8TrunkMs * 1e3);
-                ok = false;
-            }
-        }
     }
     if (ok) {
         std::printf("PASS: cached path >= %.1fx at every count >= 8\n",
@@ -606,10 +519,6 @@ CheckSweep(const std::vector<bench::InferenceBenchRow>& rows)
             std::printf("PASS: %s trunk <= %.0f us at every count >= "
                         "8\n",
                         ActiveKernelId(), kMaxSimdTrunkMs * 1e3);
-        if (int8_checked)
-            std::printf("PASS: %s trunk <= %.0f us at every count >= "
-                        "8\n",
-                        ActiveInt8KernelId(), kMaxInt8TrunkMs * 1e3);
     }
     return ok;
 }

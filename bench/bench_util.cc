@@ -119,10 +119,10 @@ GetTrainedSinan(const Application& app, const PipelineConfig& cfg,
                 std::printf("[cache] loaded %s\n", path.c_str());
                 return out;
             }
-            // A container saved before calibration (no quant section):
-            // retrain so the cache picks up activation scales (the int8
-            // benches and parity tests need a calibrated model).
-            std::printf("[cache] %s lacks quant calibration; retraining\n",
+            // A container saved without the calibration section:
+            // retrain so the cache picks up the record bench_e2e
+            // requires of the bundled models.
+            std::printf("[cache] %s lacks calibration; retraining\n",
                         path.c_str());
         } catch (const std::exception&) {
             std::printf("[cache] %s corrupt; retraining\n", path.c_str());
@@ -182,9 +182,7 @@ SocialLoads()
 
 void
 WriteInferenceJson(const std::string& path, const std::string& model_name,
-                   const std::string& kernel_id,
-                   const std::string& int8_kernel_id, bool int8_measured,
-                   double interval_budget_ms,
+                   const std::string& kernel_id, double interval_budget_ms,
                    const std::vector<InferenceBenchRow>& rows)
 {
     std::ofstream out(path);
@@ -193,12 +191,9 @@ WriteInferenceJson(const std::string& path, const std::string& model_name,
 
     char buf[512];
     out << "{\n";
-    out << "  \"schema\": 3,\n";
+    out << "  \"schema\": 4,\n";
     out << "  \"model\": \"" << model_name << "\",\n";
     out << "  \"kernel_id\": \"" << kernel_id << "\",\n";
-    out << "  \"int8_kernel_id\": \"" << int8_kernel_id << "\",\n";
-    out << "  \"int8_measured\": " << (int8_measured ? "true" : "false")
-        << ",\n";
     std::snprintf(buf, sizeof(buf), "  \"interval_budget_ms\": %.3f,\n",
                   interval_budget_ms);
     out << buf;
@@ -212,12 +207,9 @@ WriteInferenceJson(const std::string& path, const std::string& model_name,
             "    {\"candidates\": %d, \"legacy_ms\": %.6f, "
             "\"cached_ms\": %.6f, \"speedup\": %.3f, \"stages_ms\": "
             "{\"feature_build\": %.6f, \"trunk\": %.6f, \"head\": %.6f, "
-            "\"bt\": %.6f}, \"scalar_trunk_ms\": %.6f, \"int8\": "
-            "{\"cached_ms\": %.6f, \"trunk_ms\": %.6f, "
-            "\"scalar_trunk_ms\": %.6f}}%s\n",
+            "\"bt\": %.6f}, \"scalar_trunk_ms\": %.6f}%s\n",
             r.candidates, r.legacy_ms, r.cached_ms, speedup, r.feature_ms,
             r.trunk_ms, r.head_ms, r.bt_ms, r.scalar_trunk_ms,
-            r.int8_cached_ms, r.int8_trunk_ms, r.int8_scalar_trunk_ms,
             i + 1 < rows.size() ? "," : "");
         out << buf;
     }

@@ -93,12 +93,6 @@ struct InferenceBenchRow {
     /** Trunk stage re-measured under forced-scalar dispatch (equals
      *  trunk_ms when the active kernel is already scalar). */
     double scalar_trunk_ms = 0.0;
-    /** Quantized (--quant int8) fast path, per call; 0 when the model
-     *  carries no calibration. */
-    double int8_cached_ms = 0.0;
-    double int8_trunk_ms = 0.0;
-    /** Int8 trunk under forced-scalar dispatch. */
-    double int8_scalar_trunk_ms = 0.0;
 };
 
 /**
@@ -107,16 +101,12 @@ struct InferenceBenchRow {
  * formatting; one object with a "sweep" array ordered like @p rows.
  * Schema 2 adds the microkernel id that produced the timings (see
  * common/cpu_features.h) and the per-row forced-scalar trunk time.
- * Schema 3 adds the int8 kernel id and a per-row "int8" object
- * (cached/trunk/scalar-trunk times of the quantized path); int8_measured
- * is false (and the per-row objects hold zeros) when the model carries
- * no calibration.
+ * Schema 3 added an int8 kernel id and per-row "int8" timings; schema
+ * 4 drops them again with the int8 inference mode.
  */
 void WriteInferenceJson(const std::string& path,
                         const std::string& model_name,
                         const std::string& kernel_id,
-                        const std::string& int8_kernel_id,
-                        bool int8_measured,
                         double interval_budget_ms,
                         const std::vector<InferenceBenchRow>& rows);
 

@@ -97,7 +97,6 @@ SimUsage(const char* msg)
         "                 [--duration S] [--warmup S] [--seed N]\n"
         "                 [--collect S] [--epochs N] [--mix W,W,...]\n"
         "                 [--log FILE] [--threads N]\n"
-        "                 [--quant off|int8]\n"
         "                 [--decision-log FILE] [--metrics FILE]\n"
         "                 [--faults SPEC]\n"
         "                 [--uncertainty on|off]\n"
@@ -118,11 +117,6 @@ SimUsage(const char* msg)
         "  Numbers take no '+' sign, no blanks and no nan or inf.\n"
         "  --warmup must be shorter than --duration; --threads takes\n"
         "  1 to 256 (so does the SINAN_THREADS variable).\n"
-        "\n"
-        "  --quant int8 runs the sinan scheduler's model inference on\n"
-        "  the calibrated int8 path (faster, separately validated for\n"
-        "  prediction and decision agreement); off (default) keeps the\n"
-        "  bit-exact fp32 path. Other managers are unaffected.\n"
         "\n"
         "  --fleet N steps N clusters concurrently under one fleet\n"
         "  manager; --app/--manager/--users become fleet-wide shard\n"
@@ -205,10 +199,6 @@ ParseSimArgs(int argc, const char* const* argv)
                          "an integer in [1, " +
                              std::to_string(kMaxThreads) + "]",
                          v);
-        } else if (a == "--quant") {
-            const std::string v = need(i++);
-            if (!ParseQuantMode(v.c_str(), &opt.quant))
-                BadValue(a, "off or int8", v);
         } else if (a == "--faults") {
             const std::string spec = need(i++);
             if (spec == "list")
@@ -328,7 +318,6 @@ BuildFleetConfig(const SimOptions& opt)
     cfg.warmup_s = opt.warmup_s;
     cfg.seed = opt.seed;
     cfg.scheduler.uncertainty = opt.uncertainty;
-    cfg.scheduler.quant = opt.quant;
     return cfg;
 }
 

@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "fleet/fleet.h"
-#include "nn/quant.h"
 #include "sim/fault_injector.h"
 
 namespace sinan {
@@ -55,11 +54,6 @@ struct SimOptions {
     /** 0 = keep the default (SINAN_THREADS or hardware concurrency);
      *  --threads sets 1..kMaxThreads. */
     int threads = 0;
-    /** Inference precision (--quant off|int8) of every sinan-managed
-     *  scheduler, single-run and fleet alike. int8 evaluates the CNN
-     *  on the calibrated quantized path (separately validated; see
-     *  DESIGN.md §5k), off is the byte-identical fp32 default. */
-    QuantMode quant = QuantMode::kOff;
     /** Fault-injection schedule (see sim/fault_injector.h). */
     FaultSchedule faults;
     bool faults_set = false;

@@ -104,10 +104,4 @@ ActiveKernelId()
     return SimdActive() ? "avx2-v1" : "scalar-v1";
 }
 
-const char*
-ActiveInt8KernelId()
-{
-    return SimdActive() ? "int8-avx2-v1" : "int8-scalar-v1";
-}
-
 } // namespace sinan

@@ -72,15 +72,6 @@ bool SimdActive();
  *  asserts bit-identical output across the two. */
 const char* ActiveKernelId();
 
-/** Stable id of the int8 GEMM kernel the dispatcher would select for
- *  quantized (--quant=int8) evaluations: "int8-avx2-v1" or
- *  "int8-scalar-v1". The same SimdActive() switch drives both
- *  families, and the shared "-v1" suffix again asserts bit-identical
- *  output (trivially so for int8: exact integer accumulation). Int8
- *  ids are NOT bit-compatible with the fp32 ids — quantized results
- *  are a separately validated approximation (see nn/quant.h). */
-const char* ActiveInt8KernelId();
-
 } // namespace sinan
 
 #endif // SINAN_COMMON_CPU_FEATURES_H

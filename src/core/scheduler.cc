@@ -142,9 +142,6 @@ SinanScheduler::SinanScheduler(HybridModel& model,
     : model_(&model), cfg_(cfg), window_(model.Features()),
       guard_(model.Features().n_tiers)
 {
-    // Applies the configured inference precision up front; throws with
-    // a clear message if int8 is requested on an uncalibrated model.
-    model.SetQuantMode(cfg_.quant);
 }
 
 void

@@ -49,12 +49,6 @@ struct UncertaintyConfig {
 struct SchedulerConfig {
     /** Graded-confidence policy (off by default; see above). */
     UncertaintyConfig uncertainty;
-    /** Inference precision of the hybrid model's Evaluate calls
-     *  (--quant). kInt8 requires a calibrated model — the scheduler
-     *  constructor applies the mode and surfaces the model's error if
-     *  the calibration is missing. kOff (default) is byte-identical to
-     *  a build without the quantized path. */
-    QuantMode quant = QuantMode::kOff;
 };
 
 /** The Sinan resource manager. */
@@ -126,7 +120,7 @@ class SinanScheduler : public ResourceManager {
 
     /**
      * @param model trained hybrid model (not owned; must outlive this).
-     * @param cfg the graded-confidence policy and inference precision.
+     * @param cfg the graded-confidence policy.
      */
     SinanScheduler(HybridModel& model, const SchedulerConfig& cfg);
 
@@ -158,15 +152,9 @@ class SinanScheduler : public ResourceManager {
      * per-worker clone for the duration of one batched decision, so
      * concurrent shards never share Evaluate() workspaces. Decisions
      * are unaffected because Evaluate() output depends only on the
-     * weights and inputs, never on workspace residue. The scheduler's
-     * quant mode is re-applied so a clone evaluates with the same
-     * precision as the original.
+     * weights and inputs, never on workspace residue.
      */
-    void RebindModel(HybridModel& model)
-    {
-        model.SetQuantMode(cfg_.quant);
-        model_ = &model;
-    }
+    void RebindModel(HybridModel& model) { model_ = &model; }
 
     /**
      * Attaches per-decision telemetry sinks: every Decide() appends

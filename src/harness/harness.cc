@@ -251,8 +251,7 @@ TrainSinanForApp(const Application& app, const PipelineConfig& cfg)
                                               cfg.seed ^ 0xcafe);
     out.report = out.model->Train(out.train, out.valid);
     // Calibrate unconditionally (a few ms on the training set) so
-    // every trained model can serve int8 and every Save carries the
-    // activation scales; the mode itself stays off until requested.
+    // every Save carries the calibration record bench_e2e checks for.
     out.model->CalibrateInt8(out.train);
     return out;
 }

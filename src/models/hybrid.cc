@@ -272,16 +272,8 @@ HybridModel::EvaluateTimed(const MetricWindow& window,
     const auto t1 = stamp();
 
     // Trunk once per interval, head once per candidate batch.
-    const bool int8 = quant_ == QuantMode::kInt8;
-    if (int8)
-        cnn_.ForwardTrunkInt8(ws_);
-    else
-        cnn_.ForwardTrunk(ws_);
+    cnn_.ForwardTrunk(ws_);
     const auto t2 = stamp();
-    // The head runs fp32 in both modes: quantizing it perturbs the
-    // latent rows the tree ensemble thresholds on and flips decisions
-    // (see SinanCnn::ForwardTrunkInt8), while the trunk carries the
-    // fixed per-interval cost int8 is after.
     cnn_.ForwardHead(ws_);
     const auto t3 = stamp();
     SINAN_CHECK_EQ(ws_.pred.Dim(0), n_cands);
@@ -298,7 +290,7 @@ HybridModel::EvaluateTimed(const MetricWindow& window,
         stages->trunk_s = Seconds(t1, t2);
         stages->head_s = Seconds(t2, t3);
         stages->bt_s = Seconds(t3, t4);
-        stages->kernel_id = int8 ? ActiveInt8KernelId() : ActiveKernelId();
+        stages->kernel_id = ActiveKernelId();
     }
     return out;
 }
@@ -367,18 +359,7 @@ HybridModel::CalibrateInt8(const Dataset& calib, int max_samples)
         cnn_.ForwardHead(ws_);
         SinanCnn::ObserveCalibration(ws_, cal);
     }
-    cnn_.FinalizeInt8(cal);
-}
-
-void
-HybridModel::SetQuantMode(QuantMode mode)
-{
-    if (mode == QuantMode::kInt8 && !cnn_.Int8Ready())
-        throw std::runtime_error(
-            "SetQuantMode: int8 requested but the model is not "
-            "calibrated — run CalibrateInt8 or load a model with a "
-            "quant section");
-    quant_ = mode;
+    cnn_.SetCalibration(cal);
 }
 
 void
@@ -394,13 +375,13 @@ HybridModel::Save(std::ostream& out) const
               sizeof(val_rmse_ms_));
     out.write(reinterpret_cast<const char*>(&val_rmse_subqos_ms_),
               sizeof(val_rmse_subqos_ms_));
-    const int32_t has_quant = cnn_.Int8Ready() ? 1 : 0;
-    out.write(reinterpret_cast<const char*>(&has_quant),
-              sizeof(has_quant));
-    if (has_quant) {
-        const auto scales = cnn_.Int8ActScales();
-        out.write(reinterpret_cast<const char*>(scales.data()),
-                  sizeof(float) * scales.size());
+    const std::optional<CnnCalibration>& cal = cnn_.Calibration();
+    const int32_t has_cal = cal ? 1 : 0;
+    out.write(reinterpret_cast<const char*>(&has_cal), sizeof(has_cal));
+    if (cal) {
+        const auto values = cal->Values();
+        out.write(reinterpret_cast<const char*>(values.data()),
+                  sizeof(float) * values.size());
     }
 }
 
@@ -438,19 +419,19 @@ HybridModel::Load(std::istream& in)
             sizeof(val_rmse_subqos_ms_));
     if (!in)
         throw std::runtime_error("HybridModel::Load: truncated stream");
-    int32_t has_quant = 0;
-    in.read(reinterpret_cast<char*>(&has_quant), sizeof(has_quant));
+    int32_t has_cal = 0;
+    in.read(reinterpret_cast<char*>(&has_cal), sizeof(has_cal));
     if (!in)
         throw std::runtime_error(
-            "HybridModel::Load: truncated quant section");
-    if (has_quant) {
-        std::array<float, kCnnInt8NumScales> scales{};
-        in.read(reinterpret_cast<char*>(scales.data()),
-                sizeof(float) * scales.size());
+            "HybridModel::Load: truncated calibration section");
+    if (has_cal) {
+        std::array<float, kCnnCalibrationSize> values{};
+        in.read(reinterpret_cast<char*>(values.data()),
+                sizeof(float) * values.size());
         if (!in)
             throw std::runtime_error(
-                "HybridModel::Load: truncated quant section");
-        cnn_.LoadInt8Scales(scales);
+                "HybridModel::Load: truncated calibration section");
+        cnn_.SetCalibration(CnnCalibration::FromValues(values));
     }
 }
 

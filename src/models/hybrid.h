@@ -54,11 +54,10 @@ struct EvalStageTimes {
     double trunk_s = 0.0;
     double head_s = 0.0;
     double bt_s = 0.0;
-    /** Microkernel that produced these bytes ("scalar-v1"/"avx2-v1" on
-     *  the fp32 path, "int8-scalar-v1"/"int8-avx2-v1" when quant mode
-     *  is int8; see common/cpu_features.h); ids sharing a version
-     *  suffix are bit-compatible, so a changed id with changed bytes
-     *  marks a deliberate kernel revision, not nondeterminism. */
+    /** Microkernel that produced these bytes ("scalar-v1"/"avx2-v1";
+     *  see common/cpu_features.h); ids sharing a version suffix are
+     *  bit-compatible, so a changed id with changed bytes marks a
+     *  deliberate kernel revision, not nondeterminism. */
     const char* kernel_id = "";
 };
 
@@ -70,7 +69,7 @@ struct EvalStageTimes {
  * clear "corrupt header" error instead of misparsing the payload.
  */
 constexpr int32_t kModelMagic = 0x4e4e4953;   // "SINN" little-endian
-constexpr int32_t kModelVersion = 2;          // v2: + quant section
+constexpr int32_t kModelVersion = 2;          // v2: + calibration section
 
 /** The CNN + Boosted-Trees hybrid model. */
 class HybridModel {
@@ -139,30 +138,25 @@ class HybridModel {
 
     /**
      * Runs up to @p max_samples calibration samples through the fp32
-     * fast path, observing per-tensor activation ranges, then
-     * quantizes the CNN weights (per-output-channel symmetric int8)
-     * and fixes the activation scales. Must run before SetQuantMode
-     * (kInt8); TrainSinan* harnesses call it unconditionally after
-     * training so every saved model carries scales.
+     * fast path and records the per-tensor max-|x| of every conv/dense
+     * input (SinanCnn's CnnCalibration), which Save writes into the
+     * container's calibration section. The record has no runtime
+     * consumer (inference is fp32 only; the name is historical). It is
+     * kept because bench_e2e refuses a bundled model without it and
+     * the committed models re-save byte for byte only with it.
+     * TrainSinan* harnesses call it after training.
      */
     void CalibrateInt8(const Dataset& calib, int max_samples = 256);
 
-    /**
-     * Selects the inference path used by Evaluate/EvaluateTimed.
-     * kInt8 requires a calibrated model (throws std::runtime_error
-     * otherwise); kOff restores the fp32 path, byte-identical to a
-     * model that never had quantization enabled.
-     */
-    void SetQuantMode(QuantMode mode);
-
-    /** True once CalibrateInt8 has run (or a model with a quant
-     *  section was loaded). */
-    bool Int8Calibrated() const { return cnn_.Int8Ready(); }
+    /** True once CalibrateInt8 has run (or a model with a calibration
+     *  section was loaded). bench_e2e refuses bundled models without
+     *  the record. */
+    bool Int8Calibrated() const { return cnn_.Calibration().has_value(); }
 
     /**
      * Serializes the versioned container: magic, version, CNN
-     * weights, BT trees, the two RMSE doubles, then the quant section
-     * (flag + activation scales when calibrated).
+     * weights, BT trees, the two RMSE doubles, then the calibration
+     * section (flag + the seven CnnCalibration floats when present).
      */
     void Save(std::ostream& out) const;
 
@@ -208,7 +202,6 @@ class HybridModel {
     HybridConfig cfg_;
     SinanCnn cnn_;
     BoostedTrees bt_;
-    QuantMode quant_ = QuantMode::kOff;
     double val_rmse_ms_ = 0.0;
     double val_rmse_subqos_ms_ = 0.0;
 

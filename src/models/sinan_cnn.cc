@@ -206,62 +206,7 @@ MaxAbs(const Tensor& t)
     return m;
 }
 
-std::vector<float>
-BiasVector(const Tensor& b)
-{
-    return std::vector<float>(b.Data(), b.Data() + b.Size());
-}
-
 } // namespace
-
-void
-SinanCnn::ForwardTrunkInt8(CnnEvalWorkspace& ws) const
-{
-    SINAN_CHECK_MSG(int8_.ready,
-                    "ForwardTrunkInt8: model not calibrated — run "
-                    "FinalizeInt8 or load a model with a quant section");
-    SINAN_CHECK_EQ(ws.xrh.Rank(), 4);
-    SINAN_CHECK_EQ(ws.xrh.Dim(0), 1);
-    SINAN_CHECK_EQ(ws.xlh.Rank(), 2);
-    SINAN_CHECK_EQ(ws.xlh.Dim(0), 1);
-    // Fully fused conv stack: the activations stay u8 from the input
-    // image until rh_fc's accumulators — relu and the next layer's
-    // quantization are folded into each requantize pass, which is
-    // byte-identical to the unfused int8 sequence (see nn/quant.h) and
-    // skips two fp32 round trips.
-    const int in_c = ws.xrh.Dim(1);
-    const int h = ws.xrh.Dim(2);
-    const int w = ws.xrh.Dim(3);
-    const int64_t hw = static_cast<int64_t>(h) * w;
-    const int64_t oc1 = int8_.conv1.lin.n;
-    const int64_t flat = int8_.rh_fc.lin.k;
-    SINAN_CHECK_EQ(flat, int8_.conv2.lin.n * hw);
-    uint8_t* xq = ws.i8.Act(static_cast<size_t>(in_c) * hw);
-    QuantizeImageChannelLast(ws.xrh.Data(), in_c, hw,
-                             int8_.conv1.lin.inv_act_scale, xq);
-    uint8_t* u1 = ws.i8.Out(static_cast<size_t>(oc1) * hw);
-    QuantizedConvForwardU8(int8_.conv1.lin, int8_.conv1.bias,
-                           conv1_.Kernel(), xq, in_c, h, w,
-                           int8_.conv2.lin.inv_act_scale, u1, ws.i8);
-    // Reuses the image buffer (dead once conv1 has consumed it), sized
-    // up to rh_fc's lda so the GEMM may read its zero-weight tail.
-    // conv2's output stays channel-last; rh_fc's weights are packed in
-    // that row order (QuantizeDenseWeightsChannelLast), so no
-    // transpose happens between the conv stack and the dense trunk.
-    const int64_t lda2 = Int8KGroups(flat) * 4;
-    uint8_t* u2 = ws.i8.Act(static_cast<size_t>(
-        std::max(static_cast<int64_t>(in_c) * hw, lda2)));
-    QuantizedConvForwardU8(int8_.conv2.lin, int8_.conv2.bias,
-                           conv2_.Kernel(), u1, static_cast<int>(oc1),
-                           h, w, int8_.rh_fc.lin.inv_act_scale, u2,
-                           ws.i8);
-    QuantizedDenseForwardU8(int8_.rh_fc.lin, int8_.rh_fc.bias, u2,
-                            ws.rh_embed, ws.i8);
-    ReluInPlace(ws.rh_embed);
-    QuantizedDenseForward(int8_.lh_fc.lin, int8_.lh_fc.bias, ws.xlh,
-                          ws.lh_embed, ws.i8);
-    ReluInPlace(ws.lh_embed);
-}
 
 void
 SinanCnn::ObserveCalibration(const CnnEvalWorkspace& ws,
@@ -276,77 +221,6 @@ SinanCnn::ObserveCalibration(const CnnEvalWorkspace& ws,
     cal.concat = std::max({cal.concat, MaxAbs(ws.rh_embed),
                            MaxAbs(ws.lh_embed), MaxAbs(ws.rc_embed)});
     cal.latent = std::max(cal.latent, MaxAbs(ws.latent));
-}
-
-void
-SinanCnn::FinalizeInt8(const CnnCalibration& cal)
-{
-    // Convs are consumed transposed — positions x output channels, in
-    // the channel-last patch order — so the per-output-channel scales
-    // sit on GEMM columns (see QuantizeConvWeights).
-    auto quant_conv = [](const Conv2D& src, QuantLayer& dst) {
-        const Tensor& w = src.Weight(); // [OC, C, K, K]
-        QuantizeConvWeights(dst.lin, w.Data(), w.Dim(1), w.Dim(0),
-                            w.Dim(2));
-        dst.bias = BiasVector(src.Bias());
-    };
-    auto quant_dense = [](const Dense& src, QuantLayer& dst) {
-        const Tensor& w = src.Weight(); // [in, out]
-        dst.lin.QuantizeWeights(w.Data(), w.Dim(0), w.Dim(1),
-                                /*row_stride=*/w.Dim(1),
-                                /*col_stride=*/1);
-        dst.bias = BiasVector(src.Bias());
-    };
-    quant_conv(conv1_, int8_.conv1);
-    quant_conv(conv2_, int8_.conv2);
-    // rh_fc consumes the fused conv stack's channel-last u8 output, so
-    // its input rows are permuted to that order at pack time (results
-    // are identical — see QuantizeDenseWeightsChannelLast).
-    {
-        const Tensor& w = rh_fc_.Weight(); // [in, out]
-        QuantizeDenseWeightsChannelLast(int8_.rh_fc.lin, w.Data(),
-                                        w.Dim(0), w.Dim(1),
-                                        cfg_.conv_channels2);
-        int8_.rh_fc.bias = BiasVector(rh_fc_.Bias());
-    }
-    quant_dense(lh_fc_, int8_.lh_fc);
-
-    int8_.conv1.lin.SetActivationScale(cal.xrh);
-    int8_.conv2.lin.SetActivationScale(cal.conv1_out);
-    int8_.rh_fc.lin.SetActivationScale(cal.conv2_out);
-    int8_.lh_fc.lin.SetActivationScale(cal.xlh);
-    // The head observations are retained verbatim for serialization
-    // even though the head runs fp32 (see ForwardTrunkInt8's doc).
-    int8_.cal = cal;
-    int8_.ready = true;
-}
-
-void
-SinanCnn::LoadInt8Scales(const std::array<float, kCnnInt8NumScales>& s)
-{
-    // The serialized scales are the max-|x| observations (not the
-    // derived s_a), so FinalizeInt8 reproduces the calibrated state
-    // exactly from weights + these seven numbers.
-    CnnCalibration cal;
-    cal.xrh = s[0];
-    cal.conv1_out = s[1];
-    cal.conv2_out = s[2];
-    cal.xlh = s[3];
-    cal.xrc = s[4];
-    cal.concat = s[5];
-    cal.latent = s[6];
-    FinalizeInt8(cal);
-}
-
-std::array<float, kCnnInt8NumScales>
-SinanCnn::Int8ActScales() const
-{
-    SINAN_CHECK_MSG(int8_.ready, "Int8ActScales: model not calibrated");
-    // The serialized form is the raw max-|x| record, so a save/load
-    // round trip feeds FinalizeInt8 exactly the same inputs.
-    const CnnCalibration& c = int8_.cal;
-    return {c.xrh, c.conv1_out, c.conv2_out, c.xlh,
-            c.xrc, c.concat,    c.latent};
 }
 
 void

@@ -25,10 +25,10 @@
 #define SINAN_MODELS_SINAN_CNN_H
 
 #include <array>
+#include <optional>
 
 #include "models/latency_model.h"
 #include "nn/layers.h"
-#include "nn/quant.h"
 
 namespace sinan {
 
@@ -72,18 +72,20 @@ struct CnnEvalWorkspace {
     Tensor latent_trunk; // [1, latent]: fc_latent over rh/lh only
     Tensor latent;       // [B, latent]
     Tensor pred;     // [B, M]
-    // Quantized-path scratch (u8 activations, int32 accumulators);
-    // grows once on first int8 use, then stays allocation-free.
-    Int8Workspace i8;
 };
 
-/** Running per-tensor max-|x| observations of every quantization
- *  candidate's input, accumulated over a calibration set by
- *  ObserveCalibration and turned into activation scales by
- *  SinanCnn::FinalizeInt8. The head observations (xrc, concat,
- *  latent) are recorded and serialized like the rest even though the
- *  head currently runs fp32 (see ForwardTrunkInt8): the format stays
- *  stable if the int8/fp32 boundary ever moves. */
+/** Number of floats in the serialized calibration record (one per
+ *  CnnCalibration field, in declaration order). */
+constexpr int kCnnCalibrationSize = 7;
+
+/**
+ * Running per-tensor max-|x| observations of the conv/dense layer
+ * inputs, accumulated over a calibration set by ObserveCalibration.
+ * The record is saved and loaded with the model (the model container's
+ * calibration section) but has no runtime consumer: inference is fp32
+ * only. It is kept so the committed models keep their bytes and load
+ * as calibrated (bench_e2e refuses a model without it).
+ */
 struct CnnCalibration {
     float xrh = 0.0f;       // conv1 input
     float conv1_out = 0.0f; // conv2 input (post-ReLU)
@@ -92,11 +94,20 @@ struct CnnCalibration {
     float xrc = 0.0f;       // rc_fc input
     float concat = 0.0f;    // fc_latent input [rh | lh | rc embeds]
     float latent = 0.0f;    // fc_out input (post-ReLU)
-};
 
-/** Number of per-tensor activation scales in the serialized quant
- *  section (one per CnnCalibration field, in declaration order). */
-constexpr int kCnnInt8NumScales = 7;
+    /** The record in serialization order. */
+    std::array<float, kCnnCalibrationSize> Values() const
+    {
+        return {xrh, conv1_out, conv2_out, xlh, xrc, concat, latent};
+    }
+
+    /** Inverse of Values(). */
+    static CnnCalibration
+    FromValues(const std::array<float, kCnnCalibrationSize>& v)
+    {
+        return {v[0], v[1], v[2], v[3], v[4], v[5], v[6]};
+    }
+};
 
 /** The hybrid model's CNN component. */
 class SinanCnn : public LatencyModel {
@@ -133,48 +144,19 @@ class SinanCnn : public LatencyModel {
      */
     void ForwardHead(CnnEvalWorkspace& ws) const;
 
-    /**
-     * Int8 counterpart of ForwardTrunk: the same layer sequence with
-     * every conv/dense matmul running on quantized operands
-     * (nn/quant.h). Requires FinalizeInt8 (or LoadInt8Scales) first.
-     * Bit-identical against itself across thread counts and
-     * scalar/AVX2 dispatch; close to — but not bit-identical with —
-     * the fp32 trunk.
-     *
-     * The head deliberately has no int8 counterpart: quantizing
-     * fc_latent perturbs the L_f rows the Boosted Trees threshold on,
-     * and a flipped tree split jumps p_violation discretely — measured
-     * decision agreement vs fp32 dropped from 100% to 97% on the
-     * bundled models when the head ran int8. The head is also cheap
-     * (its per-candidate cost is dominated by the fp32 tree ensemble
-     * next to it), so int8 mode runs the quantized trunk and the fp32
-     * head/ForwardHead.
-     */
-    void ForwardTrunkInt8(CnnEvalWorkspace& ws) const;
-
     /** Folds one fp32-evaluated workspace (after ForwardTrunk +
      *  ForwardHead) into the running calibration maxima. */
     static void ObserveCalibration(const CnnEvalWorkspace& ws,
                                    CnnCalibration& cal);
 
-    /**
-     * Post-training quantization: derives per-output-channel symmetric
-     * weight scales from the fp32 weights (a pure function of the
-     * weights), fixes the per-tensor activation scales from @p cal,
-     * and packs the int8 panels. Idempotent; call again after weight
-     * updates (e.g. FineTune) to refresh.
-     */
-    void FinalizeInt8(const CnnCalibration& cal);
+    /** Stores the calibration record saved with the model. */
+    void SetCalibration(const CnnCalibration& cal) { calibration_ = cal; }
 
-    /** Rebuilds the quantized state from serialized activation scales
-     *  (model-load path; weight scales are re-derived). */
-    void LoadInt8Scales(const std::array<float, kCnnInt8NumScales>& s);
-
-    /** Activation scales in serialization order (requires Int8Ready). */
-    std::array<float, kCnnInt8NumScales> Int8ActScales() const;
-
-    /** True once FinalizeInt8/LoadInt8Scales has run. */
-    bool Int8Ready() const { return int8_.ready; }
+    /** The calibration record, if one was observed or loaded. */
+    const std::optional<CnnCalibration>& Calibration() const
+    {
+        return calibration_;
+    }
 
     /** Latent representation L_f [B, latent] of the last Forward. */
     const Tensor& Latent() const { return latent_; }
@@ -212,24 +194,7 @@ class SinanCnn : public LatencyModel {
     /** Adds the persistence residual to ws.pred from ws.xlh. */
     void AddPersistence(CnnEvalWorkspace& ws) const;
 
-    /** One quantized conv/dense layer: packed weights + fp32 bias. */
-    struct QuantLayer {
-        QuantizedLinear lin;
-        std::vector<float> bias;
-    };
-
-    /** Quantized mirror of the trunk layers (empty until FinalizeInt8;
-     *  copied with the model, so clones stay calibrated). The head
-     *  layers are never quantized — see ForwardTrunkInt8 — but the
-     *  full calibration record is kept for serialization, so the
-     *  on-disk format is independent of where the int8/fp32 boundary
-     *  sits. */
-    struct Int8State {
-        bool ready = false;
-        QuantLayer conv1, conv2, rh_fc, lh_fc;
-        CnnCalibration cal;
-    };
-    Int8State int8_;
+    std::optional<CnnCalibration> calibration_;
 };
 
 } // namespace sinan

@@ -31,8 +31,8 @@ class Dense : public Layer {
      */
     void ForwardInto(const Tensor& x, Tensor& y) const;
 
-    /** Read-only weight/bias views (int8 post-training quantization
-     *  reads them; never used to mutate). */
+    /** Read-only weight/bias views (SinanCnn's cached head reads
+     *  fc_latent's; never used to mutate). */
     const Tensor& Weight() const { return w_.value; }
     const Tensor& Bias() const { return b_.value; }
 
@@ -85,11 +85,6 @@ class Conv2D : public Layer {
      */
     void ForwardInto(const Tensor& x, Tensor& y) const;
 
-    /** Read-only weight/bias views (int8 post-training quantization
-     *  reads them; never used to mutate). */
-    const Tensor& Weight() const { return w_.value; }
-    const Tensor& Bias() const { return b_.value; }
-    int Kernel() const { return kernel_; }
 
   private:
     Param w_; // [OC, C, K, K]

@@ -121,6 +121,8 @@ TEST(CliDeathTest, MalformedFlagsExitTwo)
     ExpectUsageExit({"--bogus"}, "unknown flag --bogus");
     // Dispatch is overridden by the SINAN_SIMD variable, not a flag.
     ExpectUsageExit({"--simd", "on"}, "unknown flag --simd");
+    // Inference is fp32 only; the int8 mode and its flag are gone.
+    ExpectUsageExit({"--quant", "int8"}, "unknown flag --quant");
     ExpectUsageExit({"--users"}, "missing value for --users");
     ExpectUsageExit({"--users", "abc"}, "expects a number");
     ExpectUsageExit({"--users", "12x"}, "expects a number");

@@ -13,6 +13,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -259,6 +260,51 @@ TEST(InferenceFastPath, EvaluateTimedStampsActiveKernelId)
     EvalStageTimes stages{};
     (void)model.EvaluateTimed(w, cands, &stages);
     EXPECT_STREQ(stages.kernel_id, "scalar-v1");
+}
+
+TEST(InferenceFastPath, EvaluateTimedStampsKernelIdsInEveryMode)
+{
+    const FeatureConfig f = SmallFeatures();
+    const std::unique_ptr<HybridModel> pm = TrainSmallHybrid(f, 211);
+    HybridModel& model = *pm;
+    const MetricWindow w = MakeWindow(f, 160, 130);
+    const auto cands = MakeCandidates(f, 9);
+
+    ThreadGuard guard;
+    SimdModeGuard mode_guard;
+    SetNumThreads(1);
+    for (const SimdMode simd : {SimdMode::kOff, SimdMode::kOn}) {
+        SetSimdMode(simd);
+        // What the dispatch switch says the stamp must be. With
+        // SINAN_SIMD=off this is the scalar id on every host; with
+        // kOn it is the AVX2 id exactly when the CPU has AVX2.
+        const std::string want = ActiveKernelId();
+        if (simd == SimdMode::kOff) {
+            ASSERT_EQ(want, "scalar-v1");
+        }
+        EvalStageTimes stages;
+        const auto t0 = std::chrono::steady_clock::now();
+        const std::vector<Prediction> preds =
+            model.EvaluateTimed(w, cands, &stages);
+        const double wall =
+            std::chrono::duration<double>(
+                std::chrono::steady_clock::now() - t0)
+                .count();
+        ASSERT_EQ(preds.size(), cands.size());
+        EXPECT_EQ(std::string(stages.kernel_id), want);
+
+        // The four stages partition the call (minus cheap glue): each
+        // non-negative, and their sum bounded by the wall clock around
+        // the call.
+        EXPECT_GE(stages.feature_build_s, 0.0);
+        EXPECT_GE(stages.trunk_s, 0.0);
+        EXPECT_GE(stages.head_s, 0.0);
+        EXPECT_GE(stages.bt_s, 0.0);
+        const double sum = stages.feature_build_s + stages.trunk_s +
+                           stages.head_s + stages.bt_s;
+        EXPECT_GT(sum, 0.0);
+        EXPECT_LE(sum, wall);
+    }
 }
 
 TEST(InferenceFastPath, EnvOverrideForcesScalarKernelWithGoldenBytes)

@@ -48,10 +48,9 @@ Rules()
         {"missing-include-guard",
          "every header needs #ifndef/#define or #pragma once."},
         {"raw-simd-intrinsic",
-         "vector intrinsics are confined to src/tensor/gemm_avx2.cc "
-         "and src/tensor/gemm_int8_avx2.cc; everywhere else goes "
-         "through the dispatched kernels so the scalar bit-parity "
-         "contract stays auditable in one place."},
+         "vector intrinsics are confined to src/tensor/gemm_avx2.cc; "
+         "everywhere else goes through the dispatched kernels so the "
+         "scalar bit-parity contract stays auditable in one place."},
         {"no-random-device",
          "std::random_device is a nondeterministic entropy source; "
          "seeds come from configuration so runs are replayable."},
@@ -141,8 +140,7 @@ class FilePass {
         const bool in_thread_pool =
             PathContains(ctx_.rel, "common/thread_pool");
         const bool in_simd_kernel =
-            PathContains(ctx_.rel, "tensor/gemm_avx2.cc") ||
-            PathContains(ctx_.rel, "tensor/gemm_int8_avx2.cc");
+            PathContains(ctx_.rel, "tensor/gemm_avx2.cc");
         const bool in_src = StartsWith(ctx_.rel, "src/");
         const bool getenv_blessed =
             ctx_.rel == "src/common/cpu_features.cc" ||
@@ -175,8 +173,7 @@ class FilePass {
             if (!in_simd_kernel && IsIntrinsic(id))
                 Add("raw-simd-intrinsic", t.line,
                     "vector intrinsic '" + id + "' outside the "
-                    "src/tensor intrinsics TUs (gemm_avx2.cc, "
-                    "gemm_int8_avx2.cc)");
+                    "src/tensor intrinsics TU (gemm_avx2.cc)");
             if (id == "random_device")
                 Add("no-random-device", t.line,
                     "std::random_device is nondeterministic; seed "

@@ -72,7 +72,6 @@ main(int argc, char** argv)
         trained = TrainForCli(app, opt.app == "hotel", opt);
         SchedulerConfig scfg;
         scfg.uncertainty = opt.uncertainty;
-        scfg.quant = opt.quant;
         manager = std::make_unique<SinanScheduler>(*trained->model,
                                                    scfg);
     } else {
