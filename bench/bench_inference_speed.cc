@@ -16,8 +16,6 @@
  */
 #include <benchmark/benchmark.h>
 
-#include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -85,29 +83,24 @@ MakeCandidates(const FeatureConfig& f, int n)
 }
 
 /**
- * The model behind the legacy-vs-cached sweep and the JSON dump: the
- * cached trained Social Network model when the bundled weights are
- * present (run from the repo root), otherwise a freshly-initialized
- * model of the same architecture. Lives for the whole process.
+ * The model behind the legacy-vs-cached benchmarks: the cached trained
+ * Social Network model when the bundled weights are present (run from
+ * the repo root), otherwise a freshly-initialized model of the same
+ * architecture. Lives for the whole process.
  */
 HybridModel&
-SweepModel(std::string* name_out = nullptr)
+SweepModel()
 {
-    static std::string name;
     static std::unique_ptr<HybridModel> owned = [] {
         if (std::filesystem::exists("bench_cache/social.model")) {
             TrainedSinan trained = bench::GetTrainedSinan(
                 BuildSocialNetwork(), bench::SocialPipeline(), "social");
-            name = "social-trained";
             return std::move(trained.model);
         }
-        name = "social-untrained";
         HybridConfig cfg;
         cfg.train.epochs = 1;
         return std::make_unique<HybridModel>(SocialFeatures(), cfg, 3);
     }();
-    if (name_out != nullptr)
-        *name_out = name;
     return *owned;
 }
 
@@ -273,6 +266,7 @@ BM_HybridEvaluateStages(benchmark::State& state)
 {
     // Per-stage wall-clock breakdown of the fast path (feature build /
     // trunk / head / boosted trees), reported as per-call counters.
+    // The label names the conv/GEMM kernel that produced trunk_us.
     HybridModel& model = SweepModel();
     const FeatureConfig& f = model.Features();
     const MetricWindow window = MakeWindow(f);
@@ -296,8 +290,9 @@ BM_HybridEvaluateStages(benchmark::State& state)
     state.counters["trunk_us"] = acc.trunk_s * 1e6 * per_call;
     state.counters["head_us"] = acc.head_s * 1e6 * per_call;
     state.counters["bt_us"] = acc.bt_s * 1e6 * per_call;
+    state.SetLabel(ActiveKernelId());
 }
-BENCHMARK(BM_HybridEvaluateStages)->Arg(8)->Arg(128);
+BENCHMARK(BM_HybridEvaluateStages)->Arg(8)->Arg(32)->Arg(128);
 
 /** Restores the entry thread count when a thread-sweep benchmark ends. */
 class ThreadGuard {
@@ -373,173 +368,7 @@ BENCHMARK(BM_HybridEvaluateThreads)
     ->Arg(8)
     ->UseRealTime();
 
-/**
- * Explicit legacy-vs-cached timing sweep across candidate counts,
- * written to BENCH_inference.json. Each point is the best-of-@p reps
- * mean over a small inner loop (minimum is robust against scheduler
- * noise on shared CI runners). Returns the measured rows.
- */
-std::vector<bench::InferenceBenchRow>
-RunInferenceSweep(const std::string& json_path)
-{
-    std::string model_name;
-    HybridModel& model = SweepModel(&model_name);
-    const FeatureConfig& f = model.Features();
-    const MetricWindow window = MakeWindow(f);
-
-    const int kInner = 5;
-    const int kReps = 12;
-    std::vector<bench::InferenceBenchRow> rows;
-    std::printf("\nLegacy vs cached-trunk Evaluate (%s, %d tiers, "
-                "kernel %s)\n",
-                model_name.c_str(), f.n_tiers, ActiveKernelId());
-    std::printf("%10s %12s %12s %9s %10s %13s\n", "cands", "legacy_ms",
-                "cached_ms", "speedup", "trunk_us", "scalar_trunk");
-    for (const int n : {1, 8, 32, 128}) {
-        const auto cands = MakeCandidates(f, n);
-        bench::InferenceBenchRow row;
-        row.candidates = n;
-
-        // Warm up both paths (first calls grow workspace buffers).
-        (void)model.EvaluateFullBatch(window, cands);
-        (void)model.Evaluate(window, cands);
-
-        double best_legacy = 0.0;
-        double best_cached = 0.0;
-        EvalStageTimes best_stages{};
-        for (int rep = 0; rep < kReps; ++rep) {
-            bench::Stopwatch watch;
-            for (int k = 0; k < kInner; ++k)
-                benchmark::DoNotOptimize(
-                    model.EvaluateFullBatch(window, cands));
-            const double legacy_ms = watch.Millis() / kInner;
-            watch.Restart();
-            EvalStageTimes acc{};
-            for (int k = 0; k < kInner; ++k) {
-                EvalStageTimes stages{};
-                benchmark::DoNotOptimize(
-                    model.EvaluateTimed(window, cands, &stages));
-                acc.feature_build_s += stages.feature_build_s;
-                acc.trunk_s += stages.trunk_s;
-                acc.head_s += stages.head_s;
-                acc.bt_s += stages.bt_s;
-            }
-            const double cached_ms = watch.Millis() / kInner;
-            if (rep == 0 || legacy_ms < best_legacy)
-                best_legacy = legacy_ms;
-            if (rep == 0 || cached_ms < best_cached) {
-                best_cached = cached_ms;
-                best_stages = acc;
-            }
-        }
-        row.legacy_ms = best_legacy;
-        row.cached_ms = best_cached;
-        row.feature_ms = best_stages.feature_build_s * 1e3 / kInner;
-        row.trunk_ms = best_stages.trunk_s * 1e3 / kInner;
-        row.head_ms = best_stages.head_s * 1e3 / kInner;
-        row.bt_ms = best_stages.bt_s * 1e3 / kInner;
-
-        // Re-measure the trunk stage under forced-scalar dispatch so
-        // the dump always carries the scalar-vs-SIMD comparison (the
-        // README perf table reads it straight from the JSON).
-        if (SimdActive()) {
-            const SimdMode saved = CurrentSimdMode();
-            SetSimdMode(SimdMode::kOff);
-            (void)model.Evaluate(window, cands);
-            double best_scalar = 0.0;
-            for (int rep = 0; rep < kReps; ++rep) {
-                EvalStageTimes acc{};
-                for (int k = 0; k < kInner; ++k) {
-                    EvalStageTimes stages{};
-                    benchmark::DoNotOptimize(
-                        model.EvaluateTimed(window, cands, &stages));
-                    acc.trunk_s += stages.trunk_s;
-                }
-                const double trunk_ms = acc.trunk_s * 1e3 / kInner;
-                if (rep == 0 || trunk_ms < best_scalar)
-                    best_scalar = trunk_ms;
-            }
-            SetSimdMode(saved);
-            row.scalar_trunk_ms = best_scalar;
-        } else {
-            row.scalar_trunk_ms = row.trunk_ms;
-        }
-
-        std::printf("%10d %12.4f %12.4f %8.2fx %10.1f %12.1fus\n", n,
-                    row.legacy_ms, row.cached_ms,
-                    row.cached_ms > 0.0 ? row.legacy_ms / row.cached_ms
-                                        : 0.0,
-                    row.trunk_ms * 1e3, row.scalar_trunk_ms * 1e3);
-        rows.push_back(row);
-    }
-    bench::WriteInferenceJson(json_path, model_name, ActiveKernelId(),
-                              1000.0, rows);
-    std::printf("\nWrote %s\n", json_path.c_str());
-    return rows;
-}
-
-/**
- * CI gate (SINAN_BENCH_CHECK=1): the cached-trunk path must be
- * measurably faster than the legacy full-batch path at every candidate
- * count >= 8. The local acceptance bar is >= 3x; CI uses a conservative
- * 1.5x so shared-runner noise cannot flake the job. With the AVX2
- * kernels active the trunk stage must additionally stay under 80 us
- * (local acceptance bar: 50 us on an AVX2 host; the measured number is
- * ~47 us scalar-free, so the CI margin is ~1.7x).
- */
-bool
-CheckSweep(const std::vector<bench::InferenceBenchRow>& rows)
-{
-    constexpr double kMinSpeedup = 1.5;
-    constexpr double kMaxSimdTrunkMs = 0.080;
-    bool ok = true;
-    for (const bench::InferenceBenchRow& row : rows) {
-        if (row.candidates < 8)
-            continue;
-        const double speedup =
-            row.cached_ms > 0.0 ? row.legacy_ms / row.cached_ms : 0.0;
-        if (speedup < kMinSpeedup) {
-            std::printf("FAIL: %d candidates: cached path %.2fx vs legacy "
-                        "(need >= %.1fx)\n",
-                        row.candidates, speedup, kMinSpeedup);
-            ok = false;
-        }
-        if (SimdActive() && row.trunk_ms > kMaxSimdTrunkMs) {
-            std::printf("FAIL: %d candidates: trunk %.1f us with the "
-                        "%s kernel (need <= %.0f us)\n",
-                        row.candidates, row.trunk_ms * 1e3,
-                        ActiveKernelId(), kMaxSimdTrunkMs * 1e3);
-            ok = false;
-        }
-    }
-    if (ok) {
-        std::printf("PASS: cached path >= %.1fx at every count >= 8\n",
-                    kMinSpeedup);
-        if (SimdActive())
-            std::printf("PASS: %s trunk <= %.0f us at every count >= "
-                        "8\n",
-                        ActiveKernelId(), kMaxSimdTrunkMs * 1e3);
-    }
-    return ok;
-}
-
 } // namespace
 } // namespace sinan
 
-int
-main(int argc, char** argv)
-{
-    benchmark::Initialize(&argc, argv);
-    if (benchmark::ReportUnrecognizedArguments(argc, argv))
-        return 1;
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-
-    const auto rows = sinan::RunInferenceSweep("BENCH_inference.json");
-    const char* check = std::getenv("SINAN_BENCH_CHECK");
-    if (check != nullptr && std::string(check) == "1" &&
-        !sinan::CheckSweep(rows)) {
-        return 1;
-    }
-    return 0;
-}
+BENCHMARK_MAIN();

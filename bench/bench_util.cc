@@ -9,7 +9,6 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <stdexcept>
 
 namespace sinan {
 namespace bench {
@@ -40,12 +39,6 @@ double
 Stopwatch::Seconds() const
 {
     return static_cast<double>(NowNs() - start_ns_) * 1e-9;
-}
-
-double
-Stopwatch::Millis() const
-{
-    return static_cast<double>(NowNs() - start_ns_) * 1e-6;
 }
 
 bool
@@ -178,43 +171,6 @@ std::vector<double>
 SocialLoads()
 {
     return {50, 100, 150, 200, 250, 300, 350, 400, 450};
-}
-
-void
-WriteInferenceJson(const std::string& path, const std::string& model_name,
-                   const std::string& kernel_id, double interval_budget_ms,
-                   const std::vector<InferenceBenchRow>& rows)
-{
-    std::ofstream out(path);
-    if (!out)
-        throw std::runtime_error("WriteInferenceJson: cannot open " + path);
-
-    char buf[512];
-    out << "{\n";
-    out << "  \"schema\": 4,\n";
-    out << "  \"model\": \"" << model_name << "\",\n";
-    out << "  \"kernel_id\": \"" << kernel_id << "\",\n";
-    std::snprintf(buf, sizeof(buf), "  \"interval_budget_ms\": %.3f,\n",
-                  interval_budget_ms);
-    out << buf;
-    out << "  \"sweep\": [\n";
-    for (size_t i = 0; i < rows.size(); ++i) {
-        const InferenceBenchRow& r = rows[i];
-        const double speedup =
-            r.cached_ms > 0.0 ? r.legacy_ms / r.cached_ms : 0.0;
-        std::snprintf(
-            buf, sizeof(buf),
-            "    {\"candidates\": %d, \"legacy_ms\": %.6f, "
-            "\"cached_ms\": %.6f, \"speedup\": %.3f, \"stages_ms\": "
-            "{\"feature_build\": %.6f, \"trunk\": %.6f, \"head\": %.6f, "
-            "\"bt\": %.6f}, \"scalar_trunk_ms\": %.6f}%s\n",
-            r.candidates, r.legacy_ms, r.cached_ms, speedup, r.feature_ms,
-            r.trunk_ms, r.head_ms, r.bt_ms, r.scalar_trunk_ms,
-            i + 1 < rows.size() ? "," : "");
-        out << buf;
-    }
-    out << "  ]\n";
-    out << "}\n";
 }
 
 void

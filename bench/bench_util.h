@@ -41,9 +41,6 @@ class Stopwatch {
     /** Seconds elapsed since construction / the last Restart(). */
     double Seconds() const;
 
-    /** Milliseconds elapsed since construction / the last Restart(). */
-    double Millis() const;
-
   private:
     int64_t start_ns_ = 0;
 };
@@ -77,38 +74,6 @@ std::vector<double> SocialLoads();
 
 /** Prints a section header for bench output. */
 void PrintHeader(const std::string& title, const std::string& paper_ref);
-
-/** One candidate-count point of the inference-speed sweep. */
-struct InferenceBenchRow {
-    int candidates = 0;
-    /** Legacy full-batch Evaluate, per call. */
-    double legacy_ms = 0.0;
-    /** Cached-trunk fast-path Evaluate, per call. */
-    double cached_ms = 0.0;
-    /** Fast-path stage breakdown, per call. */
-    double feature_ms = 0.0;
-    double trunk_ms = 0.0;
-    double head_ms = 0.0;
-    double bt_ms = 0.0;
-    /** Trunk stage re-measured under forced-scalar dispatch (equals
-     *  trunk_ms when the active kernel is already scalar). */
-    double scalar_trunk_ms = 0.0;
-};
-
-/**
- * Writes the machine-readable inference-speed dump (consumed by the
- * CI perf-smoke job and the README perf table). Deterministic
- * formatting; one object with a "sweep" array ordered like @p rows.
- * Schema 2 adds the microkernel id that produced the timings (see
- * common/cpu_features.h) and the per-row forced-scalar trunk time.
- * Schema 3 added an int8 kernel id and per-row "int8" timings; schema
- * 4 drops them again with the int8 inference mode.
- */
-void WriteInferenceJson(const std::string& path,
-                        const std::string& model_name,
-                        const std::string& kernel_id,
-                        double interval_budget_ms,
-                        const std::vector<InferenceBenchRow>& rows);
 
 /**
  * True when SINAN_BENCH_FAST=1: benches shrink collection time, training

@@ -107,8 +107,10 @@ class HybridModel {
              const std::vector<std::vector<double>>& allocations);
 
     /**
-     * Evaluate with an optional per-stage wall-clock breakdown (used
-     * by bench_inference_speed; pass nullptr to skip timing).
+     * Evaluate with an optional per-stage wall-clock breakdown; pass
+     * nullptr to skip timing (Evaluate does). bench_e2e's traced runs
+     * and BM_HybridEvaluateStages, whose trunk time perf-smoke gates,
+     * pass a breakdown.
      */
     std::vector<Prediction>
     EvaluateTimed(const MetricWindow& window,

@@ -96,6 +96,13 @@ DefaultMagnitude(FaultKind kind)
     }
 }
 
+/** Kinds that take a `mag=` parameter (the others default to 0). */
+bool
+HasMagnitude(FaultKind kind)
+{
+    return DefaultMagnitude(kind) != 0.0;
+}
+
 FaultEvent
 ParseEvent(const std::string& text)
 {
@@ -163,6 +170,10 @@ ParseEvent(const std::string& text)
             ev.jitter = jit;
         } else if (key == "mag") {
             ev.magnitude = Number<double>(val, t, "mag");
+            if (!HasMagnitude(ev.kind))
+                Bad(std::string("mag does not apply to '") +
+                        ToString(ev.kind) + "'",
+                    t);
         } else {
             Bad("unknown parameter '" + key + "'", t);
         }
@@ -245,7 +256,8 @@ FormatFaultEvent(const FaultEvent& event)
             params += ',';
         params += "jitter=" + std::to_string(event.jitter);
     }
-    if (event.magnitude != DefaultMagnitude(event.kind)) {
+    if (HasMagnitude(event.kind) &&
+        event.magnitude != DefaultMagnitude(event.kind)) {
         if (!params.empty())
             params += ',';
         // Shortest representation that strtod parses back exactly;

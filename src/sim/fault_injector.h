@@ -90,7 +90,7 @@ struct FaultEvent {
     int64_t jitter = 0;
     /** Kind-specific strength: capacity/steal fraction in (0, 1],
      *  spike milliseconds, flash-crowd rate multiplier. Unused by
-     *  stall/drop/delay/nan. */
+     *  stall/drop/delay/nan, whose specs reject `mag=`. */
     double magnitude = 0.0;
 
     /** Stagger span of the correlated group (0 without one). */
@@ -142,7 +142,7 @@ struct FaultSchedule {
  *   event  := kind '@' start ['+' duration] [':' param (',' param)*]
  *   kind   := stall|caploss|spike|steal|drop|delay|nan|flash
  *   param  := "tier=" index | "tiers=" lo '-' hi | "jitter=" n
- *           | "mag=" value
+ *           | "mag=" value        (caploss|steal|spike|flash only)
  *
  * `start` and `duration` are decision-interval counts (duration
  * defaults to 1). `tiers=A-B` targets the correlated group [A, B] and
@@ -151,7 +151,8 @@ struct FaultSchedule {
  * named scenario from ChaosScenarios(). Throws std::invalid_argument
  * with the offending event text on any malformed input, including
  * an empty event or parameter (";;", ",,", a trailing ',' or a bare
- * ':'), out-of-range integers, a non-finite `mag`, and an event whose
+ * ':'), out-of-range integers, a non-finite `mag`, a `mag` on a kind
+ * without a magnitude (stall, drop, delay, nan), and an event whose
  * start + GroupSpan() + duration would overflow int64.
  */
 FaultSchedule ParseFaultSpec(const std::string& spec);
@@ -159,8 +160,8 @@ FaultSchedule ParseFaultSpec(const std::string& spec);
 /**
  * Formats one event in the spec grammar, emitting only non-default
  * fields (duration when != 1, tier/tiers when targeted, jitter when
- * != 0, mag when it differs from the kind's default) with
- * shortest-round-trip magnitudes, so
+ * != 0, mag when the kind has one and it differs from the kind's
+ * default) with shortest-round-trip magnitudes, so
  * ParseFaultSpec(FormatFaultEvent(e)) reproduces @p e exactly.
  */
 std::string FormatFaultEvent(const FaultEvent& event);

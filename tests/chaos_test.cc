@@ -111,6 +111,14 @@ TEST(FaultSpecTest, RejectsMalformedSpecs)
     ExpectSpecError("flash@1+2:mag=inf", "mag must be finite");
     ExpectSpecError("spike@1+2:mag=inf", "mag must be finite");
     ExpectSpecError("stall@1+2:mag=nan", "mag must be finite");
+    // Kinds without a magnitude reject mag= rather than ignore it; the
+    // message names the kind and the event.
+    ExpectSpecError("stall@1:mag=2",
+                    "mag does not apply to 'stall' in 'stall@1:mag=2'");
+    ExpectSpecError("drop@3+2:tier=1,mag=0.5",
+                    "mag does not apply to 'drop'");
+    ExpectSpecError("delay@4:mag=1", "mag does not apply to 'delay'");
+    ExpectSpecError("nan@2+3:mag=0.25", "mag does not apply to 'nan'");
     // The largest representable event still parses.
     const FaultSchedule edge =
         ParseFaultSpec("stall@9223372036854775800+7:tiers=0-1,jitter=0");
@@ -265,14 +273,18 @@ RandomEventSpec(Rng& rng)
         }
     }
     if (rng.Bernoulli(0.5)) {
-        // Magnitudes valid for every kind: caploss/steal need (0, 1],
-        // spike/flash need > 0; awkward decimals exercise the
-        // formatter's shortest-round-trip path.
+        // Magnitudes valid for every kind that takes one: caploss/steal
+        // need (0, 1], spike/flash need > 0; awkward decimals exercise
+        // the formatter's shortest-round-trip path. The draw happens
+        // for every kind so the corpus's RNG stream does not depend on
+        // which kinds accept mag=.
         const double mag = rng.Uniform(0.05, kind == "spike" ? 900.0
                                                              : 1.0);
         char buf[40];
         std::snprintf(buf, sizeof(buf), "%.12g", mag);
-        params.push_back(std::string("mag=") + buf);
+        if (kind == "caploss" || kind == "steal" || kind == "spike" ||
+            kind == "flash")
+            params.push_back(std::string("mag=") + buf);
     }
     for (size_t i = 0; i < params.size(); ++i)
         spec += (i == 0 ? ":" : ",") + params[i];

@@ -208,6 +208,9 @@ TEST(CliDeathTest, MalformedFaultSpecsExitTwo)
     // the run in WorkloadGenerator::SetRateMultiplier.
     ExpectUsageExit({"--faults", "flash@1+2:mag=inf"},
                     "mag must be finite");
+    // mag= on a kind without a magnitude is an error, not ignored.
+    ExpectUsageExit({"--faults", "stall@1:mag=2"},
+                    "mag does not apply to 'stall'");
     // Tier validation happens against the selected app's tier count.
     ExpectUsageExit({"--app", "hotel", "--faults", "stall@1:tier=99"},
                     "targets tier 99");

@@ -3,7 +3,8 @@
  * Fleet harness contract tests (src/fleet):
  *
  *  - byte-identical fleet traces at 1, 3, and 8 threads across mixed
- *    hotel/social fleets, with and without chaos — the fleet
+ *    hotel/social fleets, with and without chaos, and at 1 to 100
+ *    clusters of bench_e2e's mixed-100 shard mix — the fleet
  *    determinism contract (any thread count, any shard-scheduling
  *    order);
  *  - shard-count independence: a cluster's full telemetry (run log,
@@ -182,14 +183,31 @@ UncertainChaosConfig(uint64_t seed)
     return cfg;
 }
 
+/** The shard mix of bench_e2e's mixed-100 workload at fleet size
+ *  @p n_clusters: alternating social/hotel Sinan shards with one
+ *  `cons` shard and one stalled-and-dropped shard in every 16. */
+FleetConfig
+ScaleMixConfig(int n_clusters, uint64_t seed)
+{
+    FleetConfig cfg = BaseConfig(n_clusters, seed);
+    for (int k = 5; k < n_clusters; k += 16)
+        cfg.overrides.push_back(
+            Override(std::to_string(k) + ":manager=cons"));
+    for (int k = 12; k < n_clusters; k += 16)
+        cfg.overrides.push_back(Override(
+            std::to_string(k) + ":faults=stall@4+2:tier=1;drop@8"));
+    return cfg;
+}
+
 TEST_F(FleetFixture, TraceBytesIdenticalAcrossThreadCounts)
 {
     if (!HaveModels())
         GTEST_SKIP() << "bundled bench_cache models not present";
-    const FleetConfig configs[] = {MixedSinanConfig(7),
-                                   ManagersAndChaosConfig(21),
-                                   HotelChaosConfig(33),
-                                   UncertainChaosConfig(47)};
+    const FleetConfig configs[] = {
+        MixedSinanConfig(7),     ManagersAndChaosConfig(21),
+        HotelChaosConfig(33),    UncertainChaosConfig(47),
+        ScaleMixConfig(1, 7),    ScaleMixConfig(8, 7),
+        ScaleMixConfig(32, 7),   ScaleMixConfig(100, 7)};
     for (const FleetConfig& cfg : configs) {
         const FleetBytes serial = RunAtThreads(cfg, Models(), Apps(), 1);
         const FleetBytes par3 = RunAtThreads(cfg, Models(), Apps(), 3);
