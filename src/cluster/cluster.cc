@@ -430,12 +430,12 @@ Cluster::Tick(double now, double dt)
         if (finished)
             std::erase(tier.running, -1);
 
-        // O(1) conservation checks (DCHECKs stay on in Release builds).
-        SINAN_DCHECK(tier.cpu_used_acc - used_before <= cap0_s + kEpsCpu);
-        SINAN_DCHECK_BOUNDS(tier.active, 0, tier.slots);
-        SINAN_DCHECK(tier.running.size() <=
-                     static_cast<size_t>(tier.active));
-        SINAN_DCHECK(tier.queue_head <= tier.queue.size());
+        // O(1) conservation checks (on in Release builds too).
+        SINAN_CHECK(tier.cpu_used_acc - used_before <= cap0_s + kEpsCpu);
+        SINAN_CHECK_BOUNDS(tier.active, 0, tier.slots);
+        SINAN_CHECK(tier.running.size() <=
+                    static_cast<size_t>(tier.active));
+        SINAN_CHECK(tier.queue_head <= tier.queue.size());
 
         tier.queue_len_acc += static_cast<int64_t>(tier.QueueLen());
         tier.active_acc += tier.active;
@@ -497,7 +497,7 @@ Cluster::Harvest(double now, double interval_s)
     latency_.Reset();
     injected_total_ += injected_;
     completed_total_ += completed_;
-    SINAN_DCHECK_EQ(injected_total_, completed_total_ + in_flight_);
+    SINAN_CHECK_EQ(injected_total_, completed_total_ + in_flight_);
     injected_ = 0;
     completed_ = 0;
     return obs;

@@ -24,11 +24,10 @@
  * for debugging with a core dump or running under a signal-based
  * harness.
  *
- * `SINAN_DCHECK*` mirrors `SINAN_CHECK*` but can be compiled out with
- * `-DSINAN_DISABLE_DCHECKS` for profiling builds. Unlike `assert`,
- * DCHECKs are ON in `NDEBUG`/Release builds — ctest runs Release, so a
- * contract that vanished under `NDEBUG` would never be exercised (this
- * is why the analyzer bans raw `assert(`; see tools/analyze/).
+ * Unlike `assert`, every check is ON in `NDEBUG`/Release builds —
+ * ctest runs Release, so a contract that vanished under `NDEBUG` would
+ * never be exercised (this is why the analyzer bans raw `assert(`; see
+ * tools/analyze/).
  */
 #ifndef SINAN_COMMON_CHECK_H
 #define SINAN_COMMON_CHECK_H
@@ -165,18 +164,5 @@ Repr(const T& v)
                     ::sinan::check_detail::FormatShape(sinan_cw_) + ")");  \
         }                                                                  \
     } while (0)
-
-#ifdef SINAN_DISABLE_DCHECKS
-#define SINAN_DCHECK(cond) ((void)sizeof(!(cond)))
-#define SINAN_DCHECK_EQ(a, b) ((void)sizeof((a) == (b)))
-#define SINAN_DCHECK_BOUNDS(v, lo, hi) ((void)sizeof((lo) <= (v)))
-#define SINAN_DCHECK_FINITE(v) ((void)sizeof((v)))
-#else
-/** Like SINAN_CHECK*, but removable with -DSINAN_DISABLE_DCHECKS. */
-#define SINAN_DCHECK(cond) SINAN_CHECK(cond)
-#define SINAN_DCHECK_EQ(a, b) SINAN_CHECK_EQ(a, b)
-#define SINAN_DCHECK_BOUNDS(v, lo, hi) SINAN_CHECK_BOUNDS(v, lo, hi)
-#define SINAN_DCHECK_FINITE(v) SINAN_CHECK_FINITE(v)
-#endif
 
 #endif // SINAN_COMMON_CHECK_H

@@ -14,7 +14,6 @@ Detect()
     CpuFeatures f;
 #if defined(__x86_64__) || defined(_M_X64)
     f.avx2 = __builtin_cpu_supports("avx2") != 0;
-    f.fma = __builtin_cpu_supports("fma") != 0;
 #endif
     return f;
 }

@@ -30,10 +30,6 @@ namespace sinan {
 /** Host ISA features relevant to the microkernels (detected once). */
 struct CpuFeatures {
     bool avx2 = false;
-    /** Detected for diagnostics only: the v1 kernels deliberately do
-     *  not use FMA, whose single rounding would diverge from the
-     *  scalar mul-then-add path. */
-    bool fma = false;
 };
 
 /** Cached runtime detection (CPUID on x86-64, all-false elsewhere). */

@@ -299,18 +299,16 @@ SinanScheduler::BuildCandidates(const IntervalObservation& obs,
         spare_rows_.push_back(std::move(eval_allocs_.back()));
         eval_allocs_.pop_back();
     }
-#ifndef SINAN_DISABLE_DCHECKS
     // Postcondition: every candidate stays within the per-tier action
     // bounds of Table 1 — add() guarantees it, and the contract keeps
     // any future candidate generator honest.
     for (const std::vector<double>& a : eval_allocs_) {
-        SINAN_DCHECK_EQ(a.size(), alloc.size());
+        SINAN_CHECK_EQ(a.size(), alloc.size());
         for (int i = 0; i < n; ++i) {
-            SINAN_DCHECK_BOUNDS(a[i], app.tiers[i].min_cpu - 1e-9,
-                                app.tiers[i].max_cpu + 1e-9);
+            SINAN_CHECK_BOUNDS(a[i], app.tiers[i].min_cpu - 1e-9,
+                               app.tiers[i].max_cpu + 1e-9);
         }
     }
-#endif
 }
 
 std::vector<double>
@@ -621,12 +619,10 @@ SinanScheduler::Decide(const IntervalObservation& obs,
             }
         }
     }
-#ifndef SINAN_DISABLE_DCHECKS
     for (int i = 0; i < n; ++i) {
-        SINAN_DCHECK_BOUNDS(chosen[i], app.tiers[i].min_cpu - 1e-9,
-                            app.tiers[i].max_cpu + 1e-9);
+        SINAN_CHECK_BOUNDS(chosen[i], app.tiers[i].min_cpu - 1e-9,
+                           app.tiers[i].max_cpu + 1e-9);
     }
-#endif
 
     // ---- 7. commit ---------------------------------------------------
     // Nothing above touched a member, so a throw out of any earlier

@@ -148,8 +148,8 @@ class SinanScheduler : public ResourceManager {
     /**
      * Swaps the hybrid model consulted by subsequent Decide() calls.
      * The replacement must be weight-identical to the original (a
-     * Clone()) — the fleet harness rebinds each shard's scheduler to a
-     * per-worker clone for the duration of one batched decision, so
+     * Clone()) — the fleet harness rebinds each shard's scheduler to
+     * its decision block's clone before every batched decision, so
      * concurrent shards never share Evaluate() workspaces. Decisions
      * are unaffected because Evaluate() output depends only on the
      * weights and inputs, never on workspace residue.

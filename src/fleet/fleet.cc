@@ -1,10 +1,10 @@
 #include "fleet/fleet.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <limits>
-#include <mutex>
 #include <set>
 #include <stdexcept>
 
@@ -265,68 +265,6 @@ MakeBaselineManager(const std::string& name)
         "MakeBaselineManager: unknown manager '" + name + "'");
 }
 
-/**
- * Pool of weight-identical HybridModel clones, one handed to each
- * concurrently-deciding Sinan shard. Checkout order is scheduling-
- * dependent, but because every clone carries the same weights and
- * Evaluate() depends only on weights and inputs, the decisions — and
- * hence the fleet trace — are unaffected. Grows on demand, so the pool
- * never blocks regardless of the thread count.
- */
-struct FleetManager::ClonePool {
-    const HybridModel* source = nullptr;
-    std::mutex mu;
-    std::vector<std::unique_ptr<HybridModel>> owned;
-    std::vector<HybridModel*> free_list;
-
-    explicit ClonePool(const HybridModel& src, int preseed)
-        : source(&src)
-    {
-        for (int i = 0; i < std::max(preseed, 1); ++i) {
-            owned.push_back(source->Clone());
-            free_list.push_back(owned.back().get());
-        }
-    }
-
-    HybridModel*
-    Acquire()
-    {
-        const std::lock_guard<std::mutex> lock(mu);
-        if (free_list.empty()) {
-            owned.push_back(source->Clone());
-            free_list.push_back(owned.back().get());
-        }
-        HybridModel* model = free_list.back();
-        free_list.pop_back();
-        return model;
-    }
-
-    void
-    Release(HybridModel* model)
-    {
-        const std::lock_guard<std::mutex> lock(mu);
-        free_list.push_back(model);
-    }
-
-    /** RAII checkout so a throwing Decide() cannot leak a clone. */
-    class Lease {
-      public:
-        explicit Lease(ClonePool& pool)
-            : pool_(pool), model_(pool.Acquire())
-        {
-        }
-        ~Lease() { pool_.Release(model_); }
-        Lease(const Lease&) = delete;
-        Lease& operator=(const Lease&) = delete;
-
-        HybridModel& Model() { return *model_; }
-
-      private:
-        ClonePool& pool_;
-        HybridModel* model_;
-    };
-};
-
 /** One cluster of the fleet: the full per-shard simulation state. */
 struct FleetManager::Shard {
     Application app;
@@ -334,8 +272,8 @@ struct FleetManager::Shard {
     std::unique_ptr<ResourceManager> manager;
     /** Set iff the manager is a SinanScheduler (for model rebinding). */
     SinanScheduler* sinan = nullptr;
-    /** 0 = hotel, 1 = social (clone-pool index). */
-    int kind = 0;
+    /** 0 = hotel, 1 = social (index into clones_). */
+    size_t kind = 0;
     FaultSchedule faults;
     std::unique_ptr<ManagedRun> run;
 };
@@ -343,27 +281,19 @@ struct FleetManager::Shard {
 FleetManager::FleetManager(const FleetConfig& cfg,
                            const FleetModels& models,
                            const FleetApps& apps)
-    : cfg_(cfg), specs_(ResolveFleetShards(cfg, apps))
+    : cfg_(cfg), specs_(ResolveFleetShards(cfg, apps)),
+      sources_{models.hotel, models.social}
 {
-    int sinan_shards[2] = {0, 0};
-    for (const ShardSpec& spec : specs_)
-        if (spec.manager == "sinan")
-            ++sinan_shards[spec.app == "hotel" ? 0 : 1];
-
-    const HybridModel* sources[2] = {models.hotel, models.social};
-    pools_.resize(2);
-    for (int kind = 0; kind < 2; ++kind) {
-        if (sinan_shards[kind] == 0)
+    // Slot 0 of each kind in use is cloned now: it anchors the
+    // kind's schedulers until their first decision.
+    for (const ShardSpec& spec : specs_) {
+        const size_t kind = spec.app == "hotel" ? 0 : 1;
+        if (spec.manager != "sinan" || !clones_[kind].empty())
             continue;
-        SINAN_CHECK_MSG(sources[kind] != nullptr,
+        SINAN_CHECK_MSG(sources_[kind] != nullptr,
                         "FleetManager: sinan-managed shard has no "
                         "trained model for its app");
-        // Pre-seed roughly one clone per concurrent decider; the pool
-        // grows on demand if the thread count rises later.
-        const int preseed =
-            std::min(sinan_shards[kind], NumThreads());
-        pools_[static_cast<size_t>(kind)] =
-            std::make_unique<ClonePool>(*sources[kind], preseed);
+        clones_[kind].push_back(sources_[kind]->Clone());
     }
 
     shards_.reserve(specs_.size());
@@ -375,11 +305,10 @@ FleetManager::FleetManager(const FleetConfig& cfg,
         if (!spec.faults.empty())
             shard->faults = ParseFaultSpec(spec.faults);
         if (spec.manager == "sinan") {
-            // Anchor binding only — every Decide() rebinds to a pool
-            // clone, so the anchor is never evaluated concurrently.
+            // Anchor binding only — every Decide() rebinds to its
+            // block's clone (see Run), so no model is shared mid-call.
             auto sinan = std::make_unique<SinanScheduler>(
-                *pools_[static_cast<size_t>(shard->kind)]
-                     ->owned.front(),
+                *clones_[shard->kind].front(),
                 cfg_.scheduler);
             shard->sinan = sinan.get();
             shard->manager = std::move(sinan);
@@ -419,6 +348,14 @@ FleetManager::Run()
                         "FleetManager: shards disagree on interval "
                         "count");
 
+    // Phase B runs one block per thread; block b owns clone slot b of
+    // each kind, cloned on first use. Sized here, so nothing grows
+    // while the blocks run.
+    const int64_t blocks = std::min<int64_t>(n, NumThreads());
+    for (std::vector<std::unique_ptr<HybridModel>>& slots : clones_)
+        if (!slots.empty())
+            slots.resize(static_cast<size_t>(blocks));
+
     const auto wall_start = std::chrono::steady_clock::now();
     out.decide_ms.reserve(static_cast<size_t>(total));
     out.timeline.reserve(static_cast<size_t>(total));
@@ -430,20 +367,31 @@ FleetManager::Run()
                 shards_[static_cast<size_t>(k)]->run->AdvanceInterval();
         });
 
-        // Phase B: centralized batched decisions. Sinan shards borrow
-        // a model clone for the duration of their Decide().
+        // Phase B: centralized batched decisions. Each block pulls
+        // shards off one cursor and binds its Sinan shards to its own
+        // clone: clones are weight-identical and Evaluate() depends
+        // only on weights and inputs, so the assignment never changes
+        // a decision.
         const auto decide_start = std::chrono::steady_clock::now();
-        ParallelFor(0, n, 1, [&](int64_t lo, int64_t hi) {
-            for (int64_t k = lo; k < hi; ++k) {
+        std::atomic<int64_t> next_shard{0};
+        // Grain 1: each ParallelFor block is [block, block + 1). Keep
+        // to two captures: they fit std::function's inline buffer,
+        // while a third heap-allocates every interval and shifts the
+        // simulator's heap layout (peak RSS +0.1 MB on chaos-32).
+        ParallelFor(0, blocks, 1, [this, &next_shard](int64_t block,
+                                                      int64_t) {
+            const int64_t n_shards = static_cast<int64_t>(shards_.size());
+            for (int64_t k = next_shard.fetch_add(1); k < n_shards;
+                 k = next_shard.fetch_add(1)) {
                 Shard& shard = *shards_[static_cast<size_t>(k)];
                 if (shard.sinan != nullptr) {
-                    ClonePool::Lease lease(
-                        *pools_[static_cast<size_t>(shard.kind)]);
-                    shard.sinan->RebindModel(lease.Model());
-                    shard.run->DecideAndApply();
-                } else {
-                    shard.run->DecideAndApply();
+                    std::unique_ptr<HybridModel>& clone =
+                        clones_[shard.kind][static_cast<size_t>(block)];
+                    if (!clone)
+                        clone = sources_[shard.kind]->Clone();
+                    shard.sinan->RebindModel(*clone);
                 }
+                shard.run->DecideAndApply();
             }
         });
         out.decide_ms.push_back(
@@ -530,9 +478,9 @@ FleetManager::Run()
         out.decide.p95_ms = Percentile(out.decide_ms, 0.95);
         out.decide.p99_ms = Percentile(out.decide_ms, 0.99);
     }
-    for (const std::unique_ptr<ClonePool>& pool : pools_)
-        if (pool)
-            out.model_clones += static_cast<int>(pool->owned.size());
+    for (const std::vector<std::unique_ptr<HybridModel>>& slots : clones_)
+        for (const std::unique_ptr<HybridModel>& clone : slots)
+            out.model_clones += clone != nullptr;
     return out;
 }
 

@@ -12,12 +12,12 @@
  * pool:
  *
  *   A. all shards advance one interval concurrently (ticks + harvest);
- *   B. the FleetManager makes batched per-cluster decisions: Sinan
- *      shards evaluate candidates through the cached-trunk single-pass
- *      Evaluate, each concurrently-deciding shard temporarily bound to
- *      a HybridModel clone drawn from a per-worker pool (clones are
- *      weight-identical, so which clone serves a shard never changes
- *      the decision).
+ *   B. the FleetManager makes batched per-cluster decisions in
+ *      min(shards, threads) blocks that pull shards off one shared
+ *      cursor: Sinan shards evaluate candidates through the
+ *      cached-trunk single-pass Evaluate, each bound to its block's
+ *      own HybridModel clone (clones are weight-identical, so which
+ *      clone serves a shard never changes the decision).
  *
  * Determinism contract: shards never share mutable state, every
  * reduction (fleet timeline, aggregates, serialized traces) iterates
@@ -34,6 +34,7 @@
 #ifndef SINAN_FLEET_FLEET_H
 #define SINAN_FLEET_FLEET_H
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -136,8 +137,8 @@ std::vector<ShardSpec> ResolveFleetShards(const FleetConfig& cfg,
 /**
  * Trained models for the fleet's Sinan-managed shards, keyed by app.
  * A kind may be null when no sinan shard of that app exists. Models
- * are cloned per worker, never evaluated directly — the originals'
- * workspaces are untouched.
+ * are cloned per decision block, never evaluated directly — the
+ * originals' workspaces are untouched.
  */
 struct FleetModels {
     const HybridModel* hotel = nullptr;
@@ -209,7 +210,9 @@ struct FleetResult {
     double shard_intervals_per_s = 0.0;
     /** Thread-pool parallelism the run executed with. */
     int threads = 1;
-    /** HybridModel clones instantiated across all pools. */
+    /** HybridModel clones instantiated: per app kind with Sinan
+     *  shards, one per decision block that decided such a shard, so at
+     *  most min(clusters, threads) per kind. */
     int model_clones = 0;
 };
 
@@ -227,8 +230,8 @@ MakeBaselineManager(const std::string& name);
 
 /**
  * The centralized fleet manager: owns every shard (ManagedRun +
- * per-shard resource-manager state), the per-worker HybridModel clone
- * pools, and the lockstep interval loop described in the file comment.
+ * per-shard resource-manager state), the per-block HybridModel clones,
+ * and the lockstep interval loop described in the file comment.
  */
 class FleetManager {
   public:
@@ -250,12 +253,14 @@ class FleetManager {
 
   private:
     struct Shard;
-    struct ClonePool;
 
     FleetConfig cfg_;
     std::vector<ShardSpec> specs_;
     std::vector<std::unique_ptr<Shard>> shards_;
-    std::vector<std::unique_ptr<ClonePool>> pools_;
+    /** Per app kind (0 = hotel, 1 = social): the trained model and
+     *  its clones, slot b used only by phase-B block b. */
+    std::array<const HybridModel*, 2> sources_;
+    std::array<std::vector<std::unique_ptr<HybridModel>>, 2> clones_;
     bool ran_ = false;
 };
 

@@ -172,7 +172,7 @@ class HybridModel {
     /**
      * Direct member-wise deep copy (no serialization round-trip).
      * Evaluate() mutates the internal workspace, so concurrent users
-     * (e.g. the parallel benchmark sweeps) must each own a clone
+     * (e.g. the fleet's phase-B decision blocks) must each own a clone
      * instead of sharing one instance.
      */
     std::unique_ptr<HybridModel> Clone() const;

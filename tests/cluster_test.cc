@@ -765,7 +765,7 @@ TEST(Cluster, PrecomputedLogNormalMatchesReferenceBitForBit)
 }
 
 /** Every chaos scenario through a solo AutoScaleCons run, so the
- *  simulator's conservation DCHECKs run under stalls, capacity loss,
+ *  simulator's conservation checks run under stalls, capacity loss,
  *  flash crowds and telemetry faults (and under the sanitizer legs). */
 class ChaosSoloTest : public ::testing::TestWithParam<size_t> {};
 

@@ -89,12 +89,12 @@ TEST(ContractViolation, ShapeReportsActualVsExpected)
     }
 }
 
-TEST(ContractViolation, DchecksAreOnInReleaseBuilds)
+TEST(ContractViolation, ChecksAreOnInReleaseBuilds)
 {
-    // Unlike assert(), SINAN_DCHECK survives NDEBUG — ctest runs
+    // Unlike assert(), SINAN_CHECK survives NDEBUG — ctest runs
     // Release, so a contract compiled out there is never exercised.
-    EXPECT_THROW(SINAN_DCHECK(false), ContractViolation);
-    EXPECT_THROW(SINAN_DCHECK_EQ(1, 2), ContractViolation);
+    EXPECT_THROW(SINAN_CHECK(false), ContractViolation);
+    EXPECT_THROW(SINAN_CHECK_EQ(1, 2), ContractViolation);
 }
 
 /**

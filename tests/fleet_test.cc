@@ -10,8 +10,11 @@
  *  - shard-count independence: a cluster's full telemetry (run log,
  *    decision digest, metrics) is identical whether the cluster runs
  *    solo under RunManaged or inside a 32-shard fleet;
- *  - model-clone isolation: a chaotic neighbour sharing the clone pool
- *    must not perturb a clean shard's decisions;
+ *  - model-clone isolation: a chaotic neighbour that may share a
+ *    decision block's clone must not perturb a clean shard's
+ *    decisions;
+ *  - the clone bound: one clone per decision block that decides a
+ *    kind's Sinan shard, never one per shard;
  *  - trace retention: a shard keeps its decision digest and no
  *    decision-trace entries;
  *  - the --fleet-shard override grammar (parse + resolve validation).
@@ -21,6 +24,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -283,14 +287,14 @@ TEST_F(FleetFixture, ClusterTraceIndependentOfFleetSize)
     }
 }
 
-TEST_F(FleetFixture, CleanShardUnaffectedByChaoticPoolNeighbour)
+TEST_F(FleetFixture, CleanShardUnaffectedByChaoticNeighbour)
 {
     if (!HaveModels())
         GTEST_SKIP() << "bundled bench_cache models not present";
-    // The clean shard and its chaotic neighbour share one social clone
-    // pool; faults that derail the neighbour's model inputs (stalls,
-    // latency spikes, NaN telemetry) must not bleed into the clean
-    // shard's decisions through workspace residue.
+    // The clean shard and its chaotic neighbour may be decided on one
+    // block's social clone; faults that derail the neighbour's model
+    // inputs (stalls, latency spikes, NaN telemetry) must not bleed
+    // into the clean shard's decisions through workspace residue.
     const std::string clean = ":app=social,users=260,seed=4242";
     FleetConfig pair = BaseConfig(2, 5);
     pair.overrides.push_back(Override("0" + clean));
@@ -314,6 +318,32 @@ TEST_F(FleetFixture, CleanShardUnaffectedByChaoticPoolNeighbour)
     EXPECT_EQ(quiet.metrics.ToCsv(), noisy.metrics.ToCsv());
     // Sanity: the chaotic neighbour actually had a rough ride.
     EXPECT_GT(with_neighbour.clusters[1].spec.faults.size(), 0u);
+}
+
+TEST_F(FleetFixture, ModelClonesBoundedByDecisionBlocks)
+{
+    if (!HaveModels())
+        GTEST_SKIP() << "bundled bench_cache models not present";
+    // Mixed 32-cluster fleet whose only Sinan hotel shards are 1 and
+    // 17: the other (odd) hotel shards run cons, every social shard
+    // stays Sinan.
+    FleetConfig cfg = BaseConfig(32, 23);
+    for (int k = 3; k < 32; k += 2)
+        if (k != 17)
+            cfg.overrides.push_back(
+                Override(std::to_string(k) + ":manager=cons"));
+    const FleetConfig solo = BaseConfig(1, 23);
+
+    SetNumThreads(8);
+    const FleetResult fleet = RunFleet(cfg, Models(), Apps());
+    const FleetResult one = RunFleet(solo, Models(), Apps());
+    SetNumThreads(0);
+
+    // At least slot 0 of both kinds; at most one clone per block per
+    // kind, which is fewer than one per Sinan shard (18).
+    EXPECT_GE(fleet.model_clones, 2);
+    EXPECT_LE(fleet.model_clones, 2 * std::min(32, 8));
+    EXPECT_EQ(one.model_clones, 1);
 }
 
 TEST_F(FleetFixture, ShardsKeepDigestNotDecisionEntries)

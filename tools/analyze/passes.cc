@@ -33,7 +33,7 @@ Rules()
          "flows through common/rng.h so runs are replayable."},
         {"no-raw-assert",
          "assert() vanishes under NDEBUG and ctest runs Release; use "
-         "SINAN_CHECK / SINAN_DCHECK (common/check.h)."},
+         "SINAN_CHECK* (common/check.h)."},
         {"no-unordered-container",
          "unordered_{map,set} iteration order is implementation-"
          "defined and breaks byte-determinism on any log path; use "
@@ -158,7 +158,7 @@ class FilePass {
                     "call to " + id + "(); use common/rng.h");
             if (id == "assert" && NextIsPunct(i, "("))
                 Add("no-raw-assert", t.line,
-                    "raw assert(); use SINAN_CHECK / SINAN_DCHECK");
+                    "raw assert(); use SINAN_CHECK*");
             if (id == "unordered_map" || id == "unordered_set")
                 Add("no-unordered-container", t.line,
                     "std::" + id + " has nondeterministic iteration "
