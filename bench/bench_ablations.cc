@@ -143,7 +143,8 @@ AblationBanditCoefficients(const PipelineConfig& pcfg,
             viol += s.p99_ms > f.qos_ms;
             double total = 0.0;
             for (int i = 0; i < f.n_tiers; ++i)
-                total += static_cast<double>(s.xrc[i]) * f.cpu_scale;
+                total += static_cast<double>(s.xrc[i]) *
+                         FeatureConfig::kCpuScale;
             alloc += total;
         }
         t.Row()

@@ -31,8 +31,9 @@ void
 TrainMultiTask(MultiTaskNn& net, const Dataset& train,
                const TrainOptions& opts)
 {
-    Sgd sgd(net.Params(), opts.lr, opts.momentum, opts.weight_decay);
-    Rng rng(opts.seed);
+    Sgd sgd(net.Params(), opts.lr, TrainOptions::kMomentum,
+            TrainOptions::kWeightDecay);
+    Rng rng(TrainOptions::kSeed);
     std::vector<int> order(train.samples.size());
     std::iota(order.begin(), order.end(), 0);
     for (int epoch = 0; epoch < opts.epochs; ++epoch) {
@@ -41,9 +42,9 @@ TrainMultiTask(MultiTaskNn& net, const Dataset& train,
             std::swap(order[i - 1], order[j]);
         }
         for (size_t begin = 0; begin < order.size();
-             begin += opts.batch_size) {
-            const size_t end =
-                std::min(begin + opts.batch_size, order.size());
+             begin += TrainOptions::kBatchSize) {
+            const size_t end = std::min(
+                begin + TrainOptions::kBatchSize, order.size());
             const Batch batch = train.MakeBatch(order, begin, end);
             const Tensor lat_target =
                 train.MakeLatencyTargets(order, begin, end);
@@ -55,8 +56,8 @@ TrainMultiTask(MultiTaskNn& net, const Dataset& train,
             Tensor lat_pred, viol_logit;
             net.Forward(batch, lat_pred, viol_logit);
             const LossResult lat_loss =
-                ScaledMseLoss(lat_pred, lat_target, opts.loss_knee,
-                              opts.loss_alpha, opts.loss_leak);
+                ScaledMseLoss(lat_pred, lat_target, TrainOptions::kLossKnee,
+                              TrainOptions::kLossAlpha, opts.loss_leak);
             LossResult viol_loss =
                 BceWithLogitsLoss(viol_logit, viol_target);
             // Joint objective: the classification head's gradient is

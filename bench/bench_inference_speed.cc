@@ -26,6 +26,7 @@
 #include "cluster/cluster.h"
 #include "common/cpu_features.h"
 #include "common/thread_pool.h"
+#include "hybrid_reference.h"
 #include "models/baseline_nets.h"
 #include "models/hybrid.h"
 #include "models/sinan_cnn.h"
@@ -235,13 +236,15 @@ void
 BM_HybridEvaluateLegacy(benchmark::State& state)
 {
     // Reference full-batch path (pre-optimization behaviour): the trunk
-    // is recomputed once per candidate inside a batched Forward.
+    // is recomputed once per candidate inside a batched Forward, and the
+    // trees score the candidates serially.
     HybridModel& model = SweepModel();
     const FeatureConfig& f = model.Features();
     const MetricWindow window = MakeWindow(f);
     const auto cands = MakeCandidates(f, static_cast<int>(state.range(0)));
     for (auto _ : state)
-        benchmark::DoNotOptimize(model.EvaluateFullBatch(window, cands));
+        benchmark::DoNotOptimize(
+            testutil::EvaluateFullBatchReference(model, window, cands));
     state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_HybridEvaluateLegacy)->Arg(1)->Arg(8)->Arg(32)->Arg(128);

@@ -68,10 +68,6 @@ ParseSimdMode(const char* text, SimdMode* out)
         *out = SimdMode::kOff;
         return true;
     }
-    if (std::strcmp(text, "on") == 0 || std::strcmp(text, "1") == 0) {
-        *out = SimdMode::kOn;
-        return true;
-    }
     if (std::strcmp(text, "auto") == 0) {
         *out = SimdMode::kAuto;
         return true;

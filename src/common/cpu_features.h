@@ -12,7 +12,7 @@
  *                       SINAN_SIMD option) only when the toolchain can
  *                       build the AVX2 translation unit;
  *   runtime detection   the host CPU must actually report AVX2;
- *   override            SINAN_SIMD=off|on|auto (environment) or
+ *   override            SINAN_SIMD=off|auto (environment) or
  *                       SetSimdMode() (tests) forces a path so CI can
  *                       exercise both.
  *
@@ -35,13 +35,13 @@ struct CpuFeatures {
 /** Cached runtime detection (CPUID on x86-64, all-false elsewhere). */
 const CpuFeatures& GetCpuFeatures();
 
-/** Dispatch override. kAuto uses AVX2 when compiled in and detected;
- *  kOff forces the scalar path; kOn prefers AVX2 but still falls back
- *  to scalar (with the honest kernel id) when unavailable. */
-enum class SimdMode { kAuto, kOff, kOn };
+/** Dispatch override. kAuto uses AVX2 when compiled in and detected,
+ *  and the scalar path (with the honest kernel id) otherwise; kOff
+ *  forces the scalar path. */
+enum class SimdMode { kAuto, kOff };
 
 /** Current mode: the last SetSimdMode() value, initially parsed from
- *  the SINAN_SIMD environment variable (off|0, on|1, auto). */
+ *  the SINAN_SIMD environment variable (off|0, auto). */
 SimdMode CurrentSimdMode();
 
 /** Overrides the dispatch mode at runtime. Safe to call between
@@ -52,8 +52,8 @@ void SetSimdMode(SimdMode mode);
  *  process start use this to re-arm the dispatch decision). */
 void ReloadSimdModeFromEnv();
 
-/** Parses "off"/"0", "on"/"1", "auto" (returns false on anything
- *  else, leaving @p out untouched). */
+/** Parses "off"/"0", "auto" (returns false on anything else, leaving
+ *  @p out untouched). */
 bool ParseSimdMode(const char* text, SimdMode* out);
 
 /** True when the AVX2 kernels were compiled into this binary. */

@@ -173,15 +173,18 @@ SinanScheduler::BuildCandidates(const IntervalObservation& obs,
     // up-victims: an upper bound, since phantoms are dropped.
     cands.reserve(2 * static_cast<size_t>(n) * kCpuSteps.size() + 7);
 
-    // The current allocation clamped to the tier bounds, and its
-    // running sums. A candidate row holds the current allocation up to
-    // its first edited tier, so add() takes the clamped values and the
-    // running sum there and clamps and adds only the rest, in the order
-    // of a full std::accumulate (so total_cpu keeps its bytes).
-    std::vector<double> base(n), prefix(n + 1, 0.0);
+    // The tier bounds in contiguous arrays (add() and the
+    // postcondition read them for every row), the current allocation
+    // clamped to them, and its running sums. A candidate row holds the
+    // current allocation up to its first edited tier, so add() takes
+    // the clamped values and the running sum there and clamps and adds
+    // only the rest, in the order of a full std::accumulate (so
+    // total_cpu keeps its bytes).
+    std::vector<double> lo(n), hi(n), base(n), prefix(n + 1, 0.0);
     for (int i = 0; i < n; ++i) {
-        base[i] = std::clamp(alloc[i], app.tiers[i].min_cpu,
-                             app.tiers[i].max_cpu);
+        lo[i] = app.tiers[i].min_cpu;
+        hi[i] = app.tiers[i].max_cpu;
+        base[i] = std::clamp(alloc[i], lo[i], hi[i]);
         prefix[i + 1] = prefix[i] + base[i];
     }
     std::vector<double> util(n);
@@ -212,8 +215,7 @@ SinanScheduler::BuildCandidates(const IntervalObservation& obs,
         std::copy(base.begin(), base.begin() + first, a.begin());
         double total = prefix[first];
         for (int i = first; i < n; ++i) {
-            a[i] = std::clamp(a[i], app.tiers[i].min_cpu,
-                              app.tiers[i].max_cpu);
+            a[i] = std::clamp(a[i], lo[i], hi[i]);
             total += a[i];
         }
         // A non-hold candidate whose clamped allocation equals the
@@ -235,7 +237,7 @@ SinanScheduler::BuildCandidates(const IntervalObservation& obs,
         if (util[i] > kUtilCap)
             continue;
         for (double step : kCpuSteps) {
-            if (alloc[i] - step < app.tiers[i].min_cpu - 1e-9)
+            if (alloc[i] - step < lo[i] - 1e-9)
                 continue;
             start()[i] -= step;
             add(ActionKind::kScaleDown);
@@ -301,13 +303,13 @@ SinanScheduler::BuildCandidates(const IntervalObservation& obs,
     }
     // Postcondition: every candidate stays within the per-tier action
     // bounds of Table 1 — add() guarantees it, and the contract keeps
-    // any future candidate generator honest.
+    // any future candidate generator honest. add() clamps every value
+    // to exactly lo/hi, so the bounds need no slack, and the check
+    // reads them in place.
     for (const std::vector<double>& a : eval_allocs_) {
         SINAN_CHECK_EQ(a.size(), alloc.size());
-        for (int i = 0; i < n; ++i) {
-            SINAN_CHECK_BOUNDS(a[i], app.tiers[i].min_cpu - 1e-9,
-                               app.tiers[i].max_cpu + 1e-9);
-        }
+        for (int i = 0; i < n; ++i)
+            SINAN_CHECK_BOUNDS(a[i], lo[i], hi[i]);
     }
 }
 

@@ -32,11 +32,10 @@ struct HistCell {
 BoostedTrees::BoostedTrees(const GbtConfig& cfg, Objective obj)
     : cfg_(cfg), obj_(obj)
 {
-    SINAN_CHECK_MSG(cfg.n_trees > 0 && cfg.max_depth >= 0 &&
-                        cfg.max_bins >= 2,
+    SINAN_CHECK_MSG(cfg.n_trees > 0 && cfg.max_depth >= 0,
                     "BoostedTrees: bad config (n_trees "
                         << cfg.n_trees << ", max_depth " << cfg.max_depth
-                        << ", max_bins " << cfg.max_bins << ")");
+                        << ")");
 }
 
 void
@@ -82,7 +81,7 @@ BoostedTrees::Train(const GbtDataset& train, const GbtDataset* valid)
     // Feature-parallel: each feature's edges and bin column are
     // computed independently (disjoint writes, deterministic at any
     // thread count).
-    const int bins = cfg_.max_bins;
+    constexpr int bins = GbtConfig::kMaxBins;
     // edges[f] has (bins-1) thresholds; bin b covers
     // (edge[b-1], edge[b]].
     std::vector<std::vector<float>> edges(d);
@@ -212,7 +211,7 @@ BoostedTrees::Train(const GbtDataset& train, const GbtDataset* valid)
                         const double G = node_g[s];
                         const double H = node_h[s];
                         const double parent_score =
-                            G * G / (H + cfg_.lambda);
+                            G * G / (H + GbtConfig::kLambda);
                         Split& out =
                             best_sf[static_cast<size_t>(s) * d + f];
                         const HistCell* cells =
@@ -224,14 +223,16 @@ BoostedTrees::Train(const GbtDataset& train, const GbtDataset* valid)
                             hl += cells[b].h;
                             const double gr = G - gl;
                             const double hr = H - hl;
-                            if (hl < cfg_.min_child_weight ||
-                                hr < cfg_.min_child_weight) {
+                            if (hl < GbtConfig::kMinChildWeight ||
+                                hr < GbtConfig::kMinChildWeight) {
                                 continue;
                             }
+                            // No minimum split gain (XGBoost's gamma
+                            // is 0): any positive gain splits.
                             const double gain =
-                                gl * gl / (hl + cfg_.lambda) +
-                                gr * gr / (hr + cfg_.lambda) -
-                                parent_score - cfg_.gamma;
+                                gl * gl / (hl + GbtConfig::kLambda) +
+                                gr * gr / (hr + GbtConfig::kLambda) -
+                                parent_score;
                             if (gain > out.gain) {
                                 out = Split{gain, static_cast<int>(f),
                                             b};
@@ -263,7 +264,7 @@ BoostedTrees::Train(const GbtDataset& train, const GbtDataset* valid)
                     node.feature = -1;
                     node.value = static_cast<float>(
                         -cfg_.learning_rate * node_g[s] /
-                        (node_h[s] + cfg_.lambda));
+                        (node_h[s] + GbtConfig::kLambda));
                     continue;
                 }
                 feature_gain_[best[s].feature] += best[s].gain;

@@ -31,16 +31,16 @@ struct GbtConfig {
     int max_depth = 4;
     /** Shrinkage applied to each tree's contribution. */
     double learning_rate = 0.1;
-    /** L2 regularization on leaf weights. */
-    double lambda = 1.0;
-    /** Minimum loss reduction to make a split. */
-    double gamma = 0.0;
-    /** Minimum hessian mass per child. */
-    double min_child_weight = 1.0;
-    /** Histogram bins per feature. */
-    int max_bins = 32;
     /** Early-stop patience on validation loss (0 disables). */
     int early_stop_rounds = 10;
+
+    /** L2 regularization on leaf weights. */
+    static constexpr double kLambda = 1.0;
+    /** Minimum hessian mass per child. */
+    static constexpr double kMinChildWeight = 1.0;
+    /** Histogram bins per feature (bin ids are stored as uint8_t). */
+    static constexpr int kMaxBins = 32;
+    static_assert(kMaxBins >= 2 && kMaxBins <= 256);
 };
 
 /** Dense row-major training matrix. */

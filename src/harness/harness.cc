@@ -202,12 +202,9 @@ DefaultHybridConfig()
     cfg.bt.learning_rate = 0.12;
     cfg.bt.early_stop_rounds = 12;
     cfg.train.epochs = 18;
-    cfg.train.batch_size = 64;
     cfg.train.lr = 0.02;
     cfg.train.lr_decay = 0.93;
     cfg.train.scaled_loss = true;
-    cfg.train.loss_knee = 1.0;
-    cfg.train.loss_alpha = 5.0;
     return cfg;
 }
 

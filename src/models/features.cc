@@ -51,12 +51,12 @@ BuildHistoryRow(const MetricWindow& window, Tensor& xrh, Tensor& xlh,
         for (int i = 0; i < n; ++i) {
             const TierMetrics& tm = obs.tiers[i];
             float* x = rh + static_cast<size_t>(i) * t_len + t;
-            x[0 * plane] = Clip(tm.cpu_limit / cfg.cpu_scale);
-            x[1 * plane] = Clip(tm.cpu_used / cfg.cpu_scale);
-            x[2 * plane] = Clip(tm.rss_mb / cfg.rss_scale);
-            x[3 * plane] = Clip(tm.cache_mb / cfg.cache_scale);
-            x[4 * plane] = Clip(tm.rx_pps / cfg.pps_scale);
-            x[5 * plane] = Clip(tm.tx_pps / cfg.pps_scale);
+            x[0 * plane] = Clip(tm.cpu_limit / FeatureConfig::kCpuScale);
+            x[1 * plane] = Clip(tm.cpu_used / FeatureConfig::kCpuScale);
+            x[2 * plane] = Clip(tm.rss_mb / FeatureConfig::kRssScale);
+            x[3 * plane] = Clip(tm.cache_mb / FeatureConfig::kCacheScale);
+            x[4 * plane] = Clip(tm.rx_pps / FeatureConfig::kPpsScale);
+            x[5 * plane] = Clip(tm.tx_pps / FeatureConfig::kPpsScale);
         }
         for (int p = 0; p < m; ++p) {
             const double lat =
@@ -81,7 +81,7 @@ BuildAllocRow(const FeatureConfig& cfg,
     SINAN_CHECK_BOUNDS(row, 0, xrc.Dim(0) - 1);
     float* x = xrc.Data() + static_cast<size_t>(row) * cfg.n_tiers;
     for (int i = 0; i < cfg.n_tiers; ++i)
-        x[i] = Clip(next_alloc[i] / cfg.cpu_scale);
+        x[i] = Clip(next_alloc[i] / FeatureConfig::kCpuScale);
 }
 
 Sample

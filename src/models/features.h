@@ -37,14 +37,14 @@ struct FeatureConfig {
     /** Lookahead (intervals) for the violation label (the paper's k). */
     int violation_lookahead = 5;
 
-    // Fixed normalization scales.
-    double cpu_scale = 16.0;
-    double rss_scale = 1000.0;
-    double cache_scale = 512.0;
-    double pps_scale = 20000.0;
-
     /** Resource channels per tier (F). */
     static constexpr int kChannels = 6;
+
+    // Fixed normalization scales.
+    static constexpr double kCpuScale = 16.0;
+    static constexpr double kRssScale = 1000.0;
+    static constexpr double kCacheScale = 512.0;
+    static constexpr double kPpsScale = 20000.0;
 
     /** Flattened X_LH length. */
     int LatFeatures() const { return history * n_percentiles; }
@@ -84,7 +84,7 @@ struct Batch {
     Tensor xrh;
     /** [B, T*M] flattened latency history (normalized by QoS). */
     Tensor xlh;
-    /** [B, N] candidate allocation (normalized by cpu_scale). */
+    /** [B, N] candidate allocation (normalized by kCpuScale). */
     Tensor xrc;
 
     int Size() const { return xrh.Empty() ? 0 : xrh.Dim(0); }

@@ -295,41 +295,6 @@ HybridModel::EvaluateTimed(const MetricWindow& window,
     return out;
 }
 
-std::vector<Prediction>
-HybridModel::EvaluateFullBatch(
-    const MetricWindow& window,
-    const std::vector<std::vector<double>>& allocations)
-{
-    if (allocations.empty())
-        return {};
-    const int n = window.Config().n_tiers;
-    const int n_cands = static_cast<int>(allocations.size());
-
-    // Row-direct stacking: every candidate repeats the window history.
-    Batch batch;
-    batch.xrh =
-        Tensor({n_cands, FeatureConfig::kChannels, n, fcfg_.history});
-    batch.xlh = Tensor({n_cands, fcfg_.LatFeatures()});
-    batch.xrc = Tensor({n_cands, n});
-    for (int i = 0; i < n_cands; ++i) {
-        SINAN_CHECK_EQ(allocations[static_cast<size_t>(i)].size(),
-                       static_cast<size_t>(n));
-        BuildHistoryRow(window, batch.xrh, batch.xlh, i);
-        BuildAllocRow(window.Config(), allocations[static_cast<size_t>(i)],
-                      batch.xrc, i);
-    }
-
-    const Tensor pred = cnn_.Forward(batch);
-    const Tensor& latent = cnn_.Latent();
-    SINAN_CHECK_EQ(pred.Dim(0), n_cands);
-
-    float cur_p99 = 0.0f, util = 0.0f, traffic = 0.0f;
-    SharedAggregates(batch.xrh, batch.xlh, 0, &cur_p99, &util, &traffic);
-    std::vector<Prediction> out;
-    ScoreCandidates(latent, batch.xrc, pred, cur_p99, util, traffic, out);
-    return out;
-}
-
 std::unique_ptr<HybridModel>
 HybridModel::Clone() const
 {

@@ -98,7 +98,8 @@ class HybridModel {
      * once on the shared window features, and only the per-candidate
      * head is computed per allocation, with every buffer drawn from
      * the model-owned workspace (zero tensor allocations in steady
-     * state). Bit-identical to EvaluateFullBatch. Virtual so tests can
+     * state). Bit-identical to the full-batch CNN forward
+     * (tests/hybrid_reference.h). Virtual so tests can
      * interpose fault-injecting stubs on the scheduler's only model
      * call.
      */
@@ -116,16 +117,6 @@ class HybridModel {
     EvaluateTimed(const MetricWindow& window,
                   const std::vector<std::vector<double>>& allocations,
                   EvalStageTimes* stages);
-
-    /**
-     * Legacy full-batch evaluation path: stacks every candidate into
-     * one batch and runs the complete CNN per row. Retained as the
-     * reference for the fast-path parity tests and the before/after
-     * benchmark; the scheduler uses Evaluate().
-     */
-    std::vector<Prediction>
-    EvaluateFullBatch(const MetricWindow& window,
-                      const std::vector<std::vector<double>>& allocations);
 
     /** Validation RMSE (ms) of the CNN from the last (re)training. */
     double ValRmseMs() const { return val_rmse_ms_; }
@@ -190,8 +181,7 @@ class HybridModel {
                           float* traffic) const;
 
     /** Scores candidates from per-row latent/xrc tensors into @p out,
-     *  writing BT feature rows into the workspace (shared by both
-     *  evaluation paths). */
+     *  writing BT feature rows into the workspace. */
     void ScoreCandidates(const Tensor& latent, const Tensor& xrc,
                          const Tensor& pred, float cur_p99, float util,
                          float traffic, std::vector<Prediction>& out);

@@ -63,7 +63,7 @@ SplitCols(const Tensor& g, int na, int nb, int nc, Tensor& ga, Tensor& gb,
 
 SinanCnn::SinanCnn(const FeatureConfig& fcfg, const SinanCnnConfig& cfg,
                    uint64_t seed)
-    : fcfg_(fcfg), cfg_(cfg)
+    : fcfg_(fcfg)
 {
     Rng rng(seed);
     const int n = fcfg.n_tiers;
@@ -73,22 +73,20 @@ SinanCnn::SinanCnn(const FeatureConfig& fcfg, const SinanCnnConfig& cfg,
     // pre-refactor Sequential layout), so existing saved models load
     // unchanged.
     conv1_ = Conv2D(FeatureConfig::kChannels, cfg.conv_channels1,
-                    cfg.kernel, rng);
-    conv2_ = Conv2D(cfg.conv_channels1, cfg.conv_channels2, cfg.kernel,
-                    rng);
-    rh_fc_ = Dense(cfg.conv_channels2 * n * t_len, cfg.rh_embed, rng);
+                    SinanCnnConfig::kKernel, rng);
+    conv2_ = Conv2D(cfg.conv_channels1, cfg.conv_channels2,
+                    SinanCnnConfig::kKernel, rng);
+    rh_fc_ = Dense(cfg.conv_channels2 * n * t_len, SinanCnnConfig::kRhEmbed,
+                   rng);
 
-    lh_fc_ = Dense(fcfg.LatFeatures(), cfg.lh_embed, rng);
+    lh_fc_ = Dense(fcfg.LatFeatures(), SinanCnnConfig::kLhEmbed, rng);
 
-    rc_fc_ = Dense(n, cfg.rc_embed, rng);
+    rc_fc_ = Dense(n, SinanCnnConfig::kRcEmbed, rng);
 
-    fc_latent_ = Dense(cfg.rh_embed + cfg.lh_embed + cfg.rc_embed,
-                       cfg.latent, rng);
-    fc_out_ = Dense(cfg.latent, fcfg.n_percentiles, rng);
-
-    rh_out_ = cfg.rh_embed;
-    lh_out_ = cfg.lh_embed;
-    rc_out_ = cfg.rc_embed;
+    fc_latent_ = Dense(SinanCnnConfig::kRhEmbed + SinanCnnConfig::kLhEmbed +
+                           SinanCnnConfig::kRcEmbed,
+                       SinanCnnConfig::kLatent, rng);
+    fc_out_ = Dense(SinanCnnConfig::kLatent, fcfg.n_percentiles, rng);
 }
 
 Tensor
@@ -151,9 +149,11 @@ void
 SinanCnn::ForwardHead(CnnEvalWorkspace& ws) const
 {
     SINAN_CHECK_EQ(ws.xrc.Rank(), 2);
-    SINAN_CHECK_MSG(ws.rh_embed.Size() ==
-                            static_cast<size_t>(rh_out_) &&
-                        ws.lh_embed.Size() == static_cast<size_t>(lh_out_),
+    constexpr int na = SinanCnnConfig::kRhEmbed;
+    constexpr int nb = SinanCnnConfig::kLhEmbed;
+    constexpr int nc = SinanCnnConfig::kRcEmbed;
+    SINAN_CHECK_MSG(ws.rh_embed.Size() == static_cast<size_t>(na) &&
+                        ws.lh_embed.Size() == static_cast<size_t>(nb),
                     "ForwardHead: trunk embeddings missing — call "
                     "ForwardTrunk first");
     rc_fc_.ForwardInto(ws.xrc, ws.rc_embed);
@@ -166,7 +166,6 @@ SinanCnn::ForwardHead(CnnEvalWorkspace& ws) const
     // continue over the row's own rc columns. Bias last, as in Dense —
     // the bytes of Dense::ForwardInto on the concatenated rows.
     const int batch = ws.xrc.Dim(0);
-    const int na = rh_out_, nb = lh_out_, nc = rc_out_;
     const Tensor& w = fc_latent_.Weight(); // [na + nb + nc, latent]
     const int lat = w.Dim(1);
     const float* wp = w.Data();
@@ -229,7 +228,8 @@ SinanCnn::Backward(const Tensor& dy)
     Tensor g = fc_out_.Backward(dy);
     g = fc_latent_.Backward(relu_latent_.Backward(g));
     Tensor ga, gb, gc;
-    SplitCols(g, rh_out_, lh_out_, rc_out_, ga, gb, gc);
+    SplitCols(g, SinanCnnConfig::kRhEmbed, SinanCnnConfig::kLhEmbed,
+              SinanCnnConfig::kRcEmbed, ga, gb, gc);
     ga = rh_fc_.Backward(rh_relu_.Backward(ga));
     ga = flatten_.Backward(ga);
     ga = conv2_.Backward(conv2_relu_.Backward(ga));

@@ -32,15 +32,21 @@
 
 namespace sinan {
 
-/** Architecture hyper-parameters of the CNN predictor. */
+/** Architecture hyper-parameters of the CNN predictor. Only the conv
+ *  widths are settable (bench_ablations sweeps them); the rest of
+ *  Figure 5's shape is fixed. */
 struct SinanCnnConfig {
     int conv_channels1 = 8;
     int conv_channels2 = 8;
-    int kernel = 3;
-    int rh_embed = 48;
-    int lh_embed = 24;
-    int rc_embed = 24;
-    int latent = 32;
+
+    /** Square conv kernel size of both conv layers. */
+    static constexpr int kKernel = 3;
+    /** Widths of the rh, lh and rc branch embeddings. */
+    static constexpr int kRhEmbed = 48;
+    static constexpr int kLhEmbed = 24;
+    static constexpr int kRcEmbed = 24;
+    /** Width of the latent representation L_f. */
+    static constexpr int kLatent = 32;
 };
 
 /**
@@ -161,12 +167,11 @@ class SinanCnn : public LatencyModel {
     /** Latent representation L_f [B, latent] of the last Forward. */
     const Tensor& Latent() const { return latent_; }
 
-    int LatentSize() const { return cfg_.latent; }
+    int LatentSize() const { return SinanCnnConfig::kLatent; }
     const FeatureConfig& Features() const { return fcfg_; }
 
   private:
     FeatureConfig fcfg_;
-    SinanCnnConfig cfg_;
 
     // rh branch: conv -> relu -> conv -> relu -> flatten -> dense -> relu.
     Conv2D conv1_;
@@ -187,9 +192,6 @@ class SinanCnn : public LatencyModel {
     Dense fc_out_;
 
     Tensor latent_;
-    int rh_out_ = 0;
-    int lh_out_ = 0;
-    int rc_out_ = 0;
 
     /** Adds the persistence residual to ws.pred from ws.xlh. */
     void AddPersistence(CnnEvalWorkspace& ws) const;

@@ -1,6 +1,5 @@
 #include "models/trainer.h"
 
-#include <chrono>
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
@@ -9,18 +8,6 @@
 #include "nn/optimizer.h"
 
 namespace sinan {
-
-namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double
-SecondsSince(Clock::time_point t0)
-{
-    return std::chrono::duration<double>(Clock::now() - t0).count();
-}
-
-} // namespace
 
 TrainReport
 TrainLatencyModel(LatencyModel& model, const Dataset& train,
@@ -32,45 +19,39 @@ TrainLatencyModel(LatencyModel& model, const Dataset& train,
     TrainReport report;
     report.n_params = model.NumParams();
 
-    Sgd sgd(model.Params(), opts.lr, opts.momentum, opts.weight_decay,
-            opts.grad_clip);
-    Rng rng(opts.seed);
+    Sgd sgd(model.Params(), opts.lr, TrainOptions::kMomentum,
+            TrainOptions::kWeightDecay, TrainOptions::kGradClip);
+    Rng rng(TrainOptions::kSeed);
 
     std::vector<int> order(train.samples.size());
     std::iota(order.begin(), order.end(), 0);
 
-    const auto t0 = Clock::now();
-    size_t steps = 0;
     for (int epoch = 0; epoch < opts.epochs; ++epoch) {
         for (size_t i = order.size(); i > 1; --i) {
             const size_t j = rng.UniformInt(static_cast<uint64_t>(i));
             std::swap(order[i - 1], order[j]);
         }
         for (size_t begin = 0; begin < order.size();
-             begin += opts.batch_size) {
-            const size_t end =
-                std::min(begin + opts.batch_size, order.size());
+             begin += TrainOptions::kBatchSize) {
+            const size_t end = std::min(
+                begin + TrainOptions::kBatchSize, order.size());
             const Batch batch = train.MakeBatch(order, begin, end);
             const Tensor target =
                 train.MakeLatencyTargets(order, begin, end);
             const Tensor pred = model.Forward(batch);
             const LossResult loss =
                 opts.scaled_loss
-                    ? ScaledMseLoss(pred, target, opts.loss_knee,
-                                    opts.loss_alpha, opts.loss_leak)
+                    ? ScaledMseLoss(pred, target, TrainOptions::kLossKnee,
+                                    TrainOptions::kLossAlpha,
+                                    opts.loss_leak)
                     : MseLoss(pred, target);
             sgd.ZeroGrad();
             model.Backward(loss.grad);
             sgd.Step();
-            ++steps;
         }
         sgd.SetLearningRate(sgd.LearningRate() * opts.lr_decay);
         ++report.epochs_run;
     }
-    report.train_time_s = SecondsSince(t0);
-    report.train_ms_per_batch =
-        steps ? 1000.0 * report.train_time_s / static_cast<double>(steps)
-              : 0.0;
 
     report.train_rmse_ms = EvalRmseMs(model, train, fcfg);
     if (!valid.samples.empty()) {
@@ -78,19 +59,6 @@ TrainLatencyModel(LatencyModel& model, const Dataset& train,
         report.val_rmse_subqos_ms = EvalRmseSubQosMs(model, valid, fcfg);
     }
 
-    // Inference timing on a representative batch.
-    {
-        const size_t nb =
-            std::min<size_t>(opts.batch_size, train.samples.size());
-        std::vector<int> idx(nb);
-        std::iota(idx.begin(), idx.end(), 0);
-        const Batch batch = train.MakeBatch(idx, 0, nb);
-        const auto ti = Clock::now();
-        constexpr int kReps = 20;
-        for (int r = 0; r < kReps; ++r)
-            (void)model.Forward(batch);
-        report.infer_ms_per_batch = 1000.0 * SecondsSince(ti) / kReps;
-    }
     return report;
 }
 

@@ -1,7 +1,7 @@
 /**
  * @file
  * Minibatch SGD training loop for latency predictors, with the paper's
- * scaled squared loss (Eq. 2) and the timing/size metrics reported in
+ * scaled squared loss (Eq. 2) and the accuracy/size metrics reported in
  * Table 2.
  */
 #ifndef SINAN_MODELS_TRAINER_H
@@ -14,27 +14,29 @@ namespace sinan {
 /** Knobs of one training run. */
 struct TrainOptions {
     int epochs = 20;
-    int batch_size = 64;
     double lr = 0.02;
-    double momentum = 0.9;
-    double weight_decay = 1e-4;
     /** Multiplicative learning-rate decay per epoch. */
     double lr_decay = 0.95;
     /** Use the scaled loss of Eq. 2 (false = plain MSE, for ablation). */
     bool scaled_loss = true;
-    /** Knee of phi(.) in normalized latency units (1.0 = the QoS). */
-    double loss_knee = 1.0;
-    /** Decay coefficient of phi(.) in normalized units (alpha * QoS). */
-    double loss_alpha = 5.0;
     /** Gradient leak above the knee (see ScaledMseLoss). */
     double loss_leak = 0.05;
-    /** Global gradient-norm clip (0 disables). */
-    double grad_clip = 5.0;
+
+    static constexpr int kBatchSize = 64;
+    static constexpr double kMomentum = 0.9;
+    static constexpr double kWeightDecay = 1e-4;
+    /** Knee of phi(.) in normalized latency units (1.0 = the QoS). */
+    static constexpr double kLossKnee = 1.0;
+    /** Decay coefficient of phi(.) in normalized units (alpha * QoS). */
+    static constexpr double kLossAlpha = 5.0;
+    /** Global gradient-norm clip. */
+    static constexpr double kGradClip = 5.0;
     /** Minibatch shuffling seed. */
-    uint64_t seed = 1;
+    static constexpr uint64_t kSeed = 1;
 };
 
-/** Accuracy and cost summary of a training run (Table 2's columns). */
+/** Accuracy and size summary of a training run (Table 2's columns;
+ *  bench_table2_models times the runs itself). */
 struct TrainReport {
     double train_rmse_ms = 0.0;
     double val_rmse_ms = 0.0;
@@ -42,11 +44,6 @@ struct TrainReport {
      *  the operating region the scheduler's latency margin cares about
      *  (overall RMSE is dominated by unbounded queueing spikes). */
     double val_rmse_subqos_ms = 0.0;
-    double train_time_s = 0.0;
-    /** Mean wall-clock per training step (fwd+bwd+update) per batch. */
-    double train_ms_per_batch = 0.0;
-    /** Mean wall-clock of a forward pass per batch. */
-    double infer_ms_per_batch = 0.0;
     size_t n_params = 0;
     int epochs_run = 0;
 };

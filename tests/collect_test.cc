@@ -66,7 +66,7 @@ TEST(BuildDataset, WindowingAndLabels)
     EXPECT_NEAR(d.samples[0].p99_ms, 100.0, 1e-9);
     // X_RC of the first sample is allocs[3] = 5.0 (normalized).
     EXPECT_FLOAT_EQ(d.samples[0].xrc[0],
-                    static_cast<float>(5.0 / f.cpu_scale));
+                    static_cast<float>(5.0 / FeatureConfig::kCpuScale));
     // Violation-within-k: t=3 looks at obs[4..6] -> includes the spike.
     EXPECT_FLOAT_EQ(d.samples[1].violation, 1.0f);
     // t=2 looks at obs[3..5] -> no violation.

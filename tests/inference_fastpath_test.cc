@@ -29,11 +29,13 @@
 #include "models/hybrid.h"
 #include "nn/layers.h"
 #include "conv_reference.h"
+#include "hybrid_reference.h"
 #include "test_util.h"
 
 namespace sinan {
 namespace {
 
+using testutil::EvaluateFullBatchReference;
 using testutil::MakeCandidates;
 using testutil::NaiveConvForward;
 using testutil::MakeObs;
@@ -81,14 +83,15 @@ TEST(InferenceFastPath, CachedMatchesFullBatchAcrossThreadCounts)
 
     ThreadGuard guard;
     SetNumThreads(1);
-    const std::vector<Prediction> ref = model.EvaluateFullBatch(w, cands);
+    const std::vector<Prediction> ref =
+        EvaluateFullBatchReference(model, w, cands);
     for (int threads : {1, 8}) {
         SetNumThreads(threads);
         ExpectPredictionsBitIdentical(
             model.Evaluate(w, cands), ref,
             "cached vs full-batch, threads=" + std::to_string(threads));
         ExpectPredictionsBitIdentical(
-            model.EvaluateFullBatch(w, cands), ref,
+            EvaluateFullBatchReference(model, w, cands), ref,
             "full-batch vs serial, threads=" + std::to_string(threads));
     }
 }
@@ -108,7 +111,7 @@ CheckBundledModelParity(const Application& app, const std::string& name)
     ThreadGuard guard;
     SetNumThreads(1);
     const std::vector<Prediction> ref =
-        model->EvaluateFullBatch(w, cands);
+        EvaluateFullBatchReference(*model, w, cands);
     for (int threads : {1, 8}) {
         SetNumThreads(threads);
         ExpectPredictionsBitIdentical(
@@ -229,7 +232,7 @@ TEST(InferenceFastPath, SimdMatchesScalarBitwiseAtEveryThreadCount)
     SetNumThreads(1);
     SetSimdMode(SimdMode::kOff);
     const std::vector<Prediction> ref = model.Evaluate(w, cands);
-    for (const SimdMode mode : {SimdMode::kOn, SimdMode::kOff}) {
+    for (const SimdMode mode : {SimdMode::kAuto, SimdMode::kOff}) {
         SetSimdMode(mode);
         for (int threads : {1, 8}) {
             SetNumThreads(threads);
@@ -250,7 +253,7 @@ TEST(InferenceFastPath, EvaluateTimedStampsActiveKernelId)
     const auto cands = MakeCandidates(f, 4);
 
     SimdModeGuard mode_guard;
-    for (const SimdMode mode : {SimdMode::kOn, SimdMode::kOff}) {
+    for (const SimdMode mode : {SimdMode::kAuto, SimdMode::kOff}) {
         SetSimdMode(mode);
         EvalStageTimes stages{};
         (void)model.EvaluateTimed(w, cands, &stages);
@@ -273,11 +276,11 @@ TEST(InferenceFastPath, EvaluateTimedStampsKernelIdsInEveryMode)
     ThreadGuard guard;
     SimdModeGuard mode_guard;
     SetNumThreads(1);
-    for (const SimdMode simd : {SimdMode::kOff, SimdMode::kOn}) {
+    for (const SimdMode simd : {SimdMode::kOff, SimdMode::kAuto}) {
         SetSimdMode(simd);
         // What the dispatch switch says the stamp must be. With
         // SINAN_SIMD=off this is the scalar id on every host; with
-        // kOn it is the AVX2 id exactly when the CPU has AVX2.
+        // kAuto it is the AVX2 id exactly when the CPU has AVX2.
         const std::string want = ActiveKernelId();
         if (simd == SimdMode::kOff) {
             ASSERT_EQ(want, "scalar-v1");
@@ -382,7 +385,7 @@ TEST(InferenceFastPath, DirectConvMatchesNaiveReferenceBitwise)
             const std::vector<Param*> params = conv.Params();
             const Tensor ref = NaiveConvForward(x, params[0]->value,
                                                 params[1]->value, kernel);
-            for (const SimdMode mode : {SimdMode::kOn, SimdMode::kOff}) {
+            for (const SimdMode mode : {SimdMode::kAuto, SimdMode::kOff}) {
                 SetSimdMode(mode);
                 const Tensor y = conv.Forward(x);
                 ASSERT_EQ(y.Shape(), ref.Shape());

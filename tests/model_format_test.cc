@@ -298,7 +298,7 @@ TEST(CalibrationRecord, ActScalesArePinnedOnASyntheticRun)
         0x4031ab24u, // latent     2.77607059
     };
     SimdModeGuard mode_guard;
-    for (const SimdMode mode : {SimdMode::kOn, SimdMode::kOff}) {
+    for (const SimdMode mode : {SimdMode::kAuto, SimdMode::kOff}) {
         SetSimdMode(mode);
         HybridModel model(f, DefaultHybridConfig(), 812);
         model.CalibrateInt8(calib);

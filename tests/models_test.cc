@@ -50,13 +50,14 @@ TEST(BuildInput, ShapesAndNormalization)
                                 f.history}));
     EXPECT_EQ(s.xlh.Dim(0), f.history * f.n_percentiles);
     EXPECT_EQ(s.xrc.Dim(0), f.n_tiers);
-    // cpu_limit channel normalized by cpu_scale.
+    // cpu_limit channel normalized by kCpuScale.
     EXPECT_FLOAT_EQ(s.xrh.At(0, 0, 0),
-                    static_cast<float>(4.0 / f.cpu_scale));
+                    static_cast<float>(4.0 / FeatureConfig::kCpuScale));
     // p99 normalized by QoS: last percentile of each timestep.
     EXPECT_FLOAT_EQ(s.xlh[f.n_percentiles - 1],
                     static_cast<float>(250.0 / f.qos_ms));
-    EXPECT_FLOAT_EQ(s.xrc[0], static_cast<float>(8.0 / f.cpu_scale));
+    EXPECT_FLOAT_EQ(s.xrc[0],
+                    static_cast<float>(8.0 / FeatureConfig::kCpuScale));
 }
 
 TEST(BuildInput, RequiresFullWindowAndMatchingAlloc)
@@ -123,7 +124,8 @@ TEST(SinanCnn, ForwardShapesAndLatent)
     const Batch b = d.MakeBatch(idx, 0, 8);
     const Tensor y = cnn.Forward(b);
     EXPECT_EQ(y.Shape(), (std::vector<int>{8, f.n_percentiles}));
-    EXPECT_EQ(cnn.Latent().Shape(), (std::vector<int>{8, cfg.latent}));
+    EXPECT_EQ(cnn.Latent().Shape(),
+              (std::vector<int>{8, SinanCnnConfig::kLatent}));
     EXPECT_GT(cnn.NumParams(), 1000u);
 }
 
@@ -219,7 +221,6 @@ TEST_P(ModelLearnsTest, BeatsMeanPredictor)
     EXPECT_LT(report.val_rmse_ms, 0.8 * mean_rmse_ms)
         << name << " failed to learn the synthetic law";
     EXPECT_GT(report.n_params, 0u);
-    EXPECT_GT(report.train_time_s, 0.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModels, ModelLearnsTest,

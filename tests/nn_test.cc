@@ -256,7 +256,7 @@ TEST(Conv2D, ForwardMatchesNaiveReferenceBitwise)
                         const Tensor ref =
                             testutil::NaiveConvForward(x, w, b, kernel);
                         for (const SimdMode mode :
-                             {SimdMode::kOn, SimdMode::kOff}) {
+                             {SimdMode::kAuto, SimdMode::kOff}) {
                             SetSimdMode(mode);
                             Tensor y;
                             conv.ForwardInto(x, y);

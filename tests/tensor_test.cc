@@ -283,7 +283,7 @@ void
 ExpectSimdScalarParity(const Tensor& a, const Tensor& b, int m, int n)
 {
     const SimdMode saved = CurrentSimdMode();
-    SetSimdMode(SimdMode::kOn);
+    SetSimdMode(SimdMode::kAuto);
     Tensor simd({m, n});
     MatMul(a, b, simd);
     SetSimdMode(SimdMode::kOff);
@@ -340,7 +340,7 @@ TEST(MatMulParity, SimdBitIdenticalToScalar)
 TEST(MatMulParity, SimdBitIdenticalAcrossThreadCounts)
 {
     const SimdMode saved = CurrentSimdMode();
-    SetSimdMode(SimdMode::kOn);
+    SetSimdMode(SimdMode::kAuto);
     Rng rng(32);
     const Tensor a = Tensor::Randn({67, 33}, rng);
     const Tensor b = Tensor::Randn({33, 41}, rng);
@@ -375,7 +375,7 @@ TEST(ConvRows, BothKernelsMatchNaiveReferenceBitwise)
                         testutil::NaiveConvForward(x, w, b, kernel);
                     const int64_t hw = static_cast<int64_t>(h) * wd;
                     for (const SimdMode mode :
-                         {SimdMode::kOn, SimdMode::kOff}) {
+                         {SimdMode::kAuto, SimdMode::kOff}) {
                         SetSimdMode(mode);
                         Tensor y({1, out_c, h, wd});
                         for (int oc = 0; oc < out_c; ++oc)
