@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "common/check.h"
 
@@ -44,8 +45,11 @@ Cluster::Cluster(const Application& app, const ClusterConfig& cfg,
     }
 
     roots_.reserve(app.request_types.size());
-    for (const RequestType& rt : app.request_types)
-        roots_.push_back(FlattenTree(rt.root, -1));
+    for (const RequestType& rt : app.request_types) {
+        const int32_t root = FlattenTree(rt.root, -1);
+        nodes_[root].root = true;
+        roots_.push_back(root);
+    }
 }
 
 int32_t
@@ -64,11 +68,22 @@ Cluster::FlattenTree(const CallNode& node, int caller_tier)
     if (!(node.hit_prob >= 0.0 && node.hit_prob <= 1.0))
         throw std::invalid_argument(
             "Cluster: call node hit_prob must be in [0, 1]");
+    // Stage::node and Stage::pending_children are 16 and 8 bits wide.
+    if (nodes_.size() >= kMaxNodes)
+        throw std::invalid_argument(
+            "Cluster: call trees have more than " +
+            std::to_string(kMaxNodes) + " nodes in all");
+    if (std::count_if(node.children.begin(), node.children.end(),
+                      [](const CallNode& c) { return !c.async; }) >
+        kMaxSyncChildren)
+        throw std::invalid_argument(
+            "Cluster: call node has more than " +
+            std::to_string(kMaxSyncChildren) + " sync children");
     const int32_t idx = static_cast<int32_t>(nodes_.size());
     nodes_.push_back(FlatNode{
         node.tier, caller_tier,
         LogNormalParams::FromMeanCv(node.demand_s, node.demand_cv),
-        node.hit_prob, node.async, -1, -1});
+        node.hit_prob, node.async, false, -1, -1});
     // Depth-first layout: a node's first child is at idx+1 and sibling
     // k+1 starts right after sibling k's whole subtree; each child links
     // to the next, so FinishLocalWork walks siblings without subtrees.
@@ -88,41 +103,41 @@ inline int32_t
 Cluster::AllocStage()
 {
     // No reset: SpawnStage writes every field of the recycled slot.
-    if (!free_stages_.empty()) {
-        const int32_t h = free_stages_.back();
-        free_stages_.pop_back();
+    if (free_head_ >= 0) {
+        const int32_t h = free_head_;
+        free_head_ = stages_[h].parent;
         return h;
     }
     stages_.emplace_back();
+    if (cfg_.trace_sample > 0.0)
+        stage_spans_.emplace_back();
     return static_cast<int32_t>(stages_.size()) - 1;
 }
 
 inline void
 Cluster::FreeStage(int32_t handle)
 {
-    stages_[handle].state = 0;
-    free_stages_.push_back(handle);
+    Stage& s = stages_[handle];
+    s.state = 0;
+    s.parent = free_head_;
+    free_head_ = handle;
 }
 
 inline int32_t
-Cluster::SpawnStage(int32_t node, int32_t parent, bool record_latency,
-                    double now, double birth)
+Cluster::SpawnStage(int32_t node, int32_t parent, double now)
 {
     const FlatNode& fn = nodes_[node];
     const int32_t h = AllocStage();
     Stage& s = stages_[h];
-    s.node = node;
-    s.state = 1; // queued
-    s.record_latency = record_latency;
     s.parent = parent;
+    s.node = static_cast<uint16_t>(node);
+    s.state = 1; // queued
     s.pending_children = 0;
     s.remaining_s = rng_.LogNormal(fn.demand);
-    s.consumed_tick_s = 0.0;
     s.enqueue_time = now;
-    s.birth_time = birth;
-    s.trace_idx = -1;
-    s.span_idx = -1;
     s.ready_tick = in_tick_ ? tick_id_ + 1 : tick_id_;
+    if (!stage_spans_.empty())
+        stage_spans_[h] = StageSpan{};
 
     TierState& tier = tiers_[fn.tier];
     tier.queue.push_back(h);
@@ -140,7 +155,7 @@ Cluster::Inject(int request_type, double now)
         request_type >= static_cast<int>(roots_.size())) {
         throw std::out_of_range("Cluster::Inject: bad request type");
     }
-    const int32_t h = SpawnStage(roots_[request_type], -1, true, now, now);
+    const int32_t h = SpawnStage(roots_[request_type], -1, now);
     ++injected_;
     ++in_flight_;
 
@@ -168,33 +183,31 @@ void
 Cluster::AttachSpan(int32_t handle, int32_t trace_idx, int parent_span,
                     bool async, double now)
 {
-    Stage& s = stages_[handle];
     Trace& trace = active_traces_[trace_idx];
     Span span;
-    span.tier = nodes_[s.node].tier;
+    span.tier = nodes_[stages_[handle].node].tier;
     span.span_id = static_cast<int>(trace.spans.size());
     span.parent_span = parent_span;
     span.async = async;
     span.enqueue_s = now;
     span.start_s = now;
     span.end_s = now;
-    s.trace_idx = trace_idx;
-    s.span_idx = span.span_id;
+    stage_spans_[handle] = StageSpan{trace_idx, span.span_id};
     trace.spans.push_back(span);
     ++trace_open_spans_[trace_idx];
 }
 
 void
-Cluster::CloseSpan(const Stage& s, double end_time)
+Cluster::CloseSpan(const StageSpan& ss, bool root, double end_time)
 {
-    Trace& trace = active_traces_[s.trace_idx];
-    Span& span = trace.spans[s.span_idx];
+    Trace& trace = active_traces_[ss.trace_idx];
+    Span& span = trace.spans[ss.span_idx];
     span.end_s = end_time;
-    if (s.record_latency)
+    if (root)
         trace.end_s = end_time;
-    if (--trace_open_spans_[s.trace_idx] == 0) {
+    if (--trace_open_spans_[ss.trace_idx] == 0) {
         completed_traces_.push_back(std::move(trace));
-        trace_free_.push_back(s.trace_idx);
+        trace_free_.push_back(ss.trace_idx);
     }
 }
 
@@ -219,9 +232,9 @@ Cluster::AdmitFromQueue(TierState& tier, double now)
         ++tier.wait_count;
         ++tier.active;
         tier.running.push_back(h);
-        if (s.trace_idx >= 0) {
-            Span& span =
-                active_traces_[s.trace_idx].spans[s.span_idx];
+        if (!stage_spans_.empty() && stage_spans_[h].trace_idx >= 0) {
+            const StageSpan& ss = stage_spans_[h];
+            Span& span = active_traces_[ss.trace_idx].spans[ss.span_idx];
             span.start_s = std::max(now, span.enqueue_s);
         }
     }
@@ -250,19 +263,18 @@ Cluster::FinishLocalWork(int32_t handle, double end_time)
         return;
     }
 
-    // Spawn all children in parallel. Copy what we need up front:
-    // SpawnStage can grow the stage arena and invalidate s.
-    const double birth = s.birth_time;
-    const int32_t parent_trace = s.trace_idx;
-    const int32_t parent_span = s.span_idx;
+    // Spawn all children in parallel. Copy the span handles up front:
+    // SpawnStage can grow the arenas and invalidate references.
+    const StageSpan parent_span =
+        stage_spans_.empty() ? StageSpan{} : stage_spans_[handle];
     int sync_children = 0;
     for (int32_t child = fn.child_begin; child >= 0;
          child = nodes_[child].next_sibling) {
         const bool async = nodes_[child].async;
-        const int32_t ch = SpawnStage(child, async ? -1 : handle, false,
-                                      end_time, birth);
-        if (parent_trace >= 0)
-            AttachSpan(ch, parent_trace, parent_span, async, end_time);
+        const int32_t ch = SpawnStage(child, async ? -1 : handle, end_time);
+        if (parent_span.trace_idx >= 0)
+            AttachSpan(ch, parent_span.trace_idx, parent_span.span_idx,
+                       async, end_time);
         if (!async)
             ++sync_children;
     }
@@ -270,8 +282,9 @@ Cluster::FinishLocalWork(int32_t handle, double end_time)
     if (sync_children == 0) {
         CompleteStage(handle, end_time);
     } else {
+        // FlattenTree caps sync children at kMaxSyncChildren.
         Stage& p = stages_[handle];
-        p.pending_children = sync_children;
+        p.pending_children = static_cast<uint8_t>(sync_children);
         p.state = 3; // blocked, still holding its slot
     }
 }
@@ -295,13 +308,14 @@ Cluster::CompleteStage(int32_t handle, double end_time)
             tiers_[fn.caller_tier].rx_pkts +=
                 tiers_[fn.caller_tier].spec.pkts_per_rpc;
 
-        if (s.record_latency) {
-            latency_.Add((end_time - s.birth_time) * 1000.0);
+        // A root's enqueue time is its request's injection time.
+        if (fn.root) {
+            latency_.Add((end_time - s.enqueue_time) * 1000.0);
             ++completed_;
             --in_flight_;
         }
-        if (s.trace_idx >= 0)
-            CloseSpan(s, end_time);
+        if (!stage_spans_.empty() && stage_spans_[handle].trace_idx >= 0)
+            CloseSpan(stage_spans_[handle], fn.root, end_time);
 
         const int32_t parent = s.parent;
         FreeStage(handle);
@@ -366,14 +380,12 @@ Cluster::Tick(double now, double dt)
         // order, that a re-scan of running would produce. The set holds
         // positions in running; a finished stage's entry becomes -1 there,
         // and one stable pass drops those marks after the last round.
-        // Entering the set starts the stage's CPU count for this tick.
+        // Each entry also counts its stage's CPU for this tick.
         runnable_.clear();
         const auto consider = [&](size_t pos) {
-            Stage& s = stages_[tier.running[pos]];
-            if (s.ready_tick <= tick_id_ && s.remaining_s > kEpsWork) {
-                s.consumed_tick_s = 0.0;
-                runnable_.push_back(static_cast<int32_t>(pos));
-            }
+            const Stage& s = stages_[tier.running[pos]];
+            if (s.ready_tick <= tick_id_ && s.remaining_s > kEpsWork)
+                runnable_.push_back({static_cast<int32_t>(pos), 0.0});
         };
         if (cap_s > kEpsWork && per_stage_cap > kEpsWork) {
             for (size_t i = 0; i < tier.running.size(); ++i)
@@ -391,30 +403,29 @@ Cluster::Tick(double now, double dt)
             bool progressed = false;
             size_t kept = 0;
             for (size_t k = 0; k < runnable_.size(); ++k) {
-                const int32_t pos = runnable_[k];
-                const int32_t h = tier.running[pos];
+                Runnable r = runnable_[k];
+                const int32_t h = tier.running[r.pos];
                 Stage& s = stages_[h];
-                const double give =
-                    std::min({share, s.remaining_s,
-                              per_stage_cap - s.consumed_tick_s});
+                const double give = std::min(
+                    {share, s.remaining_s, per_stage_cap - r.consumed});
                 if (give <= kEpsWork) {
-                    runnable_[kept++] = pos; // unchanged, still runnable
+                    runnable_[kept++] = r; // unchanged, still runnable
                     continue;
                 }
                 s.remaining_s -= give;
-                s.consumed_tick_s += give;
+                r.consumed += give;
                 cap_s -= give;
                 tier.cpu_used_acc += give;
                 progressed = true;
                 if (s.remaining_s <= kEpsWork) {
                     s.remaining_s = 0.0;
-                    tier.running[pos] = -1;
+                    tier.running[r.pos] = -1;
                     finished = true;
                     // May spawn into the arena (invalidating s) and free h
                     // for reuse; neither touches this tier's running list.
                     FinishLocalWork(h, end_time);
-                } else if (s.consumed_tick_s < per_stage_cap - kEpsWork) {
-                    runnable_[kept++] = pos;
+                } else if (r.consumed < per_stage_cap - kEpsWork) {
+                    runnable_[kept++] = r;
                 }
             }
             runnable_.resize(kept);

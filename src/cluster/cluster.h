@@ -175,6 +175,9 @@ class Cluster {
         LogNormalParams demand;
         double hit_prob;
         bool async;
+        /** A request type's root: the only node whose stage records
+         *  the request's latency (a root is never spawned as a child). */
+        bool root;
         /** Index of the first child (the node right after this one; -1
          *  for a leaf). */
         int32_t child_begin;
@@ -182,28 +185,41 @@ class Cluster {
         int32_t next_sibling;
     };
 
-    /** In-flight execution of one call-tree node; one cache line. */
-    struct alignas(64) Stage {
-        int32_t node = -1;
-        int8_t state = 0; // 0 free, 1 queued, 2 running, 3 blocked
-        bool record_latency = false;
+    /** In-flight execution of one call-tree node; half a cache line.
+     *  A request's latency is its root's end time minus the root's
+     *  enqueue time, which Inject sets to the injection time. */
+    struct alignas(32) Stage {
+        /** Sync parent waiting on this stage (-1: none). In a free
+         *  slot: the next free slot (-1: end of the free list). */
         int32_t parent = -1;
-        int32_t pending_children = 0;
+        uint16_t node = 0;
+        int8_t state = 0; // 0 free, 1 queued, 2 running, 3 blocked
+        uint8_t pending_children = 0;
         double remaining_s = 0.0;
-        /** CPU received in the current tick; reset when the stage
-         *  enters the tick's runnable set. */
-        double consumed_tick_s = 0.0;
         double enqueue_time = 0.0;
-        double birth_time = 0.0; // root: request injection time
-        /** Tracing handles (-1: untraced). */
-        int32_t trace_idx = -1;
-        int32_t span_idx = -1;
         /** First tick in which this stage may consume CPU. Children
          *  spawned mid-tick wait one tick, so a serial RPC chain cannot
          *  compress multiple hops of work into a single tick. */
         int64_t ready_tick = 0;
     };
-    static_assert(sizeof(Stage) == 64, "Stage must fill one cache line");
+    static_assert(sizeof(Stage) == 32, "Stage must fill half a cache line");
+
+    /** Limits of the narrow Stage fields, checked by FlattenTree. */
+    static constexpr size_t kMaxNodes = 65535;
+    static constexpr int kMaxSyncChildren = 255;
+
+    /** Tracing handles of one stage (-1: untraced). */
+    struct StageSpan {
+        int32_t trace_idx = -1;
+        int32_t span_idx = -1;
+    };
+
+    /** One entry of a tier-tick's runnable set: the stage's position in
+     *  the tier's running list and the CPU it received this tick. */
+    struct Runnable {
+        int32_t pos;
+        double consumed;
+    };
 
     int32_t AllocStage();
     void FreeStage(int32_t handle);
@@ -212,14 +228,14 @@ class Cluster {
     void AttachSpan(int32_t handle, int32_t trace_idx, int parent_span,
                     bool async, double now);
 
-    /** Closes the stage's span; finalizes the trace when drained. */
-    void CloseSpan(const Stage& s, double end_time);
+    /** Closes a stage's span (a root's also ends the trace);
+     *  finalizes the trace when drained. */
+    void CloseSpan(const StageSpan& ss, bool root, double end_time);
     /** Appends @p node's subtree to nodes_; returns the node's index. */
     int32_t FlattenTree(const CallNode& node, int caller_tier);
 
     /** Creates a stage for @p node and enqueues it at its tier. */
-    int32_t SpawnStage(int32_t node, int32_t parent, bool record_latency,
-                       double now, double birth);
+    int32_t SpawnStage(int32_t node, int32_t parent, double now);
 
     /** Moves queued stages into running while slots are free. */
     void AdmitFromQueue(TierState& tier, double now);
@@ -242,8 +258,12 @@ class Cluster {
     std::vector<int32_t> roots_;
 
     std::vector<Stage> stages_;
-    /** Recycled stage handles, most recently freed last. */
-    std::vector<int32_t> free_stages_;
+    /** Most recently freed stage slot (-1: none); the free slots form a
+     *  LIFO list linked through Stage::parent. */
+    int32_t free_head_ = -1;
+    /** Tracing handles, indexed like stages_; empty unless
+     *  trace_sample > 0. */
+    std::vector<StageSpan> stage_spans_;
 
     // Tracing state: active traces (arena + free list), open-span
     // counts, and the completed traces awaiting TakeTraces().
@@ -266,9 +286,9 @@ class Cluster {
     int64_t completed_total_ = 0;
     PercentileDigest latency_;
 
-    /** Scratch reused across ticks: positions in one tier's running
-     *  of the current round's runnable stages. */
-    std::vector<int32_t> runnable_;
+    /** Scratch reused across ticks: the current round's runnable
+     *  stages of one tier. */
+    std::vector<Runnable> runnable_;
 };
 
 } // namespace sinan

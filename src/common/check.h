@@ -36,6 +36,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace sinan {
@@ -74,6 +75,33 @@ Repr(const T& v)
     return o.str();
 }
 
+/**
+ * How a checked operand of type @p T is held and passed: scalars by
+ * value, so the hot path never stores one to the stack just to keep
+ * an address for the failure path; anything else by reference.
+ */
+template <typename T>
+using Operand = std::conditional_t<std::is_scalar_v<T>, T, const T&>;
+
+/** Failure path of the binary comparisons (cold, out of line). */
+template <typename A, typename B>
+[[noreturn, gnu::cold, gnu::noinline]] void
+FailOp(const char* macro, const char* expr, const char* file, int line,
+       Operand<A> a, Operand<B> b)
+{
+    Fail(macro, expr, file, line, "(" + Repr(a) + " vs " + Repr(b) + ")");
+}
+
+/** Failure path of SINAN_CHECK_BOUNDS (cold, out of line). */
+template <typename V, typename L, typename H>
+[[noreturn, gnu::cold, gnu::noinline]] void
+FailBounds(const char* expr, const char* file, int line, Operand<V> v,
+           Operand<L> lo, Operand<H> hi)
+{
+    Fail("SINAN_CHECK_BOUNDS", expr, file, line,
+         "(" + Repr(v) + " outside [" + Repr(lo) + ", " + Repr(hi) + "])");
+}
+
 } // namespace check_detail
 } // namespace sinan
 
@@ -97,15 +125,18 @@ Repr(const T& v)
         }                                                                  \
     } while (0)
 
+// The failure calls' template-argument commas are parenthesized so a
+// check can itself be a macro argument (EXPECT_THROW).
 #define SINAN_CHECK_OP_(macro, op, a, b)                                   \
     do {                                                                   \
-        const auto& sinan_ca_ = (a);                                       \
-        const auto& sinan_cb_ = (b);                                       \
+        using sinan_cta_ = std::remove_cvref_t<decltype(a)>;               \
+        using sinan_ctb_ = std::remove_cvref_t<decltype(b)>;               \
+        const ::sinan::check_detail::Operand<sinan_cta_> sinan_ca_ = (a);  \
+        const ::sinan::check_detail::Operand<sinan_ctb_> sinan_cb_ = (b);  \
         if (!(sinan_ca_ op sinan_cb_)) {                                   \
-            ::sinan::check_detail::Fail(                                   \
-                macro, #a " " #op " " #b, __FILE__, __LINE__,              \
-                "(" + ::sinan::check_detail::Repr(sinan_ca_) + " vs " +    \
-                    ::sinan::check_detail::Repr(sinan_cb_) + ")");         \
+            (::sinan::check_detail::FailOp<sinan_cta_, sinan_ctb_>)(       \
+                macro, #a " " #op " " #b, __FILE__, __LINE__, sinan_ca_,   \
+                sinan_cb_);                                                \
         }                                                                  \
     } while (0)
 
@@ -120,17 +151,19 @@ Repr(const T& v)
 /** Fatal unless lo <= v <= hi; prints the value and both bounds. */
 #define SINAN_CHECK_BOUNDS(v, lo, hi)                                      \
     do {                                                                   \
-        const auto& sinan_cv_ = (v);                                       \
-        const auto& sinan_clo_ = (lo);                                     \
-        const auto& sinan_chi_ = (hi);                                     \
+        using sinan_ctv_ = std::remove_cvref_t<decltype(v)>;               \
+        using sinan_ctlo_ = std::remove_cvref_t<decltype(lo)>;             \
+        using sinan_cthi_ = std::remove_cvref_t<decltype(hi)>;             \
+        const ::sinan::check_detail::Operand<sinan_ctv_> sinan_cv_ = (v);  \
+        const ::sinan::check_detail::Operand<sinan_ctlo_> sinan_clo_ =     \
+            (lo);                                                          \
+        const ::sinan::check_detail::Operand<sinan_cthi_> sinan_chi_ =     \
+            (hi);                                                          \
         if (!(sinan_clo_ <= sinan_cv_ && sinan_cv_ <= sinan_chi_)) {       \
-            ::sinan::check_detail::Fail(                                   \
-                "SINAN_CHECK_BOUNDS", #v " in [" #lo ", " #hi "]",         \
-                __FILE__, __LINE__,                                        \
-                "(" + ::sinan::check_detail::Repr(sinan_cv_) +             \
-                    " outside [" +                                         \
-                    ::sinan::check_detail::Repr(sinan_clo_) + ", " +       \
-                    ::sinan::check_detail::Repr(sinan_chi_) + "])");       \
+            (::sinan::check_detail::FailBounds<sinan_ctv_, sinan_ctlo_,    \
+                                               sinan_cthi_>)(              \
+                #v " in [" #lo ", " #hi "]", __FILE__, __LINE__,           \
+                sinan_cv_, sinan_clo_, sinan_chi_);                        \
         }                                                                  \
     } while (0)
 

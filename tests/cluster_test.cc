@@ -3,10 +3,10 @@
  * Tests for the cluster queueing substrate: processor sharing, call-tree
  * execution, concurrency-slot back-pressure, cache short-circuits, async
  * fan-out, metric accounting, the log-sync stall model, and the tick's
- * bookkeeping: call-node validation, admission-queue compaction,
- * stage-handle recycling, finished-stage marks, idle-tier occupancy
- * sampling, the precomputed demand draw, and conservation under every
- * chaos scenario.
+ * bookkeeping: call-node validation and size limits, admission-queue
+ * compaction, stage-handle recycling, finished-stage marks, idle-tier
+ * occupancy sampling, the precomputed demand draw, and conservation
+ * under every chaos scenario.
  */
 #include <gtest/gtest.h>
 
@@ -89,13 +89,14 @@ TEST(Cluster, RejectsBadInputs)
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/** Cluster construction must fail on @p app, naming @p field. */
+/** Cluster construction must fail on @p app with a message naming
+ *  @p field (or the limit it breaks). */
 void
 ExpectRejectsNode(const Application& app, const std::string& field)
 {
     try {
         Cluster cluster(app, ClusterConfig{}, 1);
-        ADD_FAILURE() << "accepted a call node with a bad " << field;
+        ADD_FAILURE() << "accepted a call tree rejected for " << field;
     } catch (const std::invalid_argument& e) {
         EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
             << e.what();
@@ -129,6 +130,57 @@ TEST(Cluster, RejectsNodeWithHitProbOutsideUnitInterval)
         app.request_types[0].root.hit_prob = p;
         ExpectRejectsNode(app, "hit_prob");
     }
+}
+
+/** ChainApp({1.0}) plus a 256-slot tier whose @p n children the root
+ *  calls, sync or async. */
+Application
+FanOutApp(int n, bool async)
+{
+    Application app = ChainApp({1.0});
+    TierSpec fan;
+    fan.name = "fan";
+    fan.concurrency_per_replica = 256;
+    fan.init_cpu = 16.0;
+    app.tiers.push_back(fan);
+    CallNode child;
+    child.tier = 1;
+    child.demand_s = 0.001;
+    child.demand_cv = 0.0;
+    child.async = async;
+    app.request_types[0].root.children.assign(static_cast<size_t>(n),
+                                              child);
+    return app;
+}
+
+// A stage counts its pending sync children in 8 bits and names its
+// call-tree node in 16, so construction rejects trees beyond either.
+TEST(Cluster, RejectsMoreThan255SyncChildren)
+{
+    ExpectRejectsNode(FanOutApp(256, false), "more than 255 sync children");
+}
+
+TEST(Cluster, RunsANodeWith255SyncChildren)
+{
+    Cluster cluster(FanOutApp(255, false), ClusterConfig{}, 1);
+    cluster.Inject(0, 0.0);
+    Drain(cluster, 0.5);
+    EXPECT_EQ(cluster.InFlight(), 0);
+    ASSERT_EQ(cluster.Latencies().Count(), 1u);
+    // Root work, one tick for the children to become ready, then 255
+    // ms of child work spread over 16 cores (plus tick rounding).
+    EXPECT_GE(cluster.Latencies().Quantile(1.0), 255.0 / 16.0);
+    EXPECT_LE(cluster.Latencies().Quantile(1.0), 60.0);
+}
+
+TEST(Cluster, RejectsMoreThan65535CallTreeNodes)
+{
+    // The root and 65534 async children fill the node table exactly.
+    Cluster full(FanOutApp(65534, true), ClusterConfig{}, 1);
+    full.Inject(0, 0.0);
+    Drain(full, 0.1);
+    EXPECT_EQ(full.InFlight(), 0);
+    ExpectRejectsNode(FanOutApp(65535, true), "more than 65535 nodes");
 }
 
 TEST(Cluster, SingleRequestCompletesWithExpectedLatency)

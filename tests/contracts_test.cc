@@ -148,8 +148,11 @@ TEST_F(ContractDeathTest, SchedulerAllocationOutsideTierBoundsDies)
     const IntervalObservation obs = MakeObs(f, 0.0, 100, 2.0, 0.3, 100);
     // 100 cores on a tier capped at 8: outside the Table-1 action set.
     const std::vector<double> alloc(app.tiers.size(), 100.0);
+    // The value and both bounds reach the diagnostic through the cold
+    // failure path.
     EXPECT_DEATH(sched.Decide(obs, alloc, app),
-                 "SINAN_CHECK_BOUNDS failed.*outside");
+                 "SINAN_CHECK_BOUNDS failed.*"
+                 "\\(100 outside \\[0\\.2, 8\\]\\)");
 }
 
 TEST_F(ContractDeathTest, UnsealedDigestQueryDies)

@@ -18,6 +18,36 @@
 namespace sinan {
 namespace testutil {
 
+/** The window aggregates a BT row ends with, after the total
+ *  allocation. */
+struct WindowAggregates {
+    float cur_p99 = 0.0f;
+    float util = 0.0f;
+    float traffic = 0.0f;
+};
+
+/** Aggregates of row 0 of the history tensors: current p99, mean
+ *  utilization and traffic of the newest history step, accumulated
+ *  over tiers in ascending order (channel 0 = cpu limit, 1 = cpu used,
+ *  4 = rx pps). */
+inline WindowAggregates
+ReferenceAggregates(const FeatureConfig& f, const Tensor& xrh,
+                    const Tensor& xlh)
+{
+    const int n = f.n_tiers;
+    const int t_last = f.history - 1;
+    WindowAggregates a;
+    a.cur_p99 = xlh.At(0, f.LatFeatures() - 1);
+    for (int i = 0; i < n; ++i) {
+        const float limit = xrh.At(0, 0, i, t_last);
+        const float used = xrh.At(0, 1, i, t_last);
+        a.util += limit > 1e-6f ? used / limit : 0.0f;
+        a.traffic += xrh.At(0, 4, i, t_last);
+    }
+    a.util /= static_cast<float>(n);
+    return a;
+}
+
 /** Scores @p allocations against @p window through the full-batch
  *  CNN forward. A BT row is [L_f | X_RC | total allocation, current
  *  p99, mean utilization, traffic]; the last three come from the
@@ -46,19 +76,9 @@ EvaluateFullBatchReference(
     const Tensor& latent = model.Cnn().Latent();
     const int m = pred.Dim(1);
     const int latent_dim = latent.Dim(1);
-
-    // Window aggregates (channel 0 = cpu limit, 1 = cpu used,
-    // 4 = rx pps), identical for every row; read from row 0.
-    const int t_last = f.history - 1;
-    const float cur_p99 = batch.xlh.At(0, f.history * m - 1);
-    float util = 0.0f, traffic = 0.0f;
-    for (int i = 0; i < n; ++i) {
-        const float limit = batch.xrh.At(0, 0, i, t_last);
-        const float used = batch.xrh.At(0, 1, i, t_last);
-        util += limit > 1e-6f ? used / limit : 0.0f;
-        traffic += batch.xrh.At(0, 4, i, t_last);
-    }
-    util /= static_cast<float>(n);
+    // Identical for every row.
+    const WindowAggregates agg =
+        ReferenceAggregates(f, batch.xrh, batch.xlh);
 
     std::vector<Prediction> out(static_cast<size_t>(n_cands));
     std::vector<float> row;
@@ -77,7 +97,8 @@ EvaluateFullBatchReference(
             row.push_back(batch.xrc.At(c, j));
             total_alloc += batch.xrc.At(c, j);
         }
-        row.insert(row.end(), {total_alloc, cur_p99, util, traffic});
+        row.insert(row.end(),
+                   {total_alloc, agg.cur_p99, agg.util, agg.traffic});
         p.p_violation = model.Bt().Predict(row);
     }
     return out;

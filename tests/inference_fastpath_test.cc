@@ -3,8 +3,9 @@
  * Parity and allocation tests for the single-pass candidate-inference
  * fast path: the cached-trunk Evaluate must be bit-identical to the
  * legacy full-batch reference on trained models (synthetic and the
- * bundled bench_cache models) at every thread count, the AVX2 and
- * scalar microkernels must agree bitwise in every dispatch mode (with
+ * bundled bench_cache models) at every thread count and on crafted
+ * stumps that split on the BT row's window-aggregate columns, the AVX2
+ * and scalar microkernels must agree bitwise in every dispatch mode (with
  * SINAN_SIMD=off pinning the scalar path to golden bytes), the direct
  * conv kernel must match a naive reference convolution bitwise, Clone()'s
  * direct deep copy must agree with a serialization round trip, and the
@@ -14,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -128,6 +130,88 @@ TEST(InferenceFastPath, BundledHotelModelParity)
 TEST(InferenceFastPath, BundledSocialModelParity)
 {
     CheckBundledModelParity(BuildSocialNetwork(), "social");
+}
+
+/** One serialized tree node, laid out as BoostedTrees::Save writes it. */
+struct RawNode {
+    int32_t feature;
+    float threshold;
+    int32_t left;
+    int32_t right;
+    float value;
+};
+
+/** A logistic ensemble over @p width features of one stump per entry
+ *  of @p columns: go left (-leaf) when x[column] < @p threshold, else
+ *  right (+leaf); the k-th stump's leaf is 1 / 4^k. */
+std::string
+StumpEnsemble(int32_t width, const std::vector<int32_t>& columns,
+              float threshold)
+{
+    std::ostringstream out;
+    const auto put = [&](const auto& v) {
+        out.write(reinterpret_cast<const char*>(&v), sizeof(v));
+    };
+    put(int32_t{0}); // logistic
+    put(width);
+    put(0.0); // base score
+    put(static_cast<int32_t>(columns.size()));
+    float leaf = 1.0f;
+    for (const int32_t c : columns) {
+        put(int32_t{3});
+        put(RawNode{c, threshold, 1, 2, 0.0f});
+        put(RawNode{-1, 0.0f, -1, -1, -leaf});
+        put(RawNode{-1, 0.0f, -1, -1, leaf});
+        leaf /= 4.0f;
+    }
+    return out.str();
+}
+
+// The synthetic and bundled hotel ensembles never split on the
+// mean-utilization or traffic column at the tested windows, so a row
+// layout that swapped the two would pass their parity checks. Here the trees
+// are two stumps on exactly those columns, thresholded between the two
+// values, so a swap flips both stumps: Evaluate must match the
+// reference and the margin the unswapped row implies.
+TEST(InferenceFastPath, StumpsOnWindowAggregatesPinBtRowLayout)
+{
+    const FeatureConfig f = SmallFeatures();
+    HybridModel model(f, HybridConfig{}, 7); // untrained CNN suffices
+    const MetricWindow w = MakeWindow(f, 150, 120);
+    const auto cands = MakeCandidates(f, 8);
+
+    Tensor xrh({1, FeatureConfig::kChannels, f.n_tiers, f.history});
+    Tensor xlh({1, f.LatFeatures()});
+    BuildHistoryRow(w, xrh, xlh, 0);
+    const testutil::WindowAggregates agg =
+        testutil::ReferenceAggregates(f, xrh, xlh);
+    ASSERT_NE(agg.util, agg.traffic);
+    const float mid = 0.5f * (agg.util + agg.traffic);
+    // A BT row is [L_f | X_RC | total alloc, p99, util, traffic].
+    const int32_t width = model.Cnn().LatentSize() + f.n_tiers + 4;
+
+    // Swap the untrained (empty) ensemble in the container for the
+    // stumps: the container is magic, version, CNN, trees, tail.
+    std::ostringstream full, cnn, bt;
+    model.Save(full);
+    model.Cnn().Save(cnn);
+    model.Bt().Save(bt);
+    const std::string bytes = full.str();
+    const size_t head = 2 * sizeof(int32_t) + cnn.str().size();
+    ASSERT_EQ(bytes.compare(head, bt.str().size(), bt.str()), 0);
+    std::istringstream in(
+        bytes.substr(0, head) +
+        StumpEnsemble(width, {width - 2, width - 1}, mid) +
+        bytes.substr(head + bt.str().size()));
+    model.Load(in);
+
+    const double margin = (agg.util < mid ? -1.0 : 1.0) +
+                          (agg.traffic < mid ? -0.25 : 0.25);
+    const std::vector<Prediction> got = model.Evaluate(w, cands);
+    ExpectPredictionsBitIdentical(
+        got, EvaluateFullBatchReference(model, w, cands), "stumps");
+    for (const Prediction& p : got)
+        EXPECT_DOUBLE_EQ(p.p_violation, 1.0 / (1.0 + std::exp(-margin)));
 }
 
 TEST(InferenceFastPath, WorkspaceReuseAcrossShapeChanges)
