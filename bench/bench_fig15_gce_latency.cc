@@ -36,7 +36,7 @@ main()
     for (size_t w = 0; w < mixes.size(); ++w) {
         SetRequestMix(app, mixes[w]);
         std::vector<double> pooled;
-        double met = 0.0, total = 0.0;
+        size_t met = 0;
         for (double users : bench::SocialLoads()) {
             SinanScheduler sinan(*trained.model, SchedulerConfig{});
             ConstantLoad load(users);
@@ -46,11 +46,12 @@ main()
             cfg.cluster = gce;
             cfg.seed = 60 + static_cast<uint64_t>(w);
             const RunResult r = RunManaged(app, sinan, load, cfg);
-            pooled.insert(pooled.end(), r.p99_series_ms.begin(),
-                          r.p99_series_ms.end());
-            met += r.qos_meet_prob *
-                   static_cast<double>(r.p99_series_ms.size());
-            total += static_cast<double>(r.p99_series_ms.size());
+            for (const IntervalRecord& rec : r.timeline) {
+                if (rec.time_s <= cfg.warmup_s)
+                    continue;
+                pooled.push_back(rec.p99_ms);
+                met += rec.p99_ms <= app.qos_ms;
+            }
             std::printf("  W%zu users=%3.0f done (P(meet)=%.2f)\n", w,
                         users, r.qos_meet_prob);
         }
@@ -62,7 +63,8 @@ main()
             .Add(VectorQuantile(pooled, 0.75), 1)
             .Add(VectorQuantile(pooled, 0.95), 1)
             .Add(VectorQuantile(pooled, 1.0), 1)
-            .Add(met / total, 3);
+            .Add(static_cast<double>(met) /
+                     static_cast<double>(pooled.size()), 3);
     }
     std::printf("\nper-interval p99 latency distribution (ms), pooled "
                 "over 50..450 users:\n%s",

@@ -22,11 +22,9 @@ std::vector<std::pair<double, double>>
 RunTrace(bool sync_enabled, double duration_s)
 {
     SocialOptions opts;
-    opts.redis_log_sync = true; // tier configured for sync...
+    opts.redis_log_sync = sync_enabled;
     Application app = BuildSocialNetwork(opts);
-    ClusterConfig ccfg;
-    ccfg.enable_log_sync = sync_enabled; // ...switched per run
-    Cluster cluster(app, ccfg, 9);
+    Cluster cluster(app, ClusterConfig(), 9);
     // Fixed generous allocation at low load, as in the paper's figure
     // (the spikes are unrelated to resource pressure).
     std::vector<double> alloc;

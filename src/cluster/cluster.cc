@@ -336,8 +336,7 @@ Cluster::Tick(double now, double dt)
     for (TierState& tier : tiers_) {
         // Log-sync stall model: at each period boundary the tier forks and
         // copies dirty memory, serving nothing while it does.
-        if (tier.spec.log_sync && cfg_.enable_log_sync &&
-            now >= tier.next_sync_at) {
+        if (tier.spec.log_sync && now >= tier.next_sync_at) {
             const double stall = tier.spec.stall_base_s +
                                  tier.spec.stall_s_per_mb * tier.written_mb;
             // max: an injected stall (InjectStall) may already reach

@@ -40,8 +40,6 @@ struct ClusterConfig {
     double metric_noise = 0.01;
     /** Fraction of requests traced (Jaeger stand-in; 0 disables). */
     double trace_sample = 0.0;
-    /** Master switch for all log-sync stall models (Sec. 5.6.2). */
-    bool enable_log_sync = true;
 };
 
 /** Runtime state of one tier (exposed for tests and white-box benches). */

@@ -147,7 +147,6 @@ ManagedRun::Finish()
         cpu_acc += rec.total_cpu;
         p99_acc += rec.p99_ms;
         result.max_cpu = std::max(result.max_cpu, rec.total_cpu);
-        result.p99_series_ms.push_back(rec.p99_ms);
     }
     if (measured) {
         result.qos_meet_prob =

@@ -68,8 +68,6 @@ struct RunResult {
     double max_cpu = 0.0;
     /** Mean p99 over measured intervals, ms. */
     double mean_p99_ms = 0.0;
-    /** All per-interval p99 values (for distribution figures). */
-    std::vector<double> p99_series_ms;
     /** Full timeline (includes warmup). */
     std::vector<IntervalRecord> timeline;
     /**

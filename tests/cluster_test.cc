@@ -453,31 +453,6 @@ TEST(Cluster, LogSyncStallCausesLatencySpike)
     EXPECT_GT(max_lat_after, 90.0);
 }
 
-TEST(Cluster, LogSyncDisabledByConfigSwitch)
-{
-    Application app = ChainApp({5.0});
-    app.tiers[0].log_sync = true;
-    app.tiers[0].log_sync_period_s = 2.0;
-    app.tiers[0].written_mb_per_req = 1.0;
-    app.tiers[0].stall_base_s = 0.2;
-    ClusterConfig cfg;
-    cfg.metric_noise = 0.0;
-    cfg.enable_log_sync = false;
-    Cluster cluster(app, cfg, 1);
-    double now = 0.0;
-    double max_lat = 0.0;
-    for (int sec = 0; sec < 4; ++sec) {
-        for (int i = 0; i < 100; ++i) {
-            cluster.Tick(now, 0.01);
-            if (i % 5 == 0)
-                cluster.Inject(0, now);
-            now += 0.01;
-        }
-        max_lat = std::max(max_lat, cluster.Harvest(now, 1.0).P99());
-    }
-    EXPECT_LT(max_lat, 60.0);
-}
-
 TEST(Cluster, SpeedFactorScalesCapacity)
 {
     Application app = ChainApp({20.0});
