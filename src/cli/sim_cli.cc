@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <memory>
 #include <stdexcept>
 #include <type_traits>
@@ -70,6 +71,27 @@ TrainForCli(const Application& app, bool hotel, const SimOptions& opt)
     return trained;
 }
 
+std::unique_ptr<HybridModel>
+LoadModelForCli(const Application& app, const std::string& path)
+{
+    // The seed is never drawn from: Load replaces every weight.
+    auto model = std::make_unique<HybridModel>(
+        AppFeatures(app, PipelineConfig{}), DefaultHybridConfig(), 1);
+    std::ifstream in(path, std::ios::binary);
+    if (!in)
+        SimUsage(("--model: cannot open '" + path + "'").c_str());
+    try {
+        model->Load(in);
+    } catch (const std::exception& e) {
+        SimUsage(("--model: '" + path + "' does not load for " +
+                  app.name + ": " + e.what())
+                     .c_str());
+    }
+    std::printf("loaded Sinan model %s (CNN val RMSE %.1f ms)\n",
+                path.c_str(), model->ValRmseMs());
+    return model;
+}
+
 std::string
 FormatChaosCatalog()
 {
@@ -95,7 +117,8 @@ SimUsage(const char* msg)
         "                 [--manager sinan|opt|cons|powerchief|hold]\n"
         "                 [--users N | --diurnal LO:HI:PERIOD]\n"
         "                 [--duration S] [--warmup S] [--seed N]\n"
-        "                 [--collect S] [--epochs N] [--mix W,W,...]\n"
+        "                 [--collect S] [--epochs N] [--model FILE]\n"
+        "                 [--mix W,W,...]\n"
         "                 [--log FILE] [--threads N]\n"
         "                 [--decision-log FILE] [--metrics FILE]\n"
         "                 [--faults SPEC]\n"
@@ -108,6 +131,10 @@ SimUsage(const char* msg)
         "  nan flash; correlated groups via tiers=A-B,jitter=N), a named\n"
         "  scenario 'chaos:NAME', or 'list' to print the scenario\n"
         "  catalog and exit.\n"
+        "\n"
+        "  --model loads a saved model container for the sinan manager\n"
+        "  instead of training one (so it excludes --collect/--epochs),\n"
+        "  e.g. bench_cache/social.model.\n"
         "\n"
         "  --uncertainty on grades telemetry confidence per tier and\n"
         "  scales the sinan scheduler's caution with it; off (default)\n"
@@ -123,9 +150,9 @@ SimUsage(const char* msg)
         "  defaults. --fleet-shard overrides one shard with keys app,\n"
         "  manager, users, seed, faults (faults last: its value runs to\n"
         "  the end of the override). Single-run flags (--diurnal, --mix,\n"
-        "  --log, --decision-log, --metrics, --faults) are rejected in\n"
-        "  fleet mode; use --fleet-log (per-interval trace CSV) and\n"
-        "  --fleet-report (JSON summary) instead.\n");
+        "  --log, --decision-log, --metrics, --faults, --model) are\n"
+        "  rejected in fleet mode; use --fleet-log (per-interval trace\n"
+        "  CSV) and --fleet-report (JSON summary) instead.\n");
     std::exit(2);
 }
 
@@ -147,6 +174,7 @@ ParseSimArgs(int argc, const char* const* argv)
     }
 
     const size_t n = args.size();
+    bool training_set = false; // --collect or --epochs given
     auto need = [&](size_t i) -> const std::string& {
         if (i + 1 >= n)
             SimUsage(("missing value for " + args[i]).c_str());
@@ -181,8 +209,14 @@ ParseSimArgs(int argc, const char* const* argv)
             opt.seed = ParseArg<uint64_t>("--seed", need(i++));
         } else if (a == "--collect") {
             opt.collect_s = ParseArg<double>("--collect", need(i++));
+            training_set = true;
         } else if (a == "--epochs") {
             opt.epochs = ParseArg<int>("--epochs", need(i++));
+            training_set = true;
+        } else if (a == "--model") {
+            opt.model_path = need(i++);
+            if (opt.model_path.empty())
+                BadValue(a, "a file", opt.model_path);
         } else if (a == "--mix") {
             for (const std::string& w : SplitFields(need(i++), ','))
                 opt.mix_weights.push_back(ParseArg<double>("--mix", w));
@@ -255,6 +289,13 @@ ParseSimArgs(int argc, const char* const* argv)
         SimUsage("--epochs must be > 0");
     if (opt.collect_s <= 0)
         SimUsage("--collect must be > 0");
+    if (!opt.model_path.empty()) {
+        if (training_set)
+            SimUsage("--model loads a trained model; it excludes "
+                     "--collect and --epochs");
+        if (opt.manager != "sinan")
+            SimUsage("--model requires --manager sinan");
+    }
 
     if (opt.fleet == 0) {
         if (!opt.fleet_shards.empty())
@@ -290,6 +331,9 @@ ParseSimArgs(int argc, const char* const* argv)
         if (opt.faults_set)
             SimUsage("--faults is a single-run flag; use --fleet-shard "
                      "K:faults=SPEC for per-shard faults");
+        if (!opt.model_path.empty())
+            SimUsage("--model is a single-run flag; fleet mode trains "
+                     "one model per app");
         // Resolve now so a bad shard override (index out of range,
         // duplicate index, malformed fault spec) exits 2 here rather
         // than throwing mid-run.

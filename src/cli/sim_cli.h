@@ -12,8 +12,8 @@
  *    centralized FleetManager (src/fleet), with per-shard overrides
  *    (`--fleet-shard K:key=val[,...]`) and fleet trace/report outputs.
  *    Single-run-only flags (--diurnal, --mix, --log, --decision-log,
- *    --metrics, --faults) are rejected in fleet mode; --app, --manager,
- *    --users act as fleet-wide shard defaults instead.
+ *    --metrics, --faults, --model) are rejected in fleet mode; --app,
+ *    --manager, --users act as fleet-wide shard defaults instead.
  */
 #ifndef SINAN_CLI_SIM_CLI_H
 #define SINAN_CLI_SIM_CLI_H
@@ -45,6 +45,9 @@ struct SimOptions {
     uint64_t seed = 1;
     double collect_s = 800.0;
     int epochs = 8;
+    /** A saved model container (--model) the sinan manager loads
+     *  instead of training; empty = train with --collect/--epochs. */
+    std::string model_path;
     /** Request-mix weights (--mix), empty = the app's default mix. */
     std::vector<double> mix_weights;
     std::string log_path;
@@ -101,6 +104,12 @@ SimOptions ParseSimArgs(int argc, const char* const* argv);
 std::unique_ptr<TrainedSinan> TrainForCli(const Application& app,
                                           bool hotel,
                                           const SimOptions& opt);
+
+/** Loads the --model container for @p app (the bundled models' feature
+ *  recipe: AppFeatures of a default PipelineConfig), printing what it
+ *  loaded; an unreadable or mismatched file exits 2 like a bad flag. */
+std::unique_ptr<HybridModel> LoadModelForCli(const Application& app,
+                                             const std::string& path);
 
 /** Maps the parsed options onto a fleet configuration (fleet mode). */
 FleetConfig BuildFleetConfig(const SimOptions& opt);

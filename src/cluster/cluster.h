@@ -100,7 +100,11 @@ struct TierState {
  */
 class Cluster {
   public:
+    /** @p app is referenced, not copied: it must outlive the cluster
+     *  and stay unmodified while the cluster is alive. */
     Cluster(const Application& app, const ClusterConfig& cfg, uint64_t seed);
+    /** A temporary application would dangle. */
+    Cluster(Application&&, const ClusterConfig&, uint64_t) = delete;
 
     /** Injects one request of the given type at time @p now. */
     void Inject(int request_type, double now);
@@ -245,7 +249,7 @@ class Cluster {
      *  ancestor whose last sync child this was. */
     void CompleteStage(int32_t handle, double end_time);
 
-    Application app_;
+    const Application& app_;
     ClusterConfig cfg_;
     Rng rng_;
 

@@ -157,14 +157,18 @@ class HybridModel {
      *  magic, an unknown version, a truncated stream, weights whose
      *  shapes differ from this model's config, and a tree ensemble
      *  whose row width differs from the BT feature row, each with a
-     *  std::runtime_error. */
+     *  std::runtime_error. The weights are read into the buffers the
+     *  constructor shaped, so a freshly constructed model never draws
+     *  its seeded weights and sizes nothing from the file. */
     void Load(std::istream& in);
 
     /**
      * Direct member-wise deep copy (no serialization round-trip).
      * Evaluate() mutates the internal workspace, so concurrent users
      * (e.g. the fleet's phase-B decision blocks) must each own a clone
-     * instead of sharing one instance.
+     * instead of sharing one instance. A clone of a loaded model holds
+     * no gradient buffers; a clone of an undrawn one draws the same
+     * weights on first use.
      */
     std::unique_ptr<HybridModel> Clone() const;
 

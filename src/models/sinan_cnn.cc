@@ -63,35 +63,50 @@ SplitCols(const Tensor& g, int na, int nb, int nc, Tensor& ga, Tensor& gb,
 
 SinanCnn::SinanCnn(const FeatureConfig& fcfg, const SinanCnnConfig& cfg,
                    uint64_t seed)
-    : fcfg_(fcfg)
+    : fcfg_(fcfg), pending_seed_(seed)
 {
-    Rng rng(seed);
     const int n = fcfg.n_tiers;
     const int t_len = fcfg.history;
 
-    // Construction order matches the serialization order (and the
+    // Declaration order matches the serialization order (and the
     // pre-refactor Sequential layout), so existing saved models load
-    // unchanged.
+    // unchanged. The layers start at zero; DrawPending replays the
+    // Kaiming draws.
     conv1_ = Conv2D(FeatureConfig::kChannels, cfg.conv_channels1,
-                    SinanCnnConfig::kKernel, rng);
+                    SinanCnnConfig::kKernel);
     conv2_ = Conv2D(cfg.conv_channels1, cfg.conv_channels2,
-                    SinanCnnConfig::kKernel, rng);
-    rh_fc_ = Dense(cfg.conv_channels2 * n * t_len, SinanCnnConfig::kRhEmbed,
-                   rng);
-
-    lh_fc_ = Dense(fcfg.LatFeatures(), SinanCnnConfig::kLhEmbed, rng);
-
-    rc_fc_ = Dense(n, SinanCnnConfig::kRcEmbed, rng);
-
+                    SinanCnnConfig::kKernel);
+    rh_fc_ = Dense(cfg.conv_channels2 * n * t_len, SinanCnnConfig::kRhEmbed);
+    lh_fc_ = Dense(fcfg.LatFeatures(), SinanCnnConfig::kLhEmbed);
+    rc_fc_ = Dense(n, SinanCnnConfig::kRcEmbed);
     fc_latent_ = Dense(SinanCnnConfig::kRhEmbed + SinanCnnConfig::kLhEmbed +
                            SinanCnnConfig::kRcEmbed,
-                       SinanCnnConfig::kLatent, rng);
-    fc_out_ = Dense(SinanCnnConfig::kLatent, fcfg.n_percentiles, rng);
+                       SinanCnnConfig::kLatent);
+    fc_out_ = Dense(SinanCnnConfig::kLatent, fcfg.n_percentiles);
+}
+
+void
+SinanCnn::DrawPending()
+{
+    if (!pending_seed_)
+        return;
+    // One stream over the weights in serialization order; the biases
+    // stay zero.
+    Rng rng(*pending_seed_);
+    pending_seed_.reset();
+    conv1_.DrawWeights(rng);
+    conv2_.DrawWeights(rng);
+    rh_fc_.DrawWeights(rng);
+    lh_fc_.DrawWeights(rng);
+    rc_fc_.DrawWeights(rng);
+    fc_latent_.DrawWeights(rng);
+    fc_out_.DrawWeights(rng);
 }
 
 Tensor
 SinanCnn::Forward(const Batch& batch)
 {
+    DrawPending();
     Tensor h = conv1_relu_.Forward(conv1_.Forward(batch.xrh));
     h = conv2_relu_.Forward(conv2_.Forward(h));
     h = flatten_.Forward(h);
@@ -106,8 +121,9 @@ SinanCnn::Forward(const Batch& batch)
 }
 
 void
-SinanCnn::ForwardTrunk(CnnEvalWorkspace& ws) const
+SinanCnn::ForwardTrunk(CnnEvalWorkspace& ws)
 {
+    DrawPending();
     SINAN_CHECK_EQ(ws.xrh.Rank(), 4);
     SINAN_CHECK_EQ(ws.xrh.Dim(0), 1);
     SINAN_CHECK_EQ(ws.xlh.Rank(), 2);
@@ -241,6 +257,7 @@ SinanCnn::Backward(const Tensor& dy)
 std::vector<Param*>
 SinanCnn::Params()
 {
+    DrawPending();
     std::vector<Param*> all;
     for (Layer* l : {static_cast<Layer*>(&conv1_),
                      static_cast<Layer*>(&conv2_),
@@ -258,6 +275,14 @@ SinanCnn::Params()
 void
 SinanCnn::Save(std::ostream& out) const
 {
+    if (pending_seed_) {
+        // Const: draw into a copy, leaving this model (which other
+        // threads may be reading) untouched.
+        SinanCnn drawn(*this);
+        drawn.DrawPending();
+        drawn.Save(out);
+        return;
+    }
     conv1_.Save(out);
     conv2_.Save(out);
     rh_fc_.Save(out);
@@ -277,6 +302,7 @@ SinanCnn::Load(std::istream& in)
     rc_fc_.Load(in);
     fc_latent_.Load(in);
     fc_out_.Load(in);
+    pending_seed_.reset();
 }
 
 } // namespace sinan

@@ -20,6 +20,12 @@
  *    (rc branch + latent + output layers) then continues. Both paths
  *    accumulate every output element in the same order, so they are
  *    bit-identical.
+ *
+ * Weight initialization is lazy: the constructor only shapes the layers
+ * (zeroed) and records the seed. The first Forward, ForwardTrunk,
+ * Params or Save replays the Kaiming draws from Rng(seed), so the
+ * weights are the same as if drawn eagerly, and Load cancels them: a
+ * model built only to be loaded never draws.
  */
 #ifndef SINAN_MODELS_SINAN_CNN_H
 #define SINAN_MODELS_SINAN_CNN_H
@@ -121,7 +127,8 @@ class SinanCnn : public LatencyModel {
     /**
      * @param fcfg feature-space dimensions.
      * @param cfg architecture knobs.
-     * @param seed weight-init RNG seed.
+     * @param seed weight-init RNG seed (drawn from on first use, see
+     *        the file comment).
      */
     SinanCnn(const FeatureConfig& fcfg, const SinanCnnConfig& cfg,
              uint64_t seed);
@@ -136,10 +143,11 @@ class SinanCnn : public LatencyModel {
     /**
      * Trunk pass of the cached inference path: runs the rh branch
      * (conv stack + dense) and lh branch on ws.xrh/ws.xlh — a batch of
-     * 1 — caching the embeddings in the workspace. Const: never
-     * touches the training caches.
+     * 1 — caching the embeddings in the workspace. Never touches the
+     * training caches; the only other state it may change is drawing
+     * pending weights, which therefore precede every ForwardHead.
      */
-    void ForwardTrunk(CnnEvalWorkspace& ws) const;
+    void ForwardTrunk(CnnEvalWorkspace& ws);
 
     /**
      * Head pass: encodes ws.xrc (one row per candidate), computes
@@ -170,6 +178,9 @@ class SinanCnn : public LatencyModel {
     int LatentSize() const { return SinanCnnConfig::kLatent; }
     const FeatureConfig& Features() const { return fcfg_; }
 
+    /** True from construction until the weights are drawn or loaded. */
+    bool WeightsPending() const { return pending_seed_.has_value(); }
+
   private:
     FeatureConfig fcfg_;
 
@@ -196,7 +207,12 @@ class SinanCnn : public LatencyModel {
     /** Adds the persistence residual to ws.pred from ws.xlh. */
     void AddPersistence(CnnEvalWorkspace& ws) const;
 
+    /** Draws the Kaiming weights if they are still pending. */
+    void DrawPending();
+
     std::optional<CnnCalibration> calibration_;
+    /** Seed of the not-yet-drawn weights; empty once drawn or loaded. */
+    std::optional<uint64_t> pending_seed_;
 };
 
 } // namespace sinan

@@ -3,7 +3,9 @@
  * Neural-network building blocks: the Layer interface and its trainable
  * Param bundle. Layers cache their forward inputs so Backward can be
  * called with only the upstream gradient; parameter gradients accumulate
- * until the optimizer consumes and clears them.
+ * until the optimizer consumes and clears them. A gradient buffer exists
+ * only once training touches it, so a loaded or cloned inference model
+ * holds its weights alone.
  */
 #ifndef SINAN_NN_LAYER_H
 #define SINAN_NN_LAYER_H
@@ -15,17 +17,30 @@
 
 namespace sinan {
 
-/** A trainable tensor with its accumulated gradient. */
-struct Param {
+/** A trainable tensor with its lazily sized, accumulated gradient. */
+class Param {
+  public:
     Tensor value;
-    Tensor grad;
 
-    explicit Param(Tensor v = Tensor())
-        : value(std::move(v)), grad(value.Shape())
+    explicit Param(Tensor v = Tensor()) : value(std::move(v)) {}
+
+    /** The gradient, zero-filled to value's shape on first use: the
+     *  buffer Backward accumulates into and the optimizer reads. */
+    Tensor&
+    Grad()
     {
+        if (grad_.Shape() != value.Shape())
+            grad_ = Tensor(value.Shape());
+        return grad_;
     }
 
-    void ZeroGrad() { grad.Fill(0.0f); }
+    /** True once training has sized the gradient buffer. */
+    bool HasGrad() const { return !grad_.Empty(); }
+
+    void ZeroGrad() { Grad().Fill(0.0f); }
+
+  private:
+    Tensor grad_;
 };
 
 /** Base class of all differentiable layers. */

@@ -27,19 +27,21 @@ constexpr int64_t kConvBatchGrain = 4;
  *  input row feeds 8 accumulators. */
 constexpr int64_t kConvOcBlock = 8;
 
-/** Loads one tensor into @p p, rejecting a shape other than the one
- *  the layer was constructed with (a model file for another config). */
+/** Loads one tensor into @p p's own buffer, rejecting a shape other
+ *  than the one the layer was constructed with (a model file for
+ *  another config) before reading any payload, so nothing is sized
+ *  from the file. */
 void
 LoadParam(std::istream& in, Param& p, const char* layer)
 {
-    Tensor t = Tensor::Load(in);
-    if (t.Shape() != p.value.Shape())
+    const std::vector<int> shape = Tensor::LoadHeader(in);
+    if (shape != p.value.Shape())
         throw std::runtime_error(
             std::string(layer) + "::Load: loaded shape " +
-            check_detail::FormatShape(t.Shape()) +
+            check_detail::FormatShape(shape) +
             " does not match the layer's " +
             check_detail::FormatShape(p.value.Shape()));
-    p = Param(std::move(t));
+    p.value.LoadPayload(in);
 }
 
 /** The bits of `x > 0 ? x : 0` for the float with bits @p u: keeps
@@ -54,15 +56,28 @@ ReluBits(uint32_t u)
 
 } // namespace
 
-Dense::Dense(int in_features, int out_features, Rng& rng)
+Dense::Dense(int in_features, int out_features)
 {
     SINAN_CHECK_MSG(in_features > 0 && out_features > 0,
                     "Dense: non-positive dimensions (" << in_features
                         << "x" << out_features << ")");
-    // Kaiming initialization for ReLU-dominated nets.
-    const float stddev = std::sqrt(2.0f / static_cast<float>(in_features));
-    w_ = Param(Tensor::Randn({in_features, out_features}, rng, stddev));
+    w_ = Param(Tensor({in_features, out_features}));
     b_ = Param(Tensor({out_features}));
+}
+
+Dense::Dense(int in_features, int out_features, Rng& rng)
+    : Dense(in_features, out_features)
+{
+    DrawWeights(rng);
+}
+
+void
+Dense::DrawWeights(Rng& rng)
+{
+    // Kaiming initialization for ReLU-dominated nets.
+    const int in_features = w_.value.Dim(0);
+    w_.value.FillNormal(
+        rng, std::sqrt(2.0f / static_cast<float>(in_features)));
 }
 
 Tensor
@@ -95,15 +110,16 @@ Dense::Backward(const Tensor& dy)
     SINAN_CHECK_EQ(dy.Rank(), 2);
     SINAN_CHECK_SHAPE(dy, batch, w_.value.Dim(1));
     // dW += x^T dy ; db += colsum(dy) ; dx = dy W^T.
-    MatMulTa(x_cache_, dy, w_.grad, /*accumulate=*/true);
+    MatMulTa(x_cache_, dy, w_.Grad(), /*accumulate=*/true);
     const int out = w_.value.Dim(1);
+    Tensor& bgrad = b_.Grad();
     // Column-blocked: each block owns a disjoint range of bias slots,
     // accumulating over the batch in the same order as the serial loop.
     ParallelFor(0, out, 64, [&](int64_t lo, int64_t hi) {
         for (int i = 0; i < batch; ++i) {
             const float* row = dy.Data() + static_cast<size_t>(i) * out;
             for (int64_t j = lo; j < hi; ++j)
-                b_.grad[j] += row[j];
+                bgrad[j] += row[j];
         }
     });
     Tensor dx({batch, w_.value.Dim(0)});
@@ -169,7 +185,7 @@ ReLU::Backward(const Tensor& dy)
     return dx;
 }
 
-Conv2D::Conv2D(int in_channels, int out_channels, int kernel, Rng& rng)
+Conv2D::Conv2D(int in_channels, int out_channels, int kernel)
     : kernel_(kernel)
 {
     SINAN_CHECK_MSG(kernel > 0 && kernel % 2 == 1,
@@ -178,11 +194,22 @@ Conv2D::Conv2D(int in_channels, int out_channels, int kernel, Rng& rng)
     SINAN_CHECK_MSG(in_channels > 0 && out_channels > 0,
                     "Conv2D: non-positive channels (" << in_channels
                         << " -> " << out_channels << ")");
-    const int fan_in = in_channels * kernel * kernel;
-    const float stddev = std::sqrt(2.0f / static_cast<float>(fan_in));
-    w_ = Param(Tensor::Randn({out_channels, in_channels, kernel, kernel},
-                             rng, stddev));
+    w_ = Param(Tensor({out_channels, in_channels, kernel, kernel}));
     b_ = Param(Tensor({out_channels}));
+}
+
+Conv2D::Conv2D(int in_channels, int out_channels, int kernel, Rng& rng)
+    : Conv2D(in_channels, out_channels, kernel)
+{
+    DrawWeights(rng);
+}
+
+void
+Conv2D::DrawWeights(Rng& rng)
+{
+    const int fan_in = w_.value.Dim(1) * kernel_ * kernel_;
+    w_.value.FillNormal(rng,
+                        std::sqrt(2.0f / static_cast<float>(fan_in)));
 }
 
 Tensor
@@ -255,8 +282,8 @@ Conv2D::Backward(const Tensor& dy)
     std::vector<Tensor> wg(n_blocks), bg(n_blocks);
     ParallelFor(0, batch, kConvBatchGrain, [&](int64_t lo, int64_t hi) {
         const int64_t blk = lo / kConvBatchGrain;
-        Tensor wgrad(w_.grad.Shape());
-        Tensor bgrad(b_.grad.Shape());
+        Tensor wgrad(w_.value.Shape());
+        Tensor bgrad(b_.value.Shape());
         for (int64_t b = lo; b < hi; ++b) {
             for (int oc = 0; oc < out_c; ++oc) {
                 for (int i = 0; i < h; ++i) {
@@ -291,9 +318,11 @@ Conv2D::Backward(const Tensor& dy)
         wg[blk] = std::move(wgrad);
         bg[blk] = std::move(bgrad);
     });
+    Tensor& w_grad = w_.Grad();
+    Tensor& b_grad = b_.Grad();
     for (int64_t blk = 0; blk < n_blocks; ++blk) {
-        w_.grad.Add(wg[blk]);
-        b_.grad.Add(bg[blk]);
+        w_grad.Add(wg[blk]);
+        b_grad.Add(bg[blk]);
     }
     return dx;
 }

@@ -16,7 +16,16 @@ class Dense : public Layer {
     /** Uninitialized layer; assign a constructed one before use. */
     Dense() = default;
 
+    /** Zero weights and bias of the given shape; DrawWeights then
+     *  gives the Kaiming initialization. */
+    Dense(int in_features, int out_features);
+
+    /** Kaiming-initialized weights drawn from @p rng, zero bias. */
     Dense(int in_features, int out_features, Rng& rng);
+
+    /** Overwrites the weights with Kaiming draws from @p rng (std
+     *  sqrt(2 / in_features), in index order); the bias is untouched. */
+    void DrawWeights(Rng& rng);
 
     Tensor Forward(const Tensor& x) override;
     Tensor Backward(const Tensor& dy) override;
@@ -65,7 +74,16 @@ class Conv2D : public Layer {
     /** Uninitialized layer; assign a constructed one before use. */
     Conv2D() = default;
 
+    /** Zero weights and bias of the given shape; DrawWeights then
+     *  gives the Kaiming initialization. */
+    Conv2D(int in_channels, int out_channels, int kernel);
+
+    /** Kaiming-initialized weights drawn from @p rng, zero bias. */
     Conv2D(int in_channels, int out_channels, int kernel, Rng& rng);
+
+    /** Overwrites the weights with Kaiming draws from @p rng (std
+     *  sqrt(2 / fan_in), in index order); the bias is untouched. */
+    void DrawWeights(Rng& rng);
 
     Tensor Forward(const Tensor& x) override;
     Tensor Backward(const Tensor& dy) override;

@@ -124,11 +124,12 @@ Lstm::Backward(const Tensor& dy)
         for (int b = 0; b < batch; ++b)
             for (int i = 0; i < in; ++i)
                 xt.At(b, i) = x.At(b, t, i);
-        MatMulTa(xt, dpre, wx_.grad, /*accumulate=*/true);
-        MatMulTa(h_states_[t], dpre, wh_.grad, /*accumulate=*/true);
+        MatMulTa(xt, dpre, wx_.Grad(), /*accumulate=*/true);
+        MatMulTa(h_states_[t], dpre, wh_.Grad(), /*accumulate=*/true);
+        Tensor& bgrad = b_.Grad();
         for (int b = 0; b < batch; ++b)
             for (int j = 0; j < 4 * hid; ++j)
-                b_.grad[j] += dpre.At(b, j);
+                bgrad[j] += dpre.At(b, j);
 
         // Input gradient for this timestep.
         Tensor dxt({batch, in});

@@ -25,9 +25,10 @@ Sgd::Step()
     if (clip_norm_ > 0.0) {
         double sq = 0.0;
         for (Param* p : params_) {
-            for (size_t i = 0; i < p->grad.Size(); ++i)
-                sq += static_cast<double>(p->grad[i]) *
-                      static_cast<double>(p->grad[i]);
+            const Tensor& grad = p->Grad();
+            for (size_t i = 0; i < grad.Size(); ++i)
+                sq += static_cast<double>(grad[i]) *
+                      static_cast<double>(grad[i]);
         }
         const double norm = std::sqrt(sq);
         if (norm > clip_norm_)
@@ -35,9 +36,10 @@ Sgd::Step()
     }
     for (size_t k = 0; k < params_.size(); ++k) {
         Param& p = *params_[k];
+        const Tensor& grad = p.Grad();
         Tensor& v = velocity_[k];
         for (size_t i = 0; i < p.value.Size(); ++i) {
-            const float g = static_cast<float>(scale) * p.grad[i] +
+            const float g = static_cast<float>(scale) * grad[i] +
                             static_cast<float>(weight_decay_) * p.value[i];
             v[i] = static_cast<float>(momentum_) * v[i] -
                    static_cast<float>(lr_) * g;

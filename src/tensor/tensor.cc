@@ -1,5 +1,6 @@
 #include "tensor/tensor.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <istream>
@@ -15,15 +16,30 @@ namespace sinan {
 
 namespace {
 
+/** Element count of @p shape into @p n; false when the product
+ *  overflows size_t (a forged header can claim 2^64 elements, which
+ *  an unchecked product wraps to a small count). */
+bool
+CheckedShapeSize(const std::vector<int>& shape, size_t* n)
+{
+    size_t total = 1;
+    for (int d : shape) {
+        SINAN_CHECK_GE(d, 0);
+        if (__builtin_mul_overflow(total, static_cast<size_t>(d), &total))
+            return false;
+    }
+    *n = shape.empty() ? 0 : total;
+    return true;
+}
+
 size_t
 ShapeSize(const std::vector<int>& shape)
 {
-    size_t n = 1;
-    for (int d : shape) {
-        SINAN_CHECK_GE(d, 0);
-        n *= static_cast<size_t>(d);
-    }
-    return shape.empty() ? 0 : n;
+    size_t n = 0;
+    SINAN_CHECK_MSG(CheckedShapeSize(shape, &n),
+                    "Tensor: shape " << check_detail::FormatShape(shape)
+                                     << " overflows the element count");
+    return n;
 }
 
 /** Buffer-acquisition counter behind Tensor::AllocationEvents().
@@ -84,9 +100,15 @@ Tensor
 Tensor::Randn(std::vector<int> shape, Rng& rng, float stddev)
 {
     Tensor t(std::move(shape));
-    for (size_t i = 0; i < t.Size(); ++i)
-        t[i] = static_cast<float>(rng.Normal(0.0, stddev));
+    t.FillNormal(rng, stddev);
     return t;
+}
+
+void
+Tensor::FillNormal(Rng& rng, float stddev)
+{
+    for (float& v : data_)
+        v = static_cast<float>(rng.Normal(0.0, stddev));
 }
 
 int
@@ -203,8 +225,8 @@ Tensor::Save(std::ostream& out) const
               static_cast<std::streamsize>(data_.size() * sizeof(float)));
 }
 
-Tensor
-Tensor::Load(std::istream& in)
+std::vector<int>
+Tensor::LoadHeader(std::istream& in)
 {
     int32_t rank = 0;
     in.read(reinterpret_cast<char*>(&rank), sizeof(rank));
@@ -214,15 +236,45 @@ Tensor::Load(std::istream& in)
     for (int i = 0; i < rank; ++i) {
         int32_t v = 0;
         in.read(reinterpret_cast<char*>(&v), sizeof(v));
-        if (v < 0)
+        if (!in || v < 0)
             throw std::runtime_error("Tensor::Load: corrupt header");
         shape[i] = v;
     }
-    Tensor t(shape);
-    in.read(reinterpret_cast<char*>(t.Data()),
-            static_cast<std::streamsize>(t.Size() * sizeof(float)));
+    return shape;
+}
+
+void
+Tensor::LoadPayload(std::istream& in)
+{
+    in.read(reinterpret_cast<char*>(data_.data()),
+            static_cast<std::streamsize>(data_.size() * sizeof(float)));
     if (!in)
         throw std::runtime_error("Tensor::Load: truncated data");
+}
+
+Tensor
+Tensor::Load(std::istream& in)
+{
+    std::vector<int> shape = LoadHeader(in);
+    size_t n = 0;
+    if (!CheckedShapeSize(shape, &n))
+        throw std::runtime_error("Tensor::Load: corrupt header");
+    // Untrusted extents: the buffer grows only as its bytes arrive, so
+    // a forged shape ends in a short read, not a huge allocation.
+    constexpr size_t kChunk = size_t{1} << 16;
+    Tensor t;
+    while (t.data_.size() < n) {
+        const size_t got = t.data_.size();
+        const size_t take = std::min(kChunk, n - got);
+        t.data_.resize(got + take);
+        in.read(reinterpret_cast<char*>(t.data_.data() + got),
+                static_cast<std::streamsize>(take * sizeof(float)));
+        if (!in)
+            throw std::runtime_error("Tensor::Load: truncated data");
+    }
+    t.shape_ = std::move(shape);
+    if (!t.data_.empty())
+        BumpAllocEvents();
     return t;
 }
 

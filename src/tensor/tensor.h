@@ -42,6 +42,10 @@ class Tensor {
     static Tensor Randn(std::vector<int> shape, Rng& rng,
                         float stddev = 1.0f);
 
+    /** Overwrites every element, in index order, with a N(0, stddev)
+     *  draw from @p rng: Randn's draws, in place. */
+    void FillNormal(Rng& rng, float stddev);
+
     const std::vector<int>& Shape() const { return shape_; }
     int Rank() const { return static_cast<int>(shape_.size()); }
 
@@ -121,9 +125,22 @@ class Tensor {
     /** Sum of all elements. */
     double Sum() const;
 
-    /** Binary serialization. */
+    /**
+     * Binary serialization: int32 rank, int32 extents, then the floats.
+     * Load sizes nothing from the header up front: its buffer grows
+     * only as payload bytes arrive. Each malformed stream throws
+     * std::runtime_error ("corrupt header" / "truncated data").
+     */
     void Save(std::ostream& out) const;
     static Tensor Load(std::istream& in);
+
+    /** Load's first half: reads and validates a header, returning the
+     *  shape it names. */
+    static std::vector<int> LoadHeader(std::istream& in);
+
+    /** Load's second half, into this tensor's own buffer: reads Size()
+     *  floats in place (callers check the header's shape first). */
+    void LoadPayload(std::istream& in);
 
   private:
     size_t Offset2(int i, int j) const;

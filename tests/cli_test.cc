@@ -262,6 +262,34 @@ TEST(CliDeathTest, SingleRunFlagsRejectedInFleetMode)
                     "use --fleet-shard");
 }
 
+TEST(CliTest, ParsesModelFlag)
+{
+    EXPECT_TRUE(Parse({}).model_path.empty());
+    EXPECT_EQ(Parse({"--manager", "sinan", "--model=bench_cache/s.model"})
+                  .model_path,
+              "bench_cache/s.model");
+}
+
+TEST(CliDeathTest, ModelFlagConflictsExitTwo)
+{
+    // A loaded model is already trained: the training recipe's flags
+    // would be silently ignored, so they are refused.
+    ExpectUsageExit({"--manager", "sinan", "--model", "m", "--collect",
+                     "40"},
+                    "excludes --collect and --epochs");
+    ExpectUsageExit({"--manager", "sinan", "--epochs", "2", "--model",
+                     "m"},
+                    "excludes --collect and --epochs");
+    ExpectUsageExit({"--model", "m"}, "--model requires --manager sinan");
+    ExpectUsageExit({"--manager", "sinan", "--model", ""},
+                    "--model expects a file");
+    ExpectUsageExit({"--fleet", "4", "--manager", "sinan", "--model", "m"},
+                    "--model is a single-run flag");
+    // The file is read when the run starts: a missing one exits 2 too.
+    EXPECT_EXIT(LoadModelForCli(BuildSocialNetwork(), "no/such.model"),
+                ::testing::ExitedWithCode(2), "cannot open 'no/such.model'");
+}
+
 TEST(CliTest, ParsesUncertaintyFlag)
 {
     EXPECT_FALSE(Parse({}).uncertainty.enabled);

@@ -162,7 +162,8 @@ TEST(Cluster, RejectsMoreThan255SyncChildren)
 
 TEST(Cluster, RunsANodeWith255SyncChildren)
 {
-    Cluster cluster(FanOutApp(255, false), ClusterConfig{}, 1);
+    const Application app = FanOutApp(255, false);
+    Cluster cluster(app, ClusterConfig{}, 1);
     cluster.Inject(0, 0.0);
     Drain(cluster, 0.5);
     EXPECT_EQ(cluster.InFlight(), 0);
@@ -176,7 +177,8 @@ TEST(Cluster, RunsANodeWith255SyncChildren)
 TEST(Cluster, RejectsMoreThan65535CallTreeNodes)
 {
     // The root and 65534 async children fill the node table exactly.
-    Cluster full(FanOutApp(65534, true), ClusterConfig{}, 1);
+    const Application app = FanOutApp(65534, true);
+    Cluster full(app, ClusterConfig{}, 1);
     full.Inject(0, 0.0);
     Drain(full, 0.1);
     EXPECT_EQ(full.InFlight(), 0);

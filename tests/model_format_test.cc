@@ -5,7 +5,9 @@
  * pinned bit for bit in both dispatch modes, the bundled models
  * re-save byte for byte, old readers reject a versioned file with a
  * clear error, and pre-container streams, unknown future versions and
- * weights for another config are rejected by name.
+ * weights for another config are rejected by name. A constructed model
+ * draws its weights lazily, with the bytes of the eager draw, and a
+ * loaded one never draws and holds no gradient buffers.
  */
 #include <gtest/gtest.h>
 
@@ -21,6 +23,7 @@
 #include "bundled_model.h"
 #include "common/cpu_features.h"
 #include "common/thread_pool.h"
+#include "golden_util.h"
 #include "harness/harness.h"
 #include "models/hybrid.h"
 #include "test_util.h"
@@ -278,6 +281,158 @@ TEST_F(ModelFormatTest, WiderTreeEnsembleIsRejectedByName)
                   std::string::npos)
             << "unexpected error: " << what;
     }
+}
+
+TEST_F(ModelFormatTest, UnbackedTensorHeaderFailsWithoutAllocating)
+{
+    // A container whose first CNN tensor claims [1<<20, 1<<20] (4 TiB
+    // of floats) with nothing behind it: Load must refuse it by shape,
+    // before sizing any buffer from the header.
+    std::ostringstream out;
+    out.write(reinterpret_cast<const char*>(&kModelMagic),
+              sizeof(kModelMagic));
+    out.write(reinterpret_cast<const char*>(&kModelVersion),
+              sizeof(kModelVersion));
+    const int32_t header[3] = {2, 1 << 20, 1 << 20};
+    out.write(reinterpret_cast<const char*>(header), sizeof(header));
+
+    HybridModel loaded(*features_, DefaultHybridConfig(), 999);
+    std::istringstream in(out.str());
+    const uint64_t before = Tensor::AllocationEvents();
+    try {
+        loaded.Load(in);
+        FAIL() << "a 4 TiB tensor header was accepted";
+    } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "Conv2D::Load: loaded shape [1048576, 1048576]"),
+                  std::string::npos)
+            << "unexpected error: " << e.what();
+    }
+    EXPECT_EQ(Tensor::AllocationEvents(), before);
+}
+
+// ---------------------------------------------------------------------
+// Lazy initialization: the Kaiming draws and gradient buffers wait for
+// first use, and the bytes are the eager constructor's.
+// ---------------------------------------------------------------------
+
+std::string
+SavedBytes(const HybridModel& model)
+{
+    std::ostringstream out;
+    model.Save(out);
+    return out.str();
+}
+
+HybridModel
+UntrainedAppModel(const Application& app, uint64_t seed)
+{
+    return HybridModel(AppFeatures(app, PipelineConfig{}),
+                       DefaultHybridConfig(), seed);
+}
+
+TEST(LazyInit, UntrainedSaveKeepsTheEagerDrawsBytes)
+{
+    // Save of a freshly constructed model, recorded from the eager
+    // constructor (which drew every weight before returning).
+    struct Case {
+        bool hotel;
+        uint64_t seed;
+        size_t size;
+        uint64_t fnv1a64;
+    };
+    const Case cases[] = {
+        {true, 1, 152352, 0x6e7f7883a95f7c41ULL},
+        {true, 999, 152352, 0xef8ba9ed846aecc9ULL},
+        {false, 1, 237888, 0x004c2968138487a2ULL},
+        {false, 999, 237888, 0xdd5245ead2cd71b1ULL},
+    };
+    for (const Case& c : cases) {
+        const Application app =
+            c.hotel ? BuildHotelReservation() : BuildSocialNetwork();
+        const HybridModel model = UntrainedAppModel(app, c.seed);
+        const std::string bytes = SavedBytes(model);
+        EXPECT_EQ(bytes.size(), c.size) << app.name << " seed " << c.seed;
+        EXPECT_EQ(testutil::Fnv1a64(bytes), c.fnv1a64)
+            << app.name << " seed " << c.seed;
+    }
+}
+
+TEST(LazyInit, EveryFirstUseDrawsTheSameWeights)
+{
+    const Application app = BuildHotelReservation();
+    HybridModel save_first = UntrainedAppModel(app, 7);
+    const std::string expected = SavedBytes(save_first);
+    // A const Save draws into a copy: the model itself stays undrawn.
+    EXPECT_TRUE(save_first.Cnn().WeightsPending());
+
+    HybridModel params_first = UntrainedAppModel(app, 7);
+    (void)params_first.Cnn().Params();
+    EXPECT_FALSE(params_first.Cnn().WeightsPending());
+    EXPECT_TRUE(SavedBytes(params_first) == expected) << "Params() first";
+
+    const HybridModel undrawn = UntrainedAppModel(app, 7);
+    const std::unique_ptr<HybridModel> clone = undrawn.Clone();
+    EXPECT_TRUE(SavedBytes(*clone) == expected) << "Clone, then Save";
+
+    HybridModel evaluate_first = UntrainedAppModel(app, 7);
+    const FeatureConfig& f = evaluate_first.Features();
+    (void)evaluate_first.Evaluate(MakeWindow(f, 150, 60),
+                                  MakeCandidates(f, 4));
+    EXPECT_TRUE(SavedBytes(evaluate_first) == expected) << "Evaluate first";
+}
+
+TEST(LazyInit, LoadDrawsNothingAndLeavesNoGradients)
+{
+    const Application app = BuildSocialNetwork();
+    std::ifstream file(std::string(SINAN_REPO_ROOT) +
+                           "/bench_cache/social.model",
+                       std::ios::binary);
+    if (!file)
+        GTEST_SKIP() << "bundled model social not present";
+    std::ostringstream committed;
+    committed << file.rdbuf();
+    const std::string bytes = committed.str();
+
+    // Construction allocates one buffer per parameter tensor, each
+    // sized from the layer's own shape; Load reads into them in place.
+    const uint64_t before = Tensor::AllocationEvents();
+    HybridModel loaded = UntrainedAppModel(app, 5);
+    EXPECT_TRUE(loaded.Cnn().WeightsPending());
+    const uint64_t constructed = Tensor::AllocationEvents();
+    std::istringstream in(bytes);
+    loaded.Load(in);
+    EXPECT_FALSE(loaded.Cnn().WeightsPending());
+    EXPECT_EQ(Tensor::AllocationEvents(), constructed) << "Load allocated";
+
+    const std::vector<Param*> params = loaded.Cnn().Params();
+    EXPECT_LE(constructed - before, params.size());
+    for (const Param* p : params)
+        EXPECT_FALSE(p->HasGrad());
+    const std::unique_ptr<HybridModel> clone = loaded.Clone();
+    for (const Param* p : clone->Cnn().Params())
+        EXPECT_FALSE(p->HasGrad());
+    EXPECT_TRUE(SavedBytes(loaded) == bytes);
+}
+
+TEST(LazyInit, SeededTrainingRunKeepsItsBytes)
+{
+    // Training sizes the gradients on first use; the result must be
+    // the bytes the eager zeroed gradients gave (recorded from the
+    // eager implementation, and thread-count and dispatch independent).
+    const FeatureConfig f = SmallFeatures();
+    const Dataset all = SyntheticDataset(f, 120, 907);
+    Rng rng(908);
+    const auto [train, valid] = all.Split(0.9, rng);
+    HybridConfig cfg;
+    cfg.train.epochs = 2;
+    cfg.bt.n_trees = 10;
+    HybridModel model(f, cfg, 909);
+    model.Train(train, valid);
+    model.CalibrateInt8(train, 32);
+    const std::string bytes = SavedBytes(model);
+    EXPECT_EQ(bytes.size(), 38684u);
+    EXPECT_EQ(testutil::Fnv1a64(bytes), 0xe0f54fbdb67f95d9ULL);
 }
 
 TEST(CalibrationRecord, ActScalesArePinnedOnASyntheticRun)

@@ -20,7 +20,7 @@ TEST(SgdClip, LargeGradientIsClipped)
     Dense d(1, 1, rng);
     const float before = d.Params()[0]->value[0];
     Sgd sgd(d.Params(), 0.1, 0.0, 0.0, /*clip_norm=*/1.0);
-    d.Params()[0]->grad[0] = 1e6f;
+    d.Params()[0]->Grad()[0] = 1e6f;
     sgd.Step();
     // Clipped to norm 1 -> step size <= lr * 1.
     EXPECT_LE(std::abs(d.Params()[0]->value[0] - before), 0.11f);
@@ -34,8 +34,8 @@ TEST(SgdClip, SmallGradientsUnaffected)
     Dense b(1, 1, rng2);
     Sgd sa(a.Params(), 0.1, 0.0, 0.0, 0.0);
     Sgd sb(b.Params(), 0.1, 0.0, 0.0, 100.0);
-    a.Params()[0]->grad[0] = 0.5f;
-    b.Params()[0]->grad[0] = 0.5f;
+    a.Params()[0]->Grad()[0] = 0.5f;
+    b.Params()[0]->Grad()[0] = 0.5f;
     sa.Step();
     sb.Step();
     EXPECT_FLOAT_EQ(a.Params()[0]->value[0], b.Params()[0]->value[0]);

@@ -87,11 +87,42 @@ CheckGradients(Layer& layer, const Tensor& x, double tol = 2e-2)
             p->value[i] = orig;
             const double num =
                 (up - down) / (2.0 * static_cast<double>(kH));
-            EXPECT_NEAR(num, p->grad[i],
+            EXPECT_NEAR(num, p->Grad()[i],
                         tol * std::max(1.0, std::abs(num)))
                 << "param grad mismatch at " << i;
         }
     }
+}
+
+TEST(Param, GradientIsSizedOnFirstUse)
+{
+    Rng rng(3);
+    Dense d(3, 2, rng);
+    for (Param* p : d.Params()) {
+        EXPECT_FALSE(p->HasGrad());
+        const Tensor& g = p->Grad();
+        EXPECT_TRUE(p->HasGrad());
+        ASSERT_EQ(g.Shape(), p->value.Shape());
+        for (size_t i = 0; i < g.Size(); ++i)
+            EXPECT_EQ(g[i], 0.0f);
+    }
+}
+
+TEST(Param, DeferredDrawsMatchTheDrawingConstructors)
+{
+    Rng a(11), b(11);
+    const Dense dense_eager(5, 3, a);
+    const Conv2D conv_eager(2, 4, 3, a);
+    Dense dense_lazy(5, 3);
+    Conv2D conv_lazy(2, 4, 3);
+    dense_lazy.DrawWeights(b);
+    conv_lazy.DrawWeights(b);
+    std::ostringstream eager, lazy;
+    dense_eager.Save(eager);
+    conv_eager.Save(eager);
+    dense_lazy.Save(lazy);
+    conv_lazy.Save(lazy);
+    EXPECT_TRUE(eager.str() == lazy.str());
 }
 
 TEST(Dense, ForwardMatchesHandComputation)

@@ -131,6 +131,41 @@ TEST(Tensor, LoadRejectsNegativeDimension)
     }
 }
 
+TEST(Tensor, LoadRejectsAShapeWhoseSizeOverflows)
+{
+    // 65536^4 = 2^64 elements: an unchecked product wraps to 0, which
+    // would load an empty buffer under a shape that indexes past it.
+    std::stringstream ss;
+    const int32_t header[5] = {4, 65536, 65536, 65536, 65536};
+    ss.write(reinterpret_cast<const char*>(header), sizeof(header));
+    try {
+        (void)Tensor::Load(ss);
+        FAIL() << "a 2^64-element shape was accepted";
+    } catch (const std::runtime_error& e) {
+        EXPECT_STREQ(e.what(), "Tensor::Load: corrupt header");
+    }
+    EXPECT_THROW(Tensor({65536, 65536, 65536, 65536}),
+                 std::invalid_argument);
+}
+
+TEST(Tensor, LoadSizesNothingFromAnUnbackedHeader)
+{
+    // [1<<20, 1<<20] claims 4 TiB of floats; the stream holds four.
+    std::stringstream ss;
+    const int32_t header[3] = {2, 1 << 20, 1 << 20};
+    ss.write(reinterpret_cast<const char*>(header), sizeof(header));
+    const float payload[4] = {1.0f, 2.0f, 3.0f, 4.0f};
+    ss.write(reinterpret_cast<const char*>(payload), sizeof(payload));
+    const uint64_t before = Tensor::AllocationEvents();
+    try {
+        (void)Tensor::Load(ss);
+        FAIL() << "a header larger than its payload was accepted";
+    } catch (const std::runtime_error& e) {
+        EXPECT_STREQ(e.what(), "Tensor::Load: truncated data");
+    }
+    EXPECT_EQ(Tensor::AllocationEvents(), before);
+}
+
 TEST(MatMul, MatchesHandComputedProduct)
 {
     // A = [[1,2],[3,4]], B = [[5,6],[7,8]] -> AB = [[19,22],[43,50]].

@@ -49,11 +49,13 @@ TEST(ThreadPoolTest, SubmittedTasksAllRun)
     std::condition_variable cv;
     constexpr int kTasks = 64;
     for (int i = 0; i < kTasks; ++i) {
+        // Count under the lock: counted outside it, the waiter could
+        // see the last count, return and destroy cv and mu before the
+        // last task notified through them.
         pool.Submit([&] {
-            if (ran.fetch_add(1) + 1 == kTasks) {
-                std::lock_guard<std::mutex> lock(mu);
+            std::lock_guard<std::mutex> lock(mu);
+            if (ran.fetch_add(1) + 1 == kTasks)
                 cv.notify_all();
-            }
         });
     }
     std::unique_lock<std::mutex> lock(mu);

@@ -57,7 +57,8 @@ Drain(Cluster& cluster, double seconds, double start = 0.0)
 
 TEST(Tracing, DisabledByDefault)
 {
-    Cluster cluster(FanoutApp(), ClusterConfig{}, 1);
+    const Application app = FanoutApp();
+    Cluster cluster(app, ClusterConfig{}, 1);
     cluster.Inject(0, 0.0);
     Drain(cluster, 0.3);
     EXPECT_TRUE(cluster.TakeTraces().empty());
@@ -67,7 +68,8 @@ TEST(Tracing, FullSamplingTracesEveryRequest)
 {
     ClusterConfig cfg;
     cfg.trace_sample = 1.0;
-    Cluster cluster(FanoutApp(), cfg, 1);
+    const Application app = FanoutApp();
+    Cluster cluster(app, cfg, 1);
     for (int i = 0; i < 5; ++i)
         cluster.Inject(0, 0.0);
     Drain(cluster, 0.5);
@@ -81,7 +83,8 @@ TEST(Tracing, SpanStructureMatchesCallTree)
 {
     ClusterConfig cfg;
     cfg.trace_sample = 1.0;
-    Cluster cluster(FanoutApp(), cfg, 1);
+    const Application app = FanoutApp();
+    Cluster cluster(app, cfg, 1);
     cluster.Inject(0, 0.0);
     Drain(cluster, 0.5);
     const std::vector<Trace> traces = cluster.TakeTraces();
@@ -106,7 +109,8 @@ TEST(Tracing, TimingIsConsistent)
 {
     ClusterConfig cfg;
     cfg.trace_sample = 1.0;
-    Cluster cluster(FanoutApp(), cfg, 1);
+    const Application app = FanoutApp();
+    Cluster cluster(app, cfg, 1);
     cluster.Inject(0, 0.0);
     Drain(cluster, 0.5);
     const Trace t = cluster.TakeTraces().at(0);
@@ -148,7 +152,8 @@ TEST(Tracing, SamplingRateApproximatelyRespected)
 {
     ClusterConfig cfg;
     cfg.trace_sample = 0.2;
-    Cluster cluster(FanoutApp(), cfg, 7);
+    const Application app = FanoutApp();
+    Cluster cluster(app, cfg, 7);
     for (int i = 0; i < 500; ++i)
         cluster.Inject(0, 0.0);
     Drain(cluster, 3.0);
@@ -177,7 +182,8 @@ TEST(Tracing, AttributionSumsPerTier)
 {
     ClusterConfig cfg;
     cfg.trace_sample = 1.0;
-    Cluster cluster(FanoutApp(), cfg, 1);
+    const Application app = FanoutApp();
+    Cluster cluster(app, cfg, 1);
     for (int i = 0; i < 10; ++i)
         cluster.Inject(0, 0.0);
     Drain(cluster, 1.0);

@@ -14,6 +14,8 @@
  *   sinan_sim --app hotel --manager sinan --users 2500 --collect 800 \
  *             --epochs 8 --log hotel_sinan.csv \
  *             --decision-log decisions.csv --metrics metrics.csv
+ *   sinan_sim --manager sinan --model bench_cache/social.model \
+ *             --uncertainty on --faults chaos:flash-crowd
  *   sinan_sim --manager sinan --faults chaos:telemetry-blackout
  *   sinan_sim --faults 'stall@10+5:tier=2;drop@12+3'
  *   sinan_sim --faults list
@@ -26,6 +28,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "app/apps.h"
@@ -67,13 +70,15 @@ main(int argc, char** argv)
     cfg.faults = opt.faults;
 
     std::unique_ptr<ResourceManager> manager;
-    std::unique_ptr<TrainedSinan> trained;
+    std::unique_ptr<HybridModel> model;
     if (opt.manager == "sinan") {
-        trained = TrainForCli(app, opt.app == "hotel", opt);
+        model = opt.model_path.empty()
+                    ? std::move(TrainForCli(app, opt.app == "hotel", opt)
+                                    ->model)
+                    : LoadModelForCli(app, opt.model_path);
         SchedulerConfig scfg;
         scfg.uncertainty = opt.uncertainty;
-        manager = std::make_unique<SinanScheduler>(*trained->model,
-                                                   scfg);
+        manager = std::make_unique<SinanScheduler>(*model, scfg);
     } else {
         manager = MakeBaselineManager(opt.manager);
     }
