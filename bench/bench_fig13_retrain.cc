@@ -10,7 +10,7 @@
  * the zero-sample row is the original model applied directly.
  */
 #include <cstdio>
-#include <sstream>
+#include <memory>
 
 #include "bench_util.h"
 #include "collect/bandit.h"
@@ -112,16 +112,11 @@ main()
                 CollectScenario(sc, f, budget, 1000 + (uint64_t)budget);
             // Restart from the base model each time (paper: fine-tune
             // the original weights with the newly collected data).
-            HybridModel tuned(f, pcfg.hybrid, 1);
-            {
-                std::stringstream buf;
-                base.model->Save(buf);
-                tuned.Load(buf);
-            }
+            const std::unique_ptr<HybridModel> tuned = base.model->Clone();
             Rng srng(7);
             const auto [ft_train, ft_val] = fresh.Split(0.9, srng);
             (void)ft_val;
-            const HybridReport rep = tuned.FineTune(ft_train, val, ft);
+            const HybridReport rep = tuned->FineTune(ft_train, val, ft);
             t.Row()
                 .Add(static_cast<long long>(ft_train.samples.size()))
                 .Add(rep.cnn.train_rmse_ms, 1)

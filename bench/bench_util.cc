@@ -99,15 +99,11 @@ GetTrainedSinan(const Application& app, const PipelineConfig& cfg,
 {
     const std::string path = "bench_cache/" + cache_key + ".model";
     if (!cache_key.empty() && std::filesystem::exists(path)) {
-        // Re-collect the dataset (fast) and load the trained weights.
         TrainedSinan out;
-        out.features = AppFeatures(app, cfg);
-        out.model = std::make_unique<HybridModel>(out.features,
-                                                  cfg.hybrid,
-                                                  cfg.seed ^ 0xcafe);
         std::ifstream in(path, std::ios::binary);
         try {
-            out.model->Load(in);
+            out.model = LoadSinanModel(app, in);
+            out.features = out.model->Features();
             if (out.model->Int8Calibrated()) {
                 std::printf("[cache] loaded %s\n", path.c_str());
                 return out;

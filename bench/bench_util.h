@@ -53,8 +53,9 @@ PipelineConfig HotelPipeline(uint64_t seed = 42);
 
 /**
  * Returns a trained Sinan for @p app, loading the hybrid-model weights
- * from `bench_cache/<cache_key>.model` when present. On a cache hit the
- * returned datasets and report are empty — benches that need them
+ * from `bench_cache/<cache_key>.model` when present (LoadSinanModel:
+ * the default feature recipe, whatever @p cfg says). On a cache hit
+ * the returned datasets and report are empty — benches that need them
  * collect their own data. Pass an empty key to disable caching.
  */
 TrainedSinan GetTrainedSinan(const Application& app,

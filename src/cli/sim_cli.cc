@@ -74,14 +74,12 @@ TrainForCli(const Application& app, bool hotel, const SimOptions& opt)
 std::unique_ptr<HybridModel>
 LoadModelForCli(const Application& app, const std::string& path)
 {
-    // The seed is never drawn from: Load replaces every weight.
-    auto model = std::make_unique<HybridModel>(
-        AppFeatures(app, PipelineConfig{}), DefaultHybridConfig(), 1);
     std::ifstream in(path, std::ios::binary);
     if (!in)
         SimUsage(("--model: cannot open '" + path + "'").c_str());
+    std::unique_ptr<HybridModel> model;
     try {
-        model->Load(in);
+        model = LoadSinanModel(app, in);
     } catch (const std::exception& e) {
         SimUsage(("--model: '" + path + "' does not load for " +
                   app.name + ": " + e.what())

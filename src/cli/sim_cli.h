@@ -105,9 +105,9 @@ std::unique_ptr<TrainedSinan> TrainForCli(const Application& app,
                                           bool hotel,
                                           const SimOptions& opt);
 
-/** Loads the --model container for @p app (the bundled models' feature
- *  recipe: AppFeatures of a default PipelineConfig), printing what it
- *  loaded; an unreadable or mismatched file exits 2 like a bad flag. */
+/** Loads the --model container for @p app through LoadSinanModel,
+ *  printing what it loaded; an unreadable or mismatched file exits 2
+ *  like a bad flag. */
 std::unique_ptr<HybridModel> LoadModelForCli(const Application& app,
                                              const std::string& path);
 

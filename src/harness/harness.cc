@@ -218,6 +218,16 @@ AppFeatures(const Application& app, const PipelineConfig& cfg)
     return f;
 }
 
+std::unique_ptr<HybridModel>
+LoadSinanModel(const Application& app, std::istream& in)
+{
+    // The seed is never drawn from: Load replaces every weight.
+    auto model = std::make_unique<HybridModel>(
+        AppFeatures(app, PipelineConfig{}), DefaultHybridConfig(), 1);
+    model->Load(in);
+    return model;
+}
+
 TrainedSinan
 TrainSinanForApp(const Application& app, const PipelineConfig& cfg)
 {

@@ -10,6 +10,7 @@
 #ifndef SINAN_HARNESS_HARNESS_H
 #define SINAN_HARNESS_HARNESS_H
 
+#include <iosfwd>
 #include <memory>
 #include <vector>
 
@@ -220,6 +221,13 @@ struct PipelineConfig {
  *  service, the pipeline's history and violation lookahead, and the
  *  app's QoS target. */
 FeatureConfig AppFeatures(const Application& app, const PipelineConfig& cfg);
+
+/** A saved Sinan model for @p app, read from @p in: the model that
+ *  AppFeatures of a default PipelineConfig and DefaultHybridConfig
+ *  build (the bundled models' recipe), then HybridModel::Load. Throws
+ *  what Load throws on a stream that does not load for @p app. */
+std::unique_ptr<HybridModel> LoadSinanModel(const Application& app,
+                                            std::istream& in);
 
 /**
  * Collects a dataset with the bandit explorer and trains the hybrid

@@ -130,18 +130,4 @@ LstmPredictor::Params()
     return all;
 }
 
-void
-LstmPredictor::Save(std::ostream& out) const
-{
-    lstm_.Save(out);
-    head_.Save(out);
-}
-
-void
-LstmPredictor::Load(std::istream& in)
-{
-    lstm_.Load(in);
-    head_.Load(in);
-}
-
 } // namespace sinan

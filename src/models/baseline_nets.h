@@ -24,8 +24,6 @@ class MlpPredictor : public LatencyModel {
     void Backward(const Tensor& dy) override;
     std::vector<Param*> Params() override { return net_.Params(); }
     const char* Name() const override { return "MLP"; }
-    void Save(std::ostream& out) const override { net_.Save(out); }
-    void Load(std::istream& in) override { net_.Load(in); }
 
   private:
     FeatureConfig fcfg_;
@@ -48,8 +46,6 @@ class LstmPredictor : public LatencyModel {
     void Backward(const Tensor& dy) override;
     std::vector<Param*> Params() override;
     const char* Name() const override { return "LSTM"; }
-    void Save(std::ostream& out) const override;
-    void Load(std::istream& in) override;
 
   private:
     /** Rearranges a Batch into the [B, T, F*N + M] sequence tensor. */

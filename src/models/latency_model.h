@@ -8,7 +8,6 @@
 #ifndef SINAN_MODELS_LATENCY_MODEL_H
 #define SINAN_MODELS_LATENCY_MODEL_H
 
-#include <iosfwd>
 #include <vector>
 
 #include "models/features.h"
@@ -32,9 +31,6 @@ class LatencyModel {
 
     /** Human-readable name used in reports ("CNN", "MLP", "LSTM"). */
     virtual const char* Name() const = 0;
-
-    virtual void Save(std::ostream& out) const = 0;
-    virtual void Load(std::istream& in) = 0;
 
     /** Scalar parameter count (Table 2's model-size column). */
     size_t

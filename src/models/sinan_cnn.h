@@ -137,8 +137,8 @@ class SinanCnn : public LatencyModel {
     void Backward(const Tensor& dy) override;
     std::vector<Param*> Params() override;
     const char* Name() const override { return "CNN"; }
-    void Save(std::ostream& out) const override;
-    void Load(std::istream& in) override;
+    void Save(std::ostream& out) const;
+    void Load(std::istream& in);
 
     /**
      * Trunk pass of the cached inference path: runs the rh branch

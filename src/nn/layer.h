@@ -10,7 +10,6 @@
 #ifndef SINAN_NN_LAYER_H
 #define SINAN_NN_LAYER_H
 
-#include <iosfwd>
 #include <vector>
 
 #include "tensor/tensor.h"
@@ -63,12 +62,6 @@ class Layer {
 
     /** Trainable parameters (empty for stateless layers). */
     virtual std::vector<Param*> Params() { return {}; }
-
-    /** Serializes parameters (stateless layers write nothing). */
-    virtual void Save(std::ostream& /*out*/) const {}
-
-    /** Restores parameters saved by Save. */
-    virtual void Load(std::istream& /*in*/) {}
 
     /** Number of scalar parameters (for the paper's model-size column). */
     size_t

@@ -30,8 +30,8 @@ class Dense : public Layer {
     Tensor Forward(const Tensor& x) override;
     Tensor Backward(const Tensor& dy) override;
     std::vector<Param*> Params() override { return {&w_, &b_}; }
-    void Save(std::ostream& out) const override;
-    void Load(std::istream& in) override;
+    void Save(std::ostream& out) const;
+    void Load(std::istream& in);
 
     /**
      * Inference-only forward into a caller-owned output (resized via
@@ -88,8 +88,8 @@ class Conv2D : public Layer {
     Tensor Forward(const Tensor& x) override;
     Tensor Backward(const Tensor& dy) override;
     std::vector<Param*> Params() override { return {&w_, &b_}; }
-    void Save(std::ostream& out) const override;
-    void Load(std::istream& in) override;
+    void Save(std::ostream& out) const;
+    void Load(std::istream& in);
 
     /**
      * Inference-only forward into a caller-owned output (resized via

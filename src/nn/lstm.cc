@@ -146,20 +146,4 @@ Lstm::Backward(const Tensor& dy)
     return dx;
 }
 
-void
-Lstm::Save(std::ostream& out) const
-{
-    wx_.value.Save(out);
-    wh_.value.Save(out);
-    b_.value.Save(out);
-}
-
-void
-Lstm::Load(std::istream& in)
-{
-    wx_ = Param(Tensor::Load(in));
-    wh_ = Param(Tensor::Load(in));
-    b_ = Param(Tensor::Load(in));
-}
-
 } // namespace sinan

@@ -26,8 +26,6 @@ class Lstm : public Layer {
     Tensor Backward(const Tensor& dy) override;
 
     std::vector<Param*> Params() override { return {&wx_, &wh_, &b_}; }
-    void Save(std::ostream& out) const override;
-    void Load(std::istream& in) override;
 
     int HiddenSize() const { return wh_.value.Dim(0); }
 

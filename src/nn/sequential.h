@@ -65,20 +65,6 @@ class Sequential : public Layer {
         return all;
     }
 
-    void
-    Save(std::ostream& out) const override
-    {
-        for (const auto& l : layers_)
-            l->Save(out);
-    }
-
-    void
-    Load(std::istream& in) override
-    {
-        for (auto& l : layers_)
-            l->Load(in);
-    }
-
     size_t NumLayers() const { return layers_.size(); }
 
   private:

@@ -16,30 +16,22 @@ namespace sinan {
 
 namespace {
 
-/** Element count of @p shape into @p n; false when the product
- *  overflows size_t (a forged header can claim 2^64 elements, which
- *  an unchecked product wraps to a small count). */
-bool
-CheckedShapeSize(const std::vector<int>& shape, size_t* n)
+/** Element count of @p shape, checked: a product that overflows
+ *  size_t (say [65536]^4, which an unchecked product wraps to 0) is a
+ *  contract violation, not a small tensor. */
+size_t
+ShapeSize(const std::vector<int>& shape)
 {
     size_t total = 1;
     for (int d : shape) {
         SINAN_CHECK_GE(d, 0);
-        if (__builtin_mul_overflow(total, static_cast<size_t>(d), &total))
-            return false;
+        const bool overflow =
+            __builtin_mul_overflow(total, static_cast<size_t>(d), &total);
+        SINAN_CHECK_MSG(!overflow, "Tensor: shape "
+                                       << check_detail::FormatShape(shape)
+                                       << " overflows the element count");
     }
-    *n = shape.empty() ? 0 : total;
-    return true;
-}
-
-size_t
-ShapeSize(const std::vector<int>& shape)
-{
-    size_t n = 0;
-    SINAN_CHECK_MSG(CheckedShapeSize(shape, &n),
-                    "Tensor: shape " << check_detail::FormatShape(shape)
-                                     << " overflows the element count");
-    return n;
+    return shape.empty() ? 0 : total;
 }
 
 /** Buffer-acquisition counter behind Tensor::AllocationEvents().
@@ -231,13 +223,13 @@ Tensor::LoadHeader(std::istream& in)
     int32_t rank = 0;
     in.read(reinterpret_cast<char*>(&rank), sizeof(rank));
     if (!in || rank < 0 || rank > 8)
-        throw std::runtime_error("Tensor::Load: corrupt header");
+        throw std::runtime_error("Tensor::LoadHeader: corrupt header");
     std::vector<int> shape(rank);
     for (int i = 0; i < rank; ++i) {
         int32_t v = 0;
         in.read(reinterpret_cast<char*>(&v), sizeof(v));
         if (!in || v < 0)
-            throw std::runtime_error("Tensor::Load: corrupt header");
+            throw std::runtime_error("Tensor::LoadHeader: corrupt header");
         shape[i] = v;
     }
     return shape;
@@ -249,33 +241,7 @@ Tensor::LoadPayload(std::istream& in)
     in.read(reinterpret_cast<char*>(data_.data()),
             static_cast<std::streamsize>(data_.size() * sizeof(float)));
     if (!in)
-        throw std::runtime_error("Tensor::Load: truncated data");
-}
-
-Tensor
-Tensor::Load(std::istream& in)
-{
-    std::vector<int> shape = LoadHeader(in);
-    size_t n = 0;
-    if (!CheckedShapeSize(shape, &n))
-        throw std::runtime_error("Tensor::Load: corrupt header");
-    // Untrusted extents: the buffer grows only as its bytes arrive, so
-    // a forged shape ends in a short read, not a huge allocation.
-    constexpr size_t kChunk = size_t{1} << 16;
-    Tensor t;
-    while (t.data_.size() < n) {
-        const size_t got = t.data_.size();
-        const size_t take = std::min(kChunk, n - got);
-        t.data_.resize(got + take);
-        in.read(reinterpret_cast<char*>(t.data_.data() + got),
-                static_cast<std::streamsize>(take * sizeof(float)));
-        if (!in)
-            throw std::runtime_error("Tensor::Load: truncated data");
-    }
-    t.shape_ = std::move(shape);
-    if (!t.data_.empty())
-        BumpAllocEvents();
-    return t;
+        throw std::runtime_error("Tensor::LoadPayload: truncated data");
 }
 
 namespace {

@@ -127,19 +127,19 @@ class Tensor {
 
     /**
      * Binary serialization: int32 rank, int32 extents, then the floats.
-     * Load sizes nothing from the header up front: its buffer grows
-     * only as payload bytes arrive. Each malformed stream throws
-     * std::runtime_error ("corrupt header" / "truncated data").
+     * Reading is split so nothing is sized from an untrusted header: a
+     * layer reads the header, checks the shape against its own, and
+     * reads the payload into the tensor it already holds (LoadParam in
+     * nn/layers.cc). Each malformed stream throws std::runtime_error.
      */
     void Save(std::ostream& out) const;
-    static Tensor Load(std::istream& in);
 
-    /** Load's first half: reads and validates a header, returning the
-     *  shape it names. */
+    /** Reads and validates a header, returning the shape it names
+     *  ("Tensor::LoadHeader: corrupt header" otherwise). */
     static std::vector<int> LoadHeader(std::istream& in);
 
-    /** Load's second half, into this tensor's own buffer: reads Size()
-     *  floats in place (callers check the header's shape first). */
+    /** Reads Size() floats into this tensor's own buffer, in place
+     *  ("Tensor::LoadPayload: truncated data" on a short stream). */
     void LoadPayload(std::istream& in);
 
   private:

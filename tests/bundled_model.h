@@ -2,7 +2,8 @@
  * @file
  * Loads the trained models bundled under bench_cache/ (hotel, social)
  * for tests that exercise the real cached-trunk Evaluate path without
- * training. Tests including this define SINAN_REPO_ROOT.
+ * training. SINAN_REPO_ROOT is the source root, defined for every test
+ * by sinan_test() in tests/CMakeLists.txt.
  */
 #ifndef SINAN_TESTS_BUNDLED_MODEL_H
 #define SINAN_TESTS_BUNDLED_MODEL_H
@@ -18,9 +19,9 @@
 namespace sinan {
 namespace testutil {
 
-/** Loads bench_cache/@p name.model exactly like the bench cache-hit
- *  path (same FeatureConfig recipe and hybrid hyper-parameters);
- *  nullptr when the file is absent. */
+/** Loads bench_cache/@p name.model through LoadSinanModel, as the
+ *  bench cache-hit path and sinan_sim --model do; nullptr when the
+ *  file is absent. */
 inline std::unique_ptr<HybridModel>
 LoadBundledModel(const Application& app, const std::string& name)
 {
@@ -28,11 +29,8 @@ LoadBundledModel(const Application& app, const std::string& name)
         std::string(SINAN_REPO_ROOT) + "/bench_cache/" + name + ".model";
     if (!std::filesystem::exists(path))
         return nullptr;
-    auto model = std::make_unique<HybridModel>(
-        AppFeatures(app, PipelineConfig{}), DefaultHybridConfig(), 1);
     std::ifstream in(path, std::ios::binary);
-    model->Load(in);
-    return model;
+    return LoadSinanModel(app, in);
 }
 
 } // namespace testutil

@@ -4,7 +4,8 @@
  * against tests/golden/. With SINAN_REGEN_GOLDEN set, the file is
  * rewritten from the rendering and the test is skipped, so an
  * intentional format or model change shows up as a reviewed diff of the
- * committed file. Tests including this define SINAN_REPO_ROOT.
+ * committed file. SINAN_REPO_ROOT, the source root, is defined for
+ * every test by sinan_test() in tests/CMakeLists.txt.
  */
 #ifndef SINAN_TESTS_GOLDEN_UTIL_H
 #define SINAN_TESTS_GOLDEN_UTIL_H

@@ -79,8 +79,6 @@ class PlantedModel : public LatencyModel {
     void Backward(const Tensor&) override {}
     std::vector<Param*> Params() override { return {}; }
     const char* Name() const override { return "planted"; }
-    void Save(std::ostream&) const override {}
-    void Load(std::istream&) override {}
 
   private:
     FeatureConfig fcfg_;

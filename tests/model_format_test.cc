@@ -21,6 +21,7 @@
 
 #include "app/apps.h"
 #include "bundled_model.h"
+#include "common/check.h"
 #include "common/cpu_features.h"
 #include "common/thread_pool.h"
 #include "golden_util.h"
@@ -172,13 +173,13 @@ TEST_F(ModelFormatTest, OldReaderRejectsVersionedFileCleanly)
     std::ostringstream out;
     model_->Save(out);
 
-    // A pre-container reader starts with Tensor::Load, which reads the
-    // magic as a tensor rank. kModelMagic is far outside the valid
+    // A pre-container reader starts with a tensor header, which reads
+    // the magic as a tensor rank. kModelMagic is far outside the valid
     // rank range by design, so the old reader fails loudly at byte 0
     // instead of shoveling garbage into weights.
     std::istringstream in(out.str());
     try {
-        (void)Tensor::Load(in);
+        (void)Tensor::LoadHeader(in);
         FAIL() << "old reader accepted a versioned container";
     } catch (const std::runtime_error& e) {
         EXPECT_NE(std::string(e.what()).find("corrupt header"),
@@ -331,6 +332,20 @@ UntrainedAppModel(const Application& app, uint64_t seed)
                        DefaultHybridConfig(), seed);
 }
 
+/** The committed bytes of bench_cache/@p name.model; empty when the
+ *  file is absent. */
+std::string
+BundledModelBytes(const std::string& name)
+{
+    std::ifstream file(std::string(SINAN_REPO_ROOT) + "/bench_cache/" +
+                           name + ".model",
+                       std::ios::binary);
+    std::ostringstream bytes;
+    if (file)
+        bytes << file.rdbuf();
+    return bytes.str();
+}
+
 TEST(LazyInit, UntrainedSaveKeepsTheEagerDrawsBytes)
 {
     // Save of a freshly constructed model, recorded from the eager
@@ -385,14 +400,9 @@ TEST(LazyInit, EveryFirstUseDrawsTheSameWeights)
 TEST(LazyInit, LoadDrawsNothingAndLeavesNoGradients)
 {
     const Application app = BuildSocialNetwork();
-    std::ifstream file(std::string(SINAN_REPO_ROOT) +
-                           "/bench_cache/social.model",
-                       std::ios::binary);
-    if (!file)
+    const std::string bytes = BundledModelBytes("social");
+    if (bytes.empty())
         GTEST_SKIP() << "bundled model social not present";
-    std::ostringstream committed;
-    committed << file.rdbuf();
-    const std::string bytes = committed.str();
 
     // Construction allocates one buffer per parameter tensor, each
     // sized from the layer's own shape; Load reads into them in place.
@@ -478,16 +488,11 @@ CheckBundledResave(const Application& app, const std::string& name)
     std::unique_ptr<HybridModel> model = LoadBundledModel(app, name);
     if (!model)
         GTEST_SKIP() << "bundled model " << name << " not present";
-    std::ifstream in(std::string(SINAN_REPO_ROOT) + "/bench_cache/" +
-                         name + ".model",
-                     std::ios::binary);
-    std::ostringstream committed;
-    committed << in.rdbuf();
-    std::ostringstream resaved;
-    model->Save(resaved);
-    EXPECT_TRUE(resaved.str() == committed.str())
-        << name << ": re-saved " << resaved.str().size()
-        << " bytes differ from the committed " << committed.str().size();
+    const std::string committed = BundledModelBytes(name);
+    const std::string resaved = SavedBytes(*model);
+    EXPECT_TRUE(resaved == committed)
+        << name << ": re-saved " << resaved.size()
+        << " bytes differ from the committed " << committed.size();
 }
 
 TEST(BundledModelFormat, HotelResavesByteForByte)
@@ -515,6 +520,37 @@ TEST(BundledModelFormat, HotelModelIntoSocialConfigThrowsAtLoad)
         EXPECT_NE(what.find("does not match the layer's ["),
                   std::string::npos)
             << "unexpected error: " << what;
+    }
+}
+
+TEST(BundledModelFormat, EveryTruncatedSocialContainerFailsCleanly)
+{
+    // The container is the one reader of untrusted model bytes. Each
+    // prefix of the social model (every cut in the first and last 64
+    // bytes, every 61st byte between) must fail as a format error,
+    // never as a broken contract, and without sizing a tensor from the
+    // bytes it read.
+    const Application app = BuildSocialNetwork();
+    const std::string bytes = BundledModelBytes("social");
+    if (bytes.size() < 64)
+        GTEST_SKIP() << "bundled model social not present";
+    std::vector<size_t> cuts;
+    for (size_t cut = 0; cut < bytes.size(); cut += cut < 64 ? 1 : 61)
+        cuts.push_back(cut);
+    for (size_t cut = bytes.size() - 64; cut < bytes.size(); ++cut)
+        cuts.push_back(cut);
+    for (const size_t cut : cuts) {
+        HybridModel loaded = UntrainedAppModel(app, 5);
+        std::istringstream in(bytes.substr(0, cut));
+        const uint64_t before = Tensor::AllocationEvents();
+        try {
+            loaded.Load(in);
+            ADD_FAILURE() << "a " << cut << "-byte prefix loaded";
+        } catch (const ContractViolation& e) {
+            ADD_FAILURE() << "cut " << cut << ": " << e.what();
+        } catch (const std::runtime_error&) {
+        }
+        EXPECT_EQ(Tensor::AllocationEvents(), before) << "cut " << cut;
     }
 }
 

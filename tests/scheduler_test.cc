@@ -9,7 +9,6 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
-#include <sstream>
 
 #include "app/apps.h"
 #include "common/check.h"
@@ -928,12 +927,9 @@ TEST_F(SchedulerFixture, TrustLifecycleSurvivesDegradedPhases)
  *  only throwing operation on the scheduler's model path. */
 class ThrowingModel : public HybridModel {
   public:
-    ThrowingModel(const FeatureConfig& f, const HybridModel& trained)
-        : HybridModel(f, HybridConfig{}, 1)
+    explicit ThrowingModel(const HybridModel& trained)
+        : HybridModel(trained)
     {
-        std::stringstream buf;
-        trained.Save(buf);
-        Load(buf);
     }
 
     std::vector<Prediction>
@@ -970,7 +966,7 @@ TEST_P(ContractViolationMidDecide, LeavesStateUnchanged)
     const ThrowCase& tc = GetParam();
     SchedulerConfig cfg;
     cfg.uncertainty.enabled = tc.uncertainty;
-    ThrowingModel faulty(*features_, *model_);
+    ThrowingModel faulty(*model_);
     SinanScheduler sched(faulty, cfg);
     SinanScheduler ref(*model_, cfg);
     DecisionTrace trace, ref_trace;

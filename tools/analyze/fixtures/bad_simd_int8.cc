@@ -1,6 +1,6 @@
 // lint-expect: raw-simd-intrinsic
-// Extending the raw-simd-intrinsic allowlist to gemm_int8_avx2.cc must
-// not blanket-allow the int8 intrinsics anywhere else.
+// Only the src/tensor intrinsics TU (gemm_avx2.cc) may use vector
+// intrinsics: int8 ones anywhere else are flagged like any other.
 #include <immintrin.h>
 
 namespace sinan {
