@@ -36,12 +36,12 @@ Cluster::Cluster(const Application& app, const ClusterConfig& cfg,
     tiers_.resize(app.tiers.size());
     for (size_t i = 0; i < app.tiers.size(); ++i) {
         TierState& t = tiers_[i];
-        t.spec = app.tiers[i];
-        t.cpu_limit = t.spec.init_cpu;
-        t.slots = t.spec.concurrency_per_replica * t.spec.replicas *
+        t.spec = &app.tiers[i];
+        t.cpu_limit = t.spec->init_cpu;
+        t.slots = t.spec->concurrency_per_replica * t.spec->replicas *
                   cfg.replica_scale;
-        t.cache_mb = t.spec.base_cache_mb;
-        t.next_sync_at = t.spec.log_sync_period_s;
+        t.cache_mb = t.spec->base_cache_mb;
+        t.next_sync_at = t.spec->log_sync_period_s;
     }
 
     roots_.reserve(app.request_types.size());
@@ -105,7 +105,7 @@ Cluster::AllocStage()
     // No reset: SpawnStage writes every field of the recycled slot.
     if (free_head_ >= 0) {
         const int32_t h = free_head_;
-        free_head_ = stages_[h].parent;
+        free_head_ = stages_[h].next;
         return h;
     }
     stages_.emplace_back();
@@ -119,7 +119,7 @@ Cluster::FreeStage(int32_t handle)
 {
     Stage& s = stages_[handle];
     s.state = 0;
-    s.parent = free_head_;
+    s.next = free_head_;
     free_head_ = handle;
 }
 
@@ -133,18 +133,25 @@ Cluster::SpawnStage(int32_t node, int32_t parent, double now)
     s.node = static_cast<uint16_t>(node);
     s.state = 1; // queued
     s.pending_children = 0;
+    s.next = -1;
+    // Tick keeps tick_id_ + 1 within kMaxTicks.
+    s.ready_tick = static_cast<int32_t>(in_tick_ ? tick_id_ + 1 : tick_id_);
     s.remaining_s = rng_.LogNormal(fn.demand);
     s.enqueue_time = now;
-    s.ready_tick = in_tick_ ? tick_id_ + 1 : tick_id_;
     if (!stage_spans_.empty())
         stage_spans_[h] = StageSpan{};
 
     TierState& tier = tiers_[fn.tier];
-    tier.queue.push_back(h);
-    tier.rx_pkts += tier.spec.pkts_per_rpc;
+    if (tier.queue_tail >= 0)
+        stages_[tier.queue_tail].next = h;
+    else
+        tier.queue_head = h;
+    tier.queue_tail = h;
+    ++tier.queue_len;
+    tier.rx_pkts += tier.spec->pkts_per_rpc;
     if (fn.caller_tier >= 0)
         tiers_[fn.caller_tier].tx_pkts +=
-            tiers_[fn.caller_tier].spec.pkts_per_rpc;
+            tiers_[fn.caller_tier].spec->pkts_per_rpc;
     return h;
 }
 
@@ -222,9 +229,13 @@ Cluster::TakeTraces()
 void
 Cluster::AdmitFromQueue(TierState& tier, double now)
 {
-    while (tier.active < tier.slots && tier.queue_head < tier.queue.size()) {
-        const int32_t h = tier.queue[tier.queue_head++];
+    while (tier.CanAdmit()) {
+        const int32_t h = tier.queue_head;
         Stage& s = stages_[h];
+        tier.queue_head = s.next;
+        if (tier.queue_head < 0)
+            tier.queue_tail = -1;
+        --tier.queue_len;
         s.state = 2; // running
         // Children spawned mid-tick carry the tick-end timestamp while
         // admission runs at tick start, so the difference is clamped.
@@ -237,19 +248,6 @@ Cluster::AdmitFromQueue(TierState& tier, double now)
             Span& span = active_traces_[ss.trace_idx].spans[ss.span_idx];
             span.start_s = std::max(now, span.enqueue_s);
         }
-    }
-    // Drop the consumed prefix when nothing is left behind it, or when a
-    // standing backlog makes it the larger half (amortized O(1) per
-    // admission).
-    if (tier.queue_head == tier.queue.size()) {
-        tier.queue.clear();
-        tier.queue_head = 0;
-    } else if (tier.queue_head >= TierState::kQueueCompactAt &&
-               2 * tier.queue_head >= tier.queue.size()) {
-        tier.queue.erase(tier.queue.begin(),
-                         tier.queue.begin() +
-                             static_cast<std::ptrdiff_t>(tier.queue_head));
-        tier.queue_head = 0;
     }
 }
 
@@ -300,13 +298,13 @@ Cluster::CompleteStage(int32_t handle, double end_time)
         TierState& tier = tiers_[fn.tier];
 
         --tier.active;
-        tier.tx_pkts += tier.spec.pkts_per_rpc;
-        tier.written_mb += tier.spec.written_mb_per_req;
-        tier.cache_mb = std::min(tier.spec.max_cache_mb,
-                                 tier.cache_mb + tier.spec.cache_per_req_mb);
+        tier.tx_pkts += tier.spec->pkts_per_rpc;
+        tier.written_mb += tier.spec->written_mb_per_req;
+        tier.cache_mb = std::min(tier.spec->max_cache_mb,
+                                 tier.cache_mb + tier.spec->cache_per_req_mb);
         if (fn.caller_tier >= 0)
             tiers_[fn.caller_tier].rx_pkts +=
-                tiers_[fn.caller_tier].spec.pkts_per_rpc;
+                tiers_[fn.caller_tier].spec->pkts_per_rpc;
 
         // A root's enqueue time is its request's injection time.
         if (fn.root) {
@@ -331,27 +329,30 @@ Cluster::CompleteStage(int32_t handle, double end_time)
 void
 Cluster::Tick(double now, double dt)
 {
+    if (tick_id_ >= kMaxTicks)
+        throw std::overflow_error("Cluster::Tick: more than " +
+                                  std::to_string(kMaxTicks) + " ticks");
     in_tick_ = true;
     const double end_time = now + dt;
     for (TierState& tier : tiers_) {
         // Log-sync stall model: at each period boundary the tier forks and
         // copies dirty memory, serving nothing while it does.
-        if (tier.spec.log_sync && now >= tier.next_sync_at) {
-            const double stall = tier.spec.stall_base_s +
-                                 tier.spec.stall_s_per_mb * tier.written_mb;
+        if (tier.spec->log_sync && now >= tier.next_sync_at) {
+            const double stall = tier.spec->stall_base_s +
+                                 tier.spec->stall_s_per_mb * tier.written_mb;
             // max: an injected stall (InjectStall) may already reach
             // further than this sync's own pause.
             tier.stall_until = std::max(tier.stall_until, now + stall);
             tier.written_mb = 0.0;
-            tier.next_sync_at += tier.spec.log_sync_period_s;
+            tier.next_sync_at += tier.spec->log_sync_period_s;
         }
 
-        // Idle: nothing runs and nothing can be admitted, so admission,
-        // the sharing rounds and the compaction would all be no-ops and
-        // the checks below hold trivially. Only occupancy is sampled.
+        // Idle: nothing runs and nothing can be admitted, so admission
+        // and the sharing rounds would be no-ops and the checks below
+        // hold trivially. Only occupancy is sampled.
         const bool admissible = tier.CanAdmit();
         if (tier.running.empty() && !admissible) {
-            tier.queue_len_acc += static_cast<int64_t>(tier.QueueLen());
+            tier.queue_len_acc += tier.queue_len;
             tier.active_acc += tier.active;
             continue;
         }
@@ -445,9 +446,9 @@ Cluster::Tick(double now, double dt)
         SINAN_CHECK_BOUNDS(tier.active, 0, tier.slots);
         SINAN_CHECK(tier.running.size() <=
                     static_cast<size_t>(tier.active));
-        SINAN_CHECK(tier.queue_head <= tier.queue.size());
+        SINAN_CHECK((tier.queue_head < 0) == (tier.queue_len == 0));
 
-        tier.queue_len_acc += static_cast<int64_t>(tier.QueueLen());
+        tier.queue_len_acc += tier.queue_len;
         tier.active_acc += tier.active;
     }
     ++tick_samples_;
@@ -479,8 +480,8 @@ Cluster::Harvest(double now, double interval_s)
         m.cpu_used = noisy(tier.cpu_used_acc / interval_s);
         m.queue_len = static_cast<double>(tier.queue_len_acc) / samples;
         m.active = static_cast<double>(tier.active_acc) / samples;
-        m.rss_mb = noisy(tier.spec.base_rss_mb + tier.written_mb +
-                         tier.spec.rss_per_inflight_mb *
+        m.rss_mb = noisy(tier.spec->base_rss_mb + tier.written_mb +
+                         tier.spec->rss_per_inflight_mb *
                              (m.queue_len + m.active));
         m.cache_mb = noisy(tier.cache_mb);
         m.rx_pps = noisy(tier.rx_pkts / interval_s);
@@ -519,7 +520,7 @@ Cluster::SetCpuLimit(int tier, double cores)
     if (tier < 0 || tier >= NumTiers())
         throw std::out_of_range("Cluster::SetCpuLimit: bad tier");
     TierState& t = tiers_[tier];
-    t.cpu_limit = std::clamp(cores, t.spec.min_cpu, t.spec.max_cpu);
+    t.cpu_limit = std::clamp(cores, t.spec->min_cpu, t.spec->max_cpu);
 }
 
 void

@@ -44,34 +44,31 @@ struct ClusterConfig {
 
 /** Runtime state of one tier (exposed for tests and white-box benches). */
 struct TierState {
-    TierSpec spec;
+    /** The tier's spec inside the cluster's application, which the
+     *  cluster references and does not copy. */
+    const TierSpec* spec = nullptr;
     /** Current CPU limit in cores. */
     double cpu_limit = 0.0;
     /** Total concurrency slots. */
     int slots = 0;
     /** Occupied slots (running + blocked on children). */
     int active = 0;
-    /** Admission queue of stage handles: FIFO from queue_head on. The
-     *  consumed prefix is dropped when the queue drains, or once it is
-     *  at least kQueueCompactAt long and half the vector. */
-    std::vector<int32_t> queue;
-    size_t queue_head = 0;
+    /** Admission queue: a FIFO of stage handles linked through the
+     *  stage arena (oldest at queue_head, newest at queue_tail; both -1
+     *  when empty), so a drained queue keeps no memory. */
+    int32_t queue_head = -1;
+    int32_t queue_tail = -1;
+    int64_t queue_len = 0;
     /** Stages admitted and still owing local CPU work, in admission
      *  order (the order CPU is handed out in). Inside Tick a finished
      *  entry is marked -1 and dropped before the tier-tick ends. */
     std::vector<int32_t> running;
 
-    static constexpr size_t kQueueCompactAt = 1024;
-
     /** Stages waiting for a slot. */
-    size_t QueueLen() const { return queue.size() - queue_head; }
+    size_t QueueLen() const { return static_cast<size_t>(queue_len); }
 
     /** A slot is free and a stage is waiting for it. */
-    bool
-    CanAdmit() const
-    {
-        return active < slots && queue_head < queue.size();
-    }
+    bool CanAdmit() const { return active < slots && queue_head >= 0; }
 
     /** Externally imposed capacity multiplier in [0, 1] (fault
      *  injection: capacity loss / noisy neighbor). Invisible to the
@@ -109,7 +106,9 @@ class Cluster {
     /** Injects one request of the given type at time @p now. */
     void Inject(int request_type, double now);
 
-    /** Advances all tiers by one tick of length @p dt starting at @p now. */
+    /** Advances all tiers by one tick of length @p dt starting at @p now.
+     *  Throws std::overflow_error instead of running tick 2^31 (stage
+     *  ready ticks are 32 bits wide). */
     void Tick(double now, double dt);
 
     /**
@@ -191,24 +190,29 @@ class Cluster {
      *  A request's latency is its root's end time minus the root's
      *  enqueue time, which Inject sets to the injection time. */
     struct alignas(32) Stage {
-        /** Sync parent waiting on this stage (-1: none). In a free
-         *  slot: the next free slot (-1: end of the free list). */
+        /** Sync parent waiting on this stage (-1: none). */
         int32_t parent = -1;
         uint16_t node = 0;
         int8_t state = 0; // 0 free, 1 queued, 2 running, 3 blocked
         uint8_t pending_children = 0;
-        double remaining_s = 0.0;
-        double enqueue_time = 0.0;
+        /** Queued: the next stage in its tier's admission queue. Free:
+         *  the next free slot. -1 ends either list; unused otherwise. */
+        int32_t next = -1;
         /** First tick in which this stage may consume CPU. Children
          *  spawned mid-tick wait one tick, so a serial RPC chain cannot
          *  compress multiple hops of work into a single tick. */
-        int64_t ready_tick = 0;
+        int32_t ready_tick = 0;
+        double remaining_s = 0.0;
+        double enqueue_time = 0.0;
     };
     static_assert(sizeof(Stage) == 32, "Stage must fill half a cache line");
 
-    /** Limits of the narrow Stage fields, checked by FlattenTree. */
+    /** Limits of the narrow Stage fields: FlattenTree checks the node
+     *  and child counts, Tick the tick count (about 248 simulated days
+     *  at 10 ms ticks). */
     static constexpr size_t kMaxNodes = 65535;
     static constexpr int kMaxSyncChildren = 255;
+    static constexpr int64_t kMaxTicks = INT32_MAX;
 
     /** Tracing handles of one stage (-1: untraced). */
     struct StageSpan {
@@ -261,7 +265,7 @@ class Cluster {
 
     std::vector<Stage> stages_;
     /** Most recently freed stage slot (-1: none); the free slots form a
-     *  LIFO list linked through Stage::parent. */
+     *  LIFO list linked through Stage::next. */
     int32_t free_head_ = -1;
     /** Tracing handles, indexed like stages_; empty unless
      *  trace_sample > 0. */

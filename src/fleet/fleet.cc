@@ -267,7 +267,9 @@ MakeBaselineManager(const std::string& name)
 
 /** One cluster of the fleet: the full per-shard simulation state. */
 struct FleetManager::Shard {
-    Application app;
+    /** The shard's application in the caller's FleetApps, which
+     *  outlives the fleet; shards of one kind share it. */
+    const Application* app = nullptr;
     std::unique_ptr<ConstantLoad> load;
     std::unique_ptr<ResourceManager> manager;
     /** Set iff the manager is a SinanScheduler (for model rebinding). */
@@ -299,7 +301,7 @@ FleetManager::FleetManager(const FleetConfig& cfg,
     shards_.reserve(specs_.size());
     for (const ShardSpec& spec : specs_) {
         auto shard = std::make_unique<Shard>();
-        shard->app = AppForKind(apps, spec.app);
+        shard->app = &AppForKind(apps, spec.app);
         shard->kind = spec.app == "hotel" ? 0 : 1;
         shard->load = std::make_unique<ConstantLoad>(spec.users);
         if (!spec.faults.empty())
@@ -325,7 +327,7 @@ FleetManager::FleetManager(const FleetConfig& cfg,
         rc.faults = shard->faults;
         rc.seed = spec.seed;
         shard->run = std::make_unique<ManagedRun>(
-            shard->app, *shard->manager, *shard->load, rc);
+            *shard->app, *shard->manager, *shard->load, rc);
         shards_.push_back(std::move(shard));
     }
 }
@@ -406,10 +408,10 @@ FleetManager::Run()
             const Shard& shard = *shards_[static_cast<size_t>(k)];
             const IntervalRecord& rec = shard.run->LastRecord();
             fir.time_s = rec.time_s;
-            if (rec.p99_ms > shard.app.qos_ms)
+            if (rec.p99_ms > shard.app->qos_ms)
                 ++fir.violations;
             fir.worst_p99_frac = std::max(
-                fir.worst_p99_frac, rec.p99_ms / shard.app.qos_ms);
+                fir.worst_p99_frac, rec.p99_ms / shard.app->qos_ms);
             fir.total_cpu += rec.total_cpu;
             fir.total_rps += rec.rps;
         }
@@ -429,21 +431,21 @@ FleetManager::Run()
         Shard& shard = *shards_[k];
         FleetClusterResult cluster;
         cluster.spec = specs_[k];
-        cluster.app_name = shard.app.name;
-        cluster.qos_ms = shard.app.qos_ms;
+        cluster.app_name = shard.app->name;
+        cluster.qos_ms = shard.app->qos_ms;
         cluster.result = shard.run->Finish();
         if (!shard.faults.Empty()) {
             const double fault_end_s =
                 static_cast<double>(shard.faults.EndInterval()) *
                 cfg_.sim.interval_s;
             cluster.recovery_intervals = RecoveryIntervals(
-                cluster.result, fault_end_s, shard.app.qos_ms);
+                cluster.result, fault_end_s, shard.app->qos_ms);
         }
         for (const IntervalRecord& rec : cluster.result.timeline) {
             if (rec.time_s <= cfg_.warmup_s)
                 continue;
             ++out.measured_cluster_intervals;
-            if (rec.p99_ms <= shard.app.qos_ms)
+            if (rec.p99_ms <= shard.app->qos_ms)
                 ++met;
             else
                 ++out.violation_cluster_intervals;

@@ -115,7 +115,8 @@ struct FleetConfig {
  * caller (the CLI, tests, benches) so the fleet layer never reaches up
  * into app/ to build them itself. A kind may be null when no shard of
  * that app exists; a shard whose application is missing is a contract
- * violation. The referenced applications must outlive the fleet.
+ * violation. Shards and their clusters reference these applications
+ * without copying them, so they must outlive the fleet.
  */
 struct FleetApps {
     const Application* hotel = nullptr;

@@ -40,17 +40,17 @@ ManagedRun::AdvanceInterval()
                                 "twice without DecideAndApply");
     SINAN_CHECK_MSG(!Done() && !finished_,
                     "ManagedRun: AdvanceInterval on a finished run");
-    const std::vector<double> alloc = cluster_.Allocation();
+    // The allocation the interval runs under, read before it runs.
+    pending_rec_ = IntervalRecord{};
+    pending_rec_.alloc = cluster_.Allocation();
     const IntervalObservation obs = sim_.RunInterval();
     const double now = sim_.Now();
     const int64_t interval = intervals_done_;
 
-    pending_rec_ = IntervalRecord{};
     pending_rec_.time_s = now;
     pending_rec_.rps = obs.rps;
     pending_rec_.p99_ms = obs.P99();
     pending_rec_.total_cpu = obs.TotalCpuLimit();
-    pending_rec_.alloc = alloc;
 
     pending_managed_ = obs;
     if (injector_) {

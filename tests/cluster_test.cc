@@ -3,10 +3,10 @@
  * Tests for the cluster queueing substrate: processor sharing, call-tree
  * execution, concurrency-slot back-pressure, cache short-circuits, async
  * fan-out, metric accounting, the log-sync stall model, and the tick's
- * bookkeeping: call-node validation and size limits, admission-queue
- * compaction, stage-handle recycling, finished-stage marks, idle-tier
- * occupancy sampling, the precomputed demand draw, and conservation
- * under every chaos scenario.
+ * bookkeeping: call-node validation and size limits, the admission
+ * FIFO linked through the stage arena, stage-handle recycling,
+ * finished-stage marks, idle-tier occupancy sampling, the precomputed
+ * demand draw, and conservation under every chaos scenario.
  */
 #include <gtest/gtest.h>
 
@@ -611,42 +611,109 @@ TEST_P(SaturationTest, BacklogIffOverloaded)
 INSTANTIATE_TEST_SUITE_P(LoadFactors, SaturationTest,
                          ::testing::Values(0.3, 0.5, 0.7, 1.5, 2.0, 3.0));
 
-TEST(Cluster, FifoAdmissionSurvivesQueueCompaction)
+TEST(Cluster, AdmissionQueueIsFifoAcrossALongBacklog)
 {
     // One slot and every request traced: completion order is admission
-    // order, and trace ids are injection order. A stall piles up a
-    // backlog three times the compaction threshold, which then drains
-    // through mid-backlog compactions and the final empty-queue reset.
+    // order, and trace ids are injection order. A stall piles up 3072
+    // queued stages behind the slot; each admission takes one off the
+    // head, and the drained queue holds no handle.
     Application app = ChainApp({0.1});
     app.tiers[0].concurrency_per_replica = 1;
     app.tiers[0].replicas = 1;
     ClusterConfig cfg;
     cfg.trace_sample = 1.0;
     Cluster cluster(app, cfg, 1);
-    const int n = 3 * static_cast<int>(TierState::kQueueCompactAt);
+    const int n = 3072;
     cluster.InjectStall(0, 0.3);
     for (int i = 0; i < n; ++i)
         cluster.Inject(0, 0.0);
+    ASSERT_EQ(cluster.TierAt(0).QueueLen(), static_cast<size_t>(n));
 
     std::vector<int64_t> order;
-    bool compacted_mid_backlog = false;
     double now = 0.0;
     for (int tick = 0; tick < 200 && cluster.InFlight() > 0; ++tick) {
+        const int64_t before =
+            static_cast<int64_t>(cluster.TierAt(0).QueueLen()) +
+            cluster.TierAt(0).active;
         cluster.Tick(now, 0.01);
         now += 0.01;
+        const std::vector<Trace> done = cluster.TakeTraces();
+        // Every completion frees the slot for exactly one admission.
         const TierState& t = cluster.TierAt(0);
-        if (t.QueueLen() > 0 && t.queue.size() < static_cast<size_t>(n) - 1)
-            compacted_mid_backlog = true;
-        for (const Trace& tr : cluster.TakeTraces())
+        EXPECT_EQ(static_cast<int64_t>(t.QueueLen()) + t.active,
+                  before - static_cast<int64_t>(done.size()))
+            << "tick " << tick;
+        for (const Trace& tr : done)
             order.push_back(tr.trace_id);
     }
-    EXPECT_TRUE(compacted_mid_backlog);
     EXPECT_EQ(cluster.InFlight(), 0);
-    EXPECT_EQ(cluster.TierAt(0).QueueLen(), 0u);
-    EXPECT_TRUE(cluster.TierAt(0).queue.empty());
+    const TierState& t = cluster.TierAt(0);
+    EXPECT_EQ(t.QueueLen(), 0u);
+    EXPECT_EQ(t.queue_head, -1);
+    EXPECT_EQ(t.queue_tail, -1);
     ASSERT_EQ(order.size(), static_cast<size_t>(n));
     for (int i = 0; i < n; ++i)
         ASSERT_EQ(order[i], i + 1) << "completion " << i;
+}
+
+TEST(Cluster, AdmissionQueueDrainsAndRefillsWithinOneTickInOrder)
+{
+    // One slot on one core. A root's admission drains the queue; the
+    // root then finishes within the tick and refills the empty queue
+    // with three async children on its own tier, the first of which is
+    // admitted before the tick ends. Each child needs 0.8 of a tick, so
+    // they finish in consecutive ticks, in queue order.
+    Application app = ChainApp({0.1});
+    app.tiers[0].concurrency_per_replica = 1;
+    app.tiers[0].replicas = 1;
+    app.tiers[0].init_cpu = 1.0;
+    CallNode child;
+    child.tier = 0;
+    child.demand_s = 0.008;
+    child.demand_cv = 0.0;
+    child.async = true;
+    for (int c = 0; c < 3; ++c)
+        app.request_types[0].root.children.push_back(child);
+    ClusterConfig cfg;
+    cfg.trace_sample = 1.0;
+    Cluster cluster(app, cfg, 2);
+
+    const int n = 5;
+    const double dt = 0.01;
+    std::vector<Trace> traces;
+    for (int tick = 0; tick < 4 * n; ++tick) {
+        const double now = tick * dt;
+        const bool inject = tick % 4 == 0;
+        if (inject)
+            cluster.Inject(0, now);
+        cluster.Tick(now, dt);
+        const TierState& t = cluster.TierAt(0);
+        if (inject) {
+            // Refilled after the drain: one child admitted, two queued.
+            EXPECT_EQ(t.active, 1) << "tick " << tick;
+            EXPECT_EQ(t.QueueLen(), 2u) << "tick " << tick;
+        }
+        EXPECT_EQ(t.QueueLen() == 0, t.queue_head < 0);
+        EXPECT_EQ(t.queue_head < 0, t.queue_tail < 0);
+        for (Trace& tr : cluster.TakeTraces())
+            traces.push_back(std::move(tr));
+    }
+    EXPECT_EQ(cluster.InFlight(), 0);
+    EXPECT_EQ(cluster.TierAt(0).queue_head, -1);
+    EXPECT_EQ(cluster.TierAt(0).queue_tail, -1);
+    ASSERT_EQ(traces.size(), static_cast<size_t>(n));
+    for (int i = 0; i < n; ++i) {
+        const Trace& tr = traces[static_cast<size_t>(i)];
+        EXPECT_EQ(tr.trace_id, i + 1);
+        ASSERT_EQ(tr.spans.size(), 4u);
+        // Spans 1-3 are the children in spawn order; each ends one
+        // tick after the one queued before it.
+        const double injected = 4 * i * dt;
+        for (int c = 1; c <= 3; ++c)
+            EXPECT_NEAR(tr.spans[static_cast<size_t>(c)].end_s,
+                        injected + (c + 1) * dt, 1e-9)
+                << "request " << i << " child " << c;
+    }
 }
 
 TEST(Cluster, RecycledHandleNeverRunsTwice)
