@@ -5,13 +5,20 @@
 #include <fstream>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "app/apps.h"
 #include "common/parse.h"
+#include "common/text_appender.h"
 #include "common/thread_pool.h"
+#include "core/scheduler.h"
 #include "fleet/fleet_log.h"
 #include "harness/harness.h"
+#include "harness/runlog.h"
+#include "harness/telemetry_log.h"
 
 namespace sinan {
 
@@ -46,6 +53,24 @@ ListChaosScenarios()
 {
     std::fputs(FormatChaosCatalog().c_str(), stdout);
     std::exit(0);
+}
+
+/** The file behind an output flag, opened (and truncated) before the
+ *  run so a bad path fails in seconds, not after it; null when the
+ *  flag is unset. Throws what TextFile throws. */
+std::unique_ptr<TextFile>
+OpenOutput(const std::string& path)
+{
+    return path.empty() ? nullptr : std::make_unique<TextFile>(path);
+}
+
+/** Reports a failed open or write of an output file on one line and
+ *  returns the exit code for it, 1. */
+int
+OutputFailed(const std::runtime_error& e)
+{
+    std::fprintf(stderr, "sinan_sim: %s\n", e.what());
+    return 1;
 }
 
 } // namespace
@@ -367,6 +392,13 @@ int
 RunFleetMode(const SimOptions& opt)
 {
     const FleetConfig cfg = BuildFleetConfig(opt);
+    std::unique_ptr<TextFile> fleet_log, fleet_report;
+    try {
+        fleet_log = OpenOutput(opt.fleet_log_path);
+        fleet_report = OpenOutput(opt.fleet_report_path);
+    } catch (const std::runtime_error& e) {
+        return OutputFailed(e);
+    }
     const Application hotel_app = BuildHotelReservation();
     const Application social_app = BuildSocialNetwork();
     const FleetApps apps{&hotel_app, &social_app};
@@ -428,15 +460,184 @@ RunFleetMode(const SimOptions& opt)
                 "(wall %.2f s, %d model clones)\n",
                 r.shard_intervals_per_s, r.wall_s, r.model_clones);
 
-    if (!opt.fleet_log_path.empty()) {
-        WriteFleetTrace(opt.fleet_log_path, r);
-        std::printf("  fleet trace       : %s\n",
-                    opt.fleet_log_path.c_str());
+    try {
+        if (fleet_log) {
+            AppendFleetTrace(fleet_log->Out(), r);
+            fleet_log->Close();
+            std::printf("  fleet trace       : %s\n",
+                        opt.fleet_log_path.c_str());
+        }
+        if (fleet_report) {
+            AppendFleetSummaryJson(fleet_report->Out(), r);
+            fleet_report->Close();
+            std::printf("  fleet report      : %s\n",
+                        opt.fleet_report_path.c_str());
+        }
+    } catch (const std::runtime_error& e) {
+        return OutputFailed(e);
     }
-    if (!opt.fleet_report_path.empty()) {
-        WriteFleetReport(opt.fleet_report_path, r);
-        std::printf("  fleet report      : %s\n",
-                    opt.fleet_report_path.c_str());
+    return 0;
+}
+
+int
+RunSingleMode(const SimOptions& opt)
+{
+    std::unique_ptr<TextFile> log, decision_log, metrics;
+    try {
+        log = OpenOutput(opt.log_path);
+        decision_log = OpenOutput(opt.decision_log_path);
+        metrics = OpenOutput(opt.metrics_path);
+    } catch (const std::runtime_error& e) {
+        return OutputFailed(e);
+    }
+
+    Application app = opt.app == "hotel" ? BuildHotelReservation()
+                                         : BuildSocialNetwork();
+    if (!opt.mix_weights.empty()) {
+        try {
+            SetRequestMix(app, opt.mix_weights);
+        } catch (const std::exception& e) {
+            SimUsage(e.what());
+        }
+    }
+
+    RunConfig cfg;
+    cfg.duration_s = opt.duration_s;
+    cfg.warmup_s = opt.warmup_s;
+    cfg.seed = opt.seed;
+    cfg.faults = opt.faults;
+
+    std::unique_ptr<ResourceManager> manager;
+    std::unique_ptr<HybridModel> model;
+    if (opt.manager == "sinan") {
+        model = opt.model_path.empty()
+                    ? std::move(TrainForCli(app, opt.app == "hotel", opt)
+                                    ->model)
+                    : LoadModelForCli(app, opt.model_path);
+        SchedulerConfig scfg;
+        scfg.uncertainty = opt.uncertainty;
+        manager = std::make_unique<SinanScheduler>(*model, scfg);
+    } else {
+        manager = MakeBaselineManager(opt.manager);
+    }
+
+    std::unique_ptr<LoadShape> load;
+    if (opt.diurnal) {
+        load = std::make_unique<DiurnalLoad>(
+            opt.diurnal_low, opt.diurnal_high, opt.diurnal_period);
+    } else {
+        load = std::make_unique<ConstantLoad>(opt.users);
+    }
+
+    // Stepped as RunManaged steps it, but the decision log takes each
+    // interval's entries as they come: the run never holds its trace.
+    ManagedRun run(app, *manager, *load, cfg);
+    size_t decisions_logged = 0;
+    try {
+        if (decision_log)
+            AppendDecisionTraceHeader(decision_log->Out());
+        while (!run.Done()) {
+            run.AdvanceInterval();
+            run.DecideAndApply();
+            if (decision_log) {
+                const std::vector<DecisionTraceEntry>& last =
+                    run.LastDecisions().intervals;
+                AppendDecisionTraceEntries(decision_log->Out(), last);
+                decisions_logged += last.size();
+            }
+        }
+        if (decision_log)
+            decision_log->Close();
+    } catch (const std::runtime_error& e) {
+        return OutputFailed(e);
+    }
+    const RunResult r = run.Finish();
+
+    std::printf("\n%s on %s for %.0f s:\n", manager->Name(),
+                app.name.c_str(), opt.duration_s);
+    std::printf("  P(meet QoS)       : %.3f\n", r.qos_meet_prob);
+    std::printf("  mean / max CPU    : %.1f / %.1f cores\n", r.mean_cpu,
+                r.max_cpu);
+    std::printf("  mean p99          : %.1f ms (QoS %.0f ms)\n",
+                r.mean_p99_ms, app.qos_ms);
+
+    const TelemetrySummary tel = SummarizeTelemetry(r.metrics);
+    if (tel.decisions > 0) {
+        std::printf("  decisions         : %llu (%llu warmup, %llu "
+                    "model, %llu no-feasible)\n",
+                    static_cast<unsigned long long>(tel.decisions),
+                    static_cast<unsigned long long>(tel.warmup),
+                    static_cast<unsigned long long>(tel.model_decisions),
+                    static_cast<unsigned long long>(tel.no_feasible));
+        std::printf("  fallbacks         : %llu (%llu escalated), rate "
+                    "%.3f\n",
+                    static_cast<unsigned long long>(tel.fallbacks),
+                    static_cast<unsigned long long>(tel.escalations),
+                    tel.FallbackRate());
+        std::printf("  prediction acc.   : %.3f (%llu mispredictions / "
+                    "%llu predictions)\n",
+                    tel.PredictionAccuracy(),
+                    static_cast<unsigned long long>(tel.mispredictions),
+                    static_cast<unsigned long long>(tel.predictions));
+        std::printf("  trust events      : %llu lost, %llu restored\n",
+                    static_cast<unsigned long long>(tel.trust_lost),
+                    static_cast<unsigned long long>(tel.trust_restored));
+        if (tel.uncertain > 0) {
+            std::printf("  uncertain decis.  : %llu (%llu model)\n",
+                        static_cast<unsigned long long>(tel.uncertain),
+                        static_cast<unsigned long long>(
+                            tel.uncertain_model));
+        }
+    }
+    if (!opt.faults.Empty()) {
+        std::printf("  fault intervals   : %llu injected\n",
+                    static_cast<unsigned long long>(r.metrics.Counter(
+                        "sinan.faults.active_intervals")));
+        if (tel.degraded > 0) {
+            std::printf("  degraded decisions: %llu (%llu model, %llu "
+                        "heuristic, %llu hold), %llu watchdog "
+                        "upscales\n",
+                        static_cast<unsigned long long>(tel.degraded),
+                        static_cast<unsigned long long>(
+                            tel.degraded_model),
+                        static_cast<unsigned long long>(
+                            tel.degraded_heuristic),
+                        static_cast<unsigned long long>(
+                            tel.degraded_hold),
+                        static_cast<unsigned long long>(
+                            tel.watchdog_upscales));
+        }
+        const double fault_end_s =
+            static_cast<double>(opt.faults.EndInterval()) *
+            cfg.sim.interval_s;
+        const int rec = RecoveryIntervals(r, fault_end_s, app.qos_ms);
+        if (rec < 0)
+            std::printf("  recovery          : not within the run\n");
+        else
+            std::printf("  recovery          : %d interval%s after the "
+                        "last fault\n",
+                        rec, rec == 1 ? "" : "s");
+    }
+
+    try {
+        if (log) {
+            AppendRunLog(log->Out(), r, app);
+            log->Close();
+            std::printf("  execution log     : %s\n",
+                        opt.log_path.c_str());
+        }
+        if (decision_log) {
+            std::printf("  decision log      : %s (%zu intervals)\n",
+                        opt.decision_log_path.c_str(), decisions_logged);
+        }
+        if (metrics) {
+            r.metrics.AppendCsv(metrics->Out());
+            metrics->Close();
+            std::printf("  metrics           : %s\n",
+                        opt.metrics_path.c_str());
+        }
+    } catch (const std::runtime_error& e) {
+        return OutputFailed(e);
     }
     return 0;
 }

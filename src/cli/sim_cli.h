@@ -115,12 +115,27 @@ std::unique_ptr<HybridModel> LoadModelForCli(const Application& app,
 FleetConfig BuildFleetConfig(const SimOptions& opt);
 
 /**
- * Executes fleet mode end-to-end: trains one Sinan model per app kind
- * that has sinan-managed shards (skipped when none do), runs the
- * fleet, prints the per-cluster and fleet-wide summary, and writes the
- * --fleet-log / --fleet-report outputs. Returns the process exit code.
+ * Executes fleet mode end-to-end: opens the --fleet-log /
+ * --fleet-report files, trains one Sinan model per app kind that has
+ * sinan-managed shards (skipped when none do), runs the fleet, prints
+ * the per-cluster and fleet-wide summary, and writes the two outputs.
+ * Returns the process exit code: 0, or 1 (one line on stderr) when an
+ * output file cannot be opened or written.
  */
 int RunFleetMode(const SimOptions& opt);
+
+/**
+ * Executes single-cluster mode end-to-end: opens the --log,
+ * --decision-log and --metrics files, builds the manager (training or
+ * loading --model for sinan), steps one ManagedRun, and prints the run
+ * summary. The decision log is streamed: each interval's
+ * LastDecisions() is appended as it is decided, so the bytes equal
+ * DecisionTraceToCsv(RunManaged(...).decision_trace) while the trace
+ * is never held. Returns the process exit code: 0, or 1 (one line on
+ * stderr) when an output file cannot be opened — checked before the
+ * run starts — or written.
+ */
+int RunSingleMode(const SimOptions& opt);
 
 } // namespace sinan
 

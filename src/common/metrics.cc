@@ -1,8 +1,9 @@
 #include "common/metrics.h"
 
 #include <algorithm>
-#include <sstream>
 #include <stdexcept>
+
+#include "common/text_appender.h"
 
 namespace sinan {
 
@@ -92,47 +93,57 @@ MetricsRegistry::Histogram(const std::string& name) const
     return it == histograms_.end() ? nullptr : &it->second;
 }
 
-namespace {
-
-/** Shortest round-trip-safe formatting keeps the CSV/JSON stable. */
-std::string
-FormatValue(double v)
-{
-    std::ostringstream out;
-    out.precision(17);
-    out << v;
-    return out.str();
-}
-
-} // namespace
-
 std::string
 MetricsRegistry::ToCsv() const
 {
-    std::ostringstream out;
-    out << "kind,name,field,value\n";
+    // Every row is a name plus at most 64 bytes: "histogram," and
+    // ",le_", a %.17g bound (<= 24), ',' and a count (<= 20), '\n'.
+    constexpr size_t kRowBytes = 64;
+    size_t bytes = sizeof "kind,name,field,value\n";
     for (const auto& [name, v] : counters_)
-        out << "counter," << name << ",value," << v << '\n';
+        bytes += name.size() + kRowBytes;
     for (const auto& [name, v] : gauges_)
-        out << "gauge," << name << ",value," << FormatValue(v) << '\n';
-    for (const auto& [name, h] : histograms_) {
-        out << "histogram," << name << ",count," << h.Count() << '\n';
-        out << "histogram," << name << ",sum," << FormatValue(h.Sum())
-            << '\n';
-        out << "histogram," << name << ",min," << FormatValue(h.Min())
-            << '\n';
-        out << "histogram," << name << ",max," << FormatValue(h.Max())
-            << '\n';
-        for (size_t b = 0; b < h.Counts().size(); ++b) {
-            out << "histogram," << name << ",le_";
-            if (b < h.Bounds().size())
-                out << FormatValue(h.Bounds()[b]);
-            else
-                out << "inf";
-            out << ',' << h.Counts()[b] << '\n';
-        }
+        bytes += name.size() + kRowBytes;
+    for (const auto& [name, h] : histograms_)
+        bytes += (4 + h.Counts().size()) * (name.size() + kRowBytes);
+    std::string csv;
+    csv.reserve(bytes);
+    TextAppender out(csv);
+    AppendCsv(out);
+    return csv;
+}
+
+void
+MetricsRegistry::AppendCsv(TextAppender& out) const
+{
+    out.Str("kind,name,field,value\n");
+    for (const auto& [name, v] : counters_) {
+        out.Str("counter,").Str(name).Str(",value,").Int(v).Char('\n');
+        out.EndRow();
     }
-    return out.str();
+    for (const auto& [name, v] : gauges_) {
+        out.Str("gauge,").Str(name).Str(",value,").General17(v).Char('\n');
+        out.EndRow();
+    }
+    for (const auto& [name, h] : histograms_) {
+        out.Str("histogram,").Str(name).Str(",count,").Int(h.Count());
+        out.Char('\n');
+        out.Str("histogram,").Str(name).Str(",sum,").General17(h.Sum());
+        out.Char('\n');
+        out.Str("histogram,").Str(name).Str(",min,").General17(h.Min());
+        out.Char('\n');
+        out.Str("histogram,").Str(name).Str(",max,").General17(h.Max());
+        out.Char('\n');
+        for (size_t b = 0; b < h.Counts().size(); ++b) {
+            out.Str("histogram,").Str(name).Str(",le_");
+            if (b < h.Bounds().size())
+                out.General17(h.Bounds()[b]);
+            else
+                out.Str("inf");
+            out.Char(',').Int(h.Counts()[b]).Char('\n');
+        }
+        out.EndRow();
+    }
 }
 
 void

@@ -18,6 +18,8 @@
 
 namespace sinan {
 
+class TextAppender;
+
 /**
  * Fixed-bucket histogram: counts of observations falling at or below
  * each upper bound, plus an overflow bucket and running sum/min/max.
@@ -112,10 +114,13 @@ class MetricsRegistry {
     /**
      * Serializes every metric as `kind,name,field,value` CSV rows
      * (counters and gauges emit one row; histograms emit count/sum/
-     * min/max/mean plus one row per bucket). Rows are ordered by kind
+     * min/max plus one row per bucket). Rows are ordered by kind
      * then name, so equal registries render byte-identical CSV.
      */
     std::string ToCsv() const;
+
+    /** Appends ToCsv's rows to @p out (the file sink streams them). */
+    void AppendCsv(TextAppender& out) const;
 
     /** Drops every metric. */
     void Clear();

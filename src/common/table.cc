@@ -1,9 +1,8 @@
 #include "common/table.h"
 
-#include <filesystem>
-#include <fstream>
 #include <sstream>
-#include <stdexcept>
+
+#include "common/text_appender.h"
 
 namespace sinan {
 
@@ -92,23 +91,21 @@ TextTable::RenderCsv() const
 std::string
 FormatDouble(double value, int precision)
 {
-    std::ostringstream out;
-    out.setf(std::ios::fixed);
-    out.precision(precision);
-    out << value;
-    return out.str();
+    std::string out;
+    TextAppender(out).Fixed(value, precision);
+    return out;
 }
 
 void
 WriteFile(const std::string& path, const std::string& content)
 {
-    const std::filesystem::path p(path);
-    if (p.has_parent_path())
-        std::filesystem::create_directories(p.parent_path());
-    std::ofstream out(p);
-    if (!out)
-        throw std::runtime_error("WriteFile: cannot open " + path);
-    out << content;
+    TextFile file(path);
+    const std::string_view rest(content);
+    for (size_t at = 0; at < rest.size(); at += TextFile::kFlushBytes) {
+        file.Out().Str(rest.substr(at, TextFile::kFlushBytes));
+        file.Out().EndRow();
+    }
+    file.Close();
 }
 
 } // namespace sinan

@@ -51,7 +51,9 @@ class TextTable {
 /** Formats a double with fixed precision (helper for ad-hoc output). */
 std::string FormatDouble(double value, int precision = 2);
 
-/** Writes @p content to @p path, creating parent dirs; throws on failure. */
+/** Writes @p content to @p path through a TextFile (parents created);
+ *  throws std::runtime_error naming the path on a failed open or
+ *  write. */
 void WriteFile(const std::string& path, const std::string& content);
 
 } // namespace sinan

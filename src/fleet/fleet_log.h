@@ -21,6 +21,8 @@
 
 namespace sinan {
 
+class TextAppender;
+
 /** Deterministic per-cluster, per-interval fleet trace as CSV. */
 std::string FleetTraceToCsv(const FleetResult& result);
 
@@ -33,13 +35,12 @@ std::string FleetTraceToCsv(const FleetResult& result);
 std::string FleetSummaryToJson(const FleetResult& result,
                                bool include_timing = true);
 
-/** Writes the deterministic fleet trace CSV (parents created). */
-void WriteFleetTrace(const std::string& path, const FleetResult& result);
+/** Appends FleetTraceToCsv's bytes to @p out (string or file sink). */
+void AppendFleetTrace(TextAppender& out, const FleetResult& result);
 
-/** Writes the fleet report: FleetSummaryToJson with timing (parents
- *  created). */
-void WriteFleetReport(const std::string& path,
-                      const FleetResult& result);
+/** Appends FleetSummaryToJson's bytes to @p out. */
+void AppendFleetSummaryJson(TextAppender& out, const FleetResult& result,
+                            bool include_timing = true);
 
 } // namespace sinan
 

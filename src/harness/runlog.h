@@ -14,11 +14,18 @@
 
 namespace sinan {
 
+class TextAppender;
+
 /** Serializes a run's timeline to CSV (header + one row per interval). */
 std::string RunLogToCsv(const RunResult& result,
                         const Application& app);
 
-/** Writes RunLogToCsv output to @p path (creating directories). */
+/** Appends RunLogToCsv's bytes to @p out (string or file sink). */
+void AppendRunLog(TextAppender& out, const RunResult& result,
+                  const Application& app);
+
+/** Writes RunLogToCsv's bytes to @p path through a TextFile (parents
+ *  created; throws std::runtime_error on a failed open or write). */
 void WriteRunLog(const std::string& path, const RunResult& result,
                  const Application& app);
 

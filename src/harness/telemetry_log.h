@@ -11,11 +11,14 @@
 #define SINAN_HARNESS_TELEMETRY_LOG_H
 
 #include <string>
+#include <vector>
 
 #include "common/metrics.h"
 #include "core/decision_trace.h"
 
 namespace sinan {
+
+class TextAppender;
 
 /**
  * Flat CSV: header plus one row per candidate, and one row with
@@ -31,12 +34,14 @@ namespace sinan {
  */
 std::string DecisionTraceToCsv(const DecisionTrace& trace);
 
-/** Writes DecisionTraceToCsv to @p path (creating parent directories). */
-void WriteDecisionTrace(const std::string& path,
-                        const DecisionTrace& trace);
+/** Appends DecisionTraceToCsv's header line to @p out. */
+void AppendDecisionTraceHeader(TextAppender& out);
 
-/** Writes MetricsRegistry::ToCsv to @p path (parents created). */
-void WriteMetrics(const std::string& path, const MetricsRegistry& reg);
+/** Appends the rows of @p entries to @p out, exactly as
+ *  DecisionTraceToCsv renders them after its header. A run can stream
+ *  its log this way, one interval's LastDecisions() at a time. */
+void AppendDecisionTraceEntries(
+    TextAppender& out, const std::vector<DecisionTraceEntry>& entries);
 
 /** Summary counters derived from a run's metric registry. */
 struct TelemetrySummary {

@@ -5,19 +5,31 @@
  * src/cli/sim_cli.h), `--faults list` prints the chaos catalog and
  * exits 0, and well-formed invocations populate SimOptions exactly.
  * Exit behavior is pinned with gtest death tests so a regression to
- * throwing (or to silently misparsing) fails loudly.
+ * throwing (or to silently misparsing) fails loudly. The run modes are
+ * pinned the same way: an output file that cannot be opened exits 1
+ * before the run, one that cannot be written exits 1 (never an abort,
+ * never a silent exit 0), and the streamed decision log carries the
+ * bytes of the trace RunManaged keeps.
  */
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <initializer_list>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "app/apps.h"
+#include "bundled_model.h"
 #include "cli/sim_cli.h"
 #include "common/cpu_features.h"
+#include "common/table.h"
+#include "core/scheduler.h"
 #include "golden_util.h"
+#include "harness/telemetry_log.h"
 
 namespace sinan {
 namespace {
@@ -322,6 +334,119 @@ TEST(CliTest, ChaosCatalogMatchesGoldenListing)
     // The two PR-9 scenarios must be part of the catalog.
     EXPECT_NE(rendered.find("correlated-outage"), std::string::npos);
     EXPECT_NE(rendered.find("flash-crowd"), std::string::npos);
+}
+
+/** "sinan_sim <args...>" through ParseSimArgs and the mode it selects,
+ *  exiting with the mode's return code (for EXPECT_EXIT). */
+[[noreturn]] void
+RunCli(const std::vector<std::string>& args)
+{
+    std::vector<const char*> argv = {"sinan_sim"};
+    for (const std::string& a : args)
+        argv.push_back(a.c_str());
+    const SimOptions opt =
+        ParseSimArgs(static_cast<int>(argv.size()), argv.data());
+    std::exit(opt.fleet > 0 ? RunFleetMode(opt) : RunSingleMode(opt));
+}
+
+/** A path no file can be created at: its parent is a regular file. */
+std::string
+UnopenablePath(const std::string& name)
+{
+    const std::filesystem::path dir =
+        std::filesystem::temp_directory_path() / "sinan_cli_test";
+    WriteFile((dir / "plain").string(), "x");
+    return (dir / "plain" / name).string();
+}
+
+TEST(CliDeathTest, UnopenableOutputExitsOneBeforeTheRun)
+{
+    // The model path does not exist either: reaching the run's setup
+    // would exit 2 naming it, so exit 1 naming the output shows the
+    // outputs are opened first.
+    const std::string bad = UnopenablePath("out.csv");
+    const std::string needle = "^sinan_sim: cannot open '" + bad + "'";
+    for (const char* flag : {"--log", "--decision-log", "--metrics"}) {
+        SCOPED_TRACE(flag);
+        EXPECT_EXIT(RunCli({"--manager", "sinan", "--model",
+                            "no/such.model", flag, bad}),
+                    ::testing::ExitedWithCode(1), needle);
+    }
+    for (const char* flag : {"--fleet-log", "--fleet-report"}) {
+        SCOPED_TRACE(flag);
+        EXPECT_EXIT(RunCli({"--fleet", "2", "--manager", "cons",
+                            "--duration", "5", "--warmup", "1", flag,
+                            bad}),
+                    ::testing::ExitedWithCode(1), needle);
+    }
+    std::filesystem::remove_all(std::filesystem::temp_directory_path() /
+                                "sinan_cli_test");
+}
+
+TEST(CliDeathTest, FailedWriteExitsOne)
+{
+    if (!std::filesystem::exists("/dev/full"))
+        GTEST_SKIP() << "no /dev/full on this system";
+    const std::string needle =
+        "^sinan_sim: cannot write '/dev/full': No space left on device";
+    for (const char* flag : {"--log", "--decision-log", "--metrics"}) {
+        SCOPED_TRACE(flag);
+        EXPECT_EXIT(RunCli({"--duration", "5", "--warmup", "1", flag,
+                            "/dev/full"}),
+                    ::testing::ExitedWithCode(1), needle);
+    }
+    for (const char* flag : {"--fleet-log", "--fleet-report"}) {
+        SCOPED_TRACE(flag);
+        EXPECT_EXIT(RunCli({"--fleet", "2", "--manager", "cons",
+                            "--duration", "5", "--warmup", "1", flag,
+                            "/dev/full"}),
+                    ::testing::ExitedWithCode(1), needle);
+    }
+}
+
+TEST(CliTest, StreamedDecisionLogEqualsTheKeptTrace)
+{
+    const Application app = BuildSocialNetwork();
+    std::unique_ptr<HybridModel> model =
+        testutil::LoadBundledModel(app, "social");
+    if (!model)
+        GTEST_SKIP() << "bench_cache/social.model not present";
+    const std::filesystem::path dir =
+        std::filesystem::temp_directory_path() / "sinan_cli_stream_test";
+    std::filesystem::remove_all(dir);
+    const std::string log = (dir / "decisions.csv").string();
+    const std::string model_path =
+        std::string(SINAN_REPO_ROOT) + "/bench_cache/social.model";
+    std::vector<const char*> argv = {
+        "sinan_sim", "--manager",     "sinan",
+        "--model",   model_path.c_str(), "--users",
+        "150",       "--duration",    "40",
+        "--warmup",  "5",             "--uncertainty",
+        "on",        "--faults",      "chaos:correlated-outage",
+        "--decision-log", log.c_str()};
+    const SimOptions opt =
+        ParseSimArgs(static_cast<int>(argv.size()), argv.data());
+    ASSERT_EQ(RunSingleMode(opt), 0);
+    std::ifstream in(log, std::ios::binary);
+    std::ostringstream streamed;
+    streamed << in.rdbuf();
+
+    SchedulerConfig scfg;
+    scfg.uncertainty = opt.uncertainty;
+    SinanScheduler sched(*model, scfg);
+    ConstantLoad load(opt.users);
+    RunConfig cfg;
+    cfg.duration_s = opt.duration_s;
+    cfg.warmup_s = opt.warmup_s;
+    cfg.seed = opt.seed;
+    cfg.faults = opt.faults;
+    const std::string kept =
+        DecisionTraceToCsv(RunManaged(app, sched, load, cfg).decision_trace);
+    EXPECT_EQ(streamed.str(), kept);
+    // The faulted, uncertainty-on run took the paths the log must show.
+    EXPECT_NE(kept.find(",uncertain_model,"), std::string::npos);
+    EXPECT_NE(kept.find(",model,"), std::string::npos);
+    std::filesystem::remove_all(dir);
 }
 
 } // namespace
